@@ -17,9 +17,10 @@ from .forest import (
     DEFAULT_STATE_BUDGET,
     BudgetError,
     DecisionForest,
-    Leaf,
     UsageError,
     _digits,
+    _input_symbols,
+    _leaf_values,
     cube_order,
     eval_forest_on_cube,
     packed_outputs_on_cube,
@@ -30,7 +31,15 @@ SUM_TOLERANCE = 1e-9
 
 
 def derive_seed(seed: int, step: int) -> int:
-    """Stable per-step seed so reruns never depend on batching."""
+    """Stable per-step seed so reruns never depend on batching.
+
+    The step fills the low 20 bits, so it must sit in [0, 2**20) and the
+    seed must be nonnegative for distinct pairs to give distinct seeds.
+    """
+    if seed < 0 or not 0 <= step < 1 << 20:
+        raise UsageError(
+            "bad_seed", f"derived seeds need seed >= 0 and step in [0, 2**20), got {seed}, {step}"
+        )
     return (seed << 20) ^ step
 
 
@@ -153,26 +162,13 @@ def sample_forest_outputs(
 
 def eval_forest_on_inputs(forest: DecisionForest, inputs: np.ndarray) -> np.ndarray:
     """Vectorized forest evaluation on explicit input rows."""
-    trials = inputs.shape[0]
-    lam = forest.input_space.alphabet
     width = forest.output_space.alphabet + 1
     dtype = np.uint8 if width <= 255 else np.int32
-    out = np.empty((trials, len(forest.trees)), dtype=dtype)
-    base = np.arange(trials, dtype=np.int64)
-    for ti, tree in enumerate(forest.trees):
-        col = out[:, ti]
-
-        def go(node, idx):
-            if isinstance(node, Leaf):
-                col[idx] = node.value
-                return
-            sym = inputs[idx, node.query]
-            for v in range(lam):
-                mask = sym == v
-                if mask.any():
-                    go(node.children[v], idx[mask])
-
-        go(tree.root, base)
+    out = np.empty((inputs.shape[0], len(forest.trees)), dtype=dtype)
+    rows = np.arange(inputs.shape[0], dtype=np.int64)
+    symbol = _input_symbols(inputs)
+    for tree in range(len(forest.trees)):
+        _leaf_values(forest, tree, rows, symbol, out[:, tree])
     return out
 
 
@@ -330,6 +326,17 @@ def _rows_have_collision(rows: np.ndarray, bot: int | None, count_bot: bool) -> 
     return hit
 
 
+def _forest_rows(
+    forest: DecisionForest, mode: str, trials: int, seed: int, budget: int
+) -> np.ndarray:
+    """Output rows: every cube point when exact, seeded uniform draws otherwise."""
+    if mode == "exact":
+        return eval_forest_on_cube(forest, budget=budget)
+    if mode == "monte_carlo":
+        return sample_forest_outputs(forest, trials, seed)
+    raise UsageError("bad_mode", f"unknown mode {mode!r}")
+
+
 def tv_lower_bound_via_collision(
     forest: DecisionForest,
     n: int | None = None,
@@ -349,14 +356,8 @@ def tv_lower_bound_via_collision(
         raise UsageError("mismatched_spaces", f"{len(forest.trees)} outputs vs deck size {n}")
     if forest.output_space.alphabet > n:
         raise UsageError("mismatched_spaces", "output alphabet exceeds the deck size")
-    bot = forest.output_space.bot
-    if mode == "exact":
-        rows = eval_forest_on_cube(forest, budget=budget)
-    elif mode == "monte_carlo":
-        rows = sample_forest_outputs(forest, trials, seed)
-    else:
-        raise UsageError("bad_mode", f"unknown mode {mode!r}")
-    return float(_rows_have_collision(rows, bot, count_bot=True).mean())
+    rows = _forest_rows(forest, mode, trials, seed, budget)
+    return float(_rows_have_collision(rows, forest.output_space.bot, count_bot=True).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +474,8 @@ def collision_probability(
         raise UsageError("bad_mode", f"unknown mode {mode!r}")
     if not isinstance(source, DecisionForest):
         raise UsageError("bad_source", f"cannot compute collisions for {type(source).__name__}")
-    bot = source.output_space.bot
-    if mode == "exact":
-        rows = eval_forest_on_cube(source, budget=budget)
-    elif mode == "monte_carlo":
-        rows = sample_forest_outputs(source, trials, seed)
-    else:
-        raise UsageError("bad_mode", f"unknown mode {mode!r}")
-    return float(_rows_have_collision(rows, bot, count_bot=False).mean())
+    rows = _forest_rows(source, mode, trials, seed, budget)
+    return float(_rows_have_collision(rows, source.output_space.bot, count_bot=False).mean())
 
 
 # ---------------------------------------------------------------------------

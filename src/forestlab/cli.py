@@ -25,7 +25,6 @@ from .analysis import (
     collision_probability,
     conditional_entropy,
     derive_seed,
-    dump_distribution,
     entropy,
     hoeffding_halfwidth,
     monte_carlo_conditional_entropy,
@@ -44,7 +43,7 @@ from .forest import (
     check_lipschitz,
     dumps_forest,
     eval_forest,
-    loads_forest,
+    forest_from_json,
     query_profile,
 )
 from .harness import (
@@ -132,15 +131,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     config_path = raw.pop("config", None)
     merged: dict = {}
     if config_path:
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except FileNotFoundError:
-            raise UsageError("missing_file", f"config file {config_path} not found")
-        except json.JSONDecodeError as exc:
-            raise UsageError("bad_config", f"config file does not parse: {exc}")
-        if not isinstance(file_values, dict):
-            raise UsageError("bad_config", "config file must hold an object")
+        file_values = _read_json(config_path, "bad_config", _json_object)
         for key, value in file_values.items():
             name = key.replace("-", "_")
             if name == "lambda":
@@ -175,10 +166,31 @@ def _read_text(path: str) -> str:
         raise UsageError("missing_file", f"file {path} not found")
 
 
+def _read_json(path: str, reason: str, build=lambda doc: doc):
+    """Parse a JSON file and build an object from the document.
+
+    Text that does not parse, and a KeyError, TypeError or ValueError
+    raised while building, become UsageError(reason); a UsageError raised
+    while building keeps its own reason.
+    """
+    try:
+        return build(json.loads(_read_text(path)))
+    except UsageError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise UsageError(reason, f"cannot read {path}: {exc!r}")
+
+
+def _json_object(doc) -> dict:
+    if not isinstance(doc, dict):
+        raise TypeError("the document must hold an object")
+    return doc
+
+
 def _load_forest(cfg: RunConfig):
     if not cfg.forest:
         raise UsageError("missing_argument", "this command needs --forest")
-    return loads_forest(_read_text(cfg.forest))
+    return _read_json(cfg.forest, "bad_file", forest_from_json)
 
 
 def _parse_symbols(text: str) -> tuple:
@@ -201,17 +213,14 @@ def _load_outcome_set(cfg: RunConfig) -> OutcomeSet:
         raise UsageError("missing_argument", "this command needs --set")
     if spec == "empty":
         return OutcomeSet(frozenset(), cfg.s or 12, cfg.lam or 2, description="empty set")
-    try:
-        doc = json.loads(_read_text(spec))
-    except json.JSONDecodeError as exc:
-        raise UsageError("bad_file", f"set file does not parse: {exc}")
-    try:
+
+    def build(doc) -> OutcomeSet:
         members = frozenset(tuple(int(v) for v in row) for row in doc["members"])
         return OutcomeSet(
             members, int(doc["arity"]), int(doc["alphabet"]), description=doc.get("description", "")
         )
-    except (KeyError, TypeError, ValueError):
-        raise UsageError("bad_file", "set file needs arity, alphabet, and members")
+
+    return _read_json(spec, "bad_file", build)
 
 
 def _dump_outcome_set(outcome_set: OutcomeSet) -> str:
@@ -225,23 +234,20 @@ def _dump_outcome_set(outcome_set: OutcomeSet) -> str:
 
 
 def _load_ensemble(path: str) -> IndependentEnsemble:
-    try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise UsageError("bad_file", f"ensemble file does not parse: {exc}")
-    rows = doc["rows"] if isinstance(doc, dict) else doc
-    return IndependentEnsemble(rows)
+    return _read_json(
+        path, "bad_file", lambda doc: IndependentEnsemble(doc["rows"] if isinstance(doc, dict) else doc)
+    )
 
 
 def _load_buckets(cfg: RunConfig) -> BucketStructure:
     if not cfg.buckets:
         raise UsageError("missing_argument", "this command needs --buckets")
-    try:
-        doc = json.loads(_read_text(cfg.buckets))
-    except json.JSONDecodeError as exc:
-        raise UsageError("bad_file", f"bucket file does not parse: {exc}")
-    blocks = doc["buckets"] if isinstance(doc, dict) else doc
-    return BucketStructure(tuple(tuple(int(c) for c in block) for block in blocks))
+
+    def build(doc) -> BucketStructure:
+        blocks = doc["buckets"] if isinstance(doc, dict) else doc
+        return BucketStructure(tuple(tuple(int(c) for c in block) for block in blocks))
+
+    return _read_json(cfg.buckets, "bad_file", build)
 
 
 def _target_distribution(cfg: RunConfig, forest=None) -> Distribution:
@@ -603,7 +609,7 @@ def _cmd_dichotomy(cfg: RunConfig) -> int:
 def _verify_containment(cfg: RunConfig):
     if cfg.k is None:
         raise UsageError("missing_argument", "containment needs --k")
-    forest = loads_forest(_read_text(cfg.forest)) if cfg.forest else None
+    forest = _load_forest(cfg) if cfg.forest else None
     if forest is not None:
         dist = output_distribution(forest, budget=cfg.budget_states)
     else:
@@ -747,12 +753,13 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     names = None
     overrides: dict = {}
     if cfg.corpus_config:
-        try:
-            doc = json.loads(_read_text(cfg.corpus_config))
-        except json.JSONDecodeError as exc:
-            raise UsageError("bad_config", f"corpus config does not parse: {exc}")
-        names = tuple(doc.get("families", corpus_mod.FAMILIES))
-        overrides = doc.get("overrides", {})
+
+        def plan(doc) -> tuple:
+            doc = _json_object(doc)
+            overrides = _json_object(doc.get("overrides", {}))
+            return tuple(doc.get("families", corpus_mod.FAMILIES)), overrides
+
+        names, overrides = _read_json(cfg.corpus_config, "bad_config", plan)
         for name in names:
             if name not in corpus_mod.FAMILIES:
                 raise UsageError("unknown_family", f"no corpus family named {name!r}")

@@ -9,11 +9,10 @@ allows it.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from dataclasses import dataclass
+from typing import Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -116,37 +115,63 @@ class Transcript:
     value: int
 
 
-def _validate_node(node: Node, path: set, space: InputSpace, out: OutputSpace) -> int:
-    """Check one subtree and return its depth."""
-    if isinstance(node, Leaf):
-        limit = out.alphabet + (1 if out.bot_allowed else 0)
-        if not 0 <= node.value < limit:
-            raise UsageError("bad_leaf", f"leaf value {node.value} outside output range")
-        return 0
-    if not isinstance(node, Internal):
-        raise UsageError("bad_tree", f"unknown node type {type(node).__name__}")
-    if not 0 <= node.query < space.cells:
-        raise UsageError("bad_query", f"query {node.query} outside input space")
-    if node.query in path:
-        raise UsageError("repeat_query", f"cell {node.query} probed twice on a path")
-    if len(node.children) != space.alphabet:
-        raise UsageError(
-            "bad_fanout",
-            f"node on cell {node.query} has {len(node.children)} children, "
-            f"expected {space.alphabet}",
-        )
-    path.add(node.query)
-    depth = 1 + max(_validate_node(c, path, space, out) for c in node.children)
-    path.remove(node.query)
-    return depth
+class _NodeTable(NamedTuple):
+    """Every node of a forest as one row, tree after tree, in preorder.
+
+    A row is (query, value, depth, children): the probed cell or -1 at a
+    leaf, the leaf value or -1 at an internal node, the node's depth, and
+    the row ids of its children (empty at a leaf).  Tree t owns the rows
+    from roots[t] up to the next tree's root.
+    """
+
+    rows: list
+    roots: list
+
+    def tree_rows(self, tree: int) -> list:
+        end = self.roots[tree + 1] if tree + 1 < len(self.roots) else len(self.rows)
+        return self.rows[self.roots[tree] : end]
 
 
-def _node_cells(node: Node, acc: set) -> set:
-    if isinstance(node, Internal):
-        acc.add(node.query)
-        for c in node.children:
-            _node_cells(c, acc)
-    return acc
+def _tabulate(space: InputSpace, out: OutputSpace, trees: tuple) -> _NodeTable:
+    """Validate every tree and return the forest's node table."""
+    rows: list = []
+    limit = out.alphabet + (1 if out.bot_allowed else 0)
+    cells, lam = space.cells, space.alphabet
+
+    def _validate_node(node: Node, path: set, depth: int) -> None:
+        """Check one subtree and append its rows."""
+        if isinstance(node, Leaf):
+            if not 0 <= node.value < limit:
+                raise UsageError("bad_leaf", f"leaf value {node.value} outside output range")
+            rows.append((-1, node.value, depth, ()))
+            return
+        if not isinstance(node, Internal):
+            raise UsageError("bad_tree", f"unknown node type {type(node).__name__}")
+        cell = node.query
+        if not 0 <= cell < cells:
+            raise UsageError("bad_query", f"query {cell} outside input space")
+        if cell in path:
+            raise UsageError("repeat_query", f"cell {cell} probed twice on a path")
+        if len(node.children) != lam:
+            raise UsageError(
+                "bad_fanout",
+                f"node on cell {cell} has {len(node.children)} children, expected {lam}",
+            )
+        row = len(rows)
+        rows.append(None)  # filled in once the children have row ids
+        path.add(cell)
+        kids = []
+        for child in node.children:
+            kids.append(len(rows))
+            _validate_node(child, path, depth + 1)
+        path.remove(cell)
+        rows[row] = (cell, -1, depth, tuple(kids))
+
+    roots = []
+    for tree in trees:
+        roots.append(len(rows))
+        _validate_node(tree.root, set(), 0)
+    return _NodeTable(rows, roots)
 
 
 @dataclass(frozen=True)
@@ -163,21 +188,18 @@ class DecisionForest:
                 "bad_arity",
                 f"{len(self.trees)} trees for {self.output_space.cells} output cells",
             )
-        depth = 0
-        for t in self.trees:
-            depth = max(depth, _validate_node(t.root, set(), self.input_space, self.output_space))
-        object.__setattr__(self, "_depth", depth)
+        object.__setattr__(self, "_table", _tabulate(self.input_space, self.output_space, self.trees))
 
     @property
     def depth(self) -> int:
-        return self._depth
+        """Length of the longest root-to-leaf path."""
+        return max(depth for _, _, depth, _ in self._table.rows)
 
     def mentioned_cells(self) -> list:
         """Sorted list of cells probed anywhere in the forest."""
-        acc: set = set()
-        for t in self.trees:
-            _node_cells(t.root, acc)
-        return sorted(acc)
+        cells = {row[0] for row in self._table.rows}
+        cells.discard(-1)
+        return sorted(cells)
 
 
 @dataclass(frozen=True)
@@ -209,15 +231,10 @@ def is_bucketed(forest: DecisionForest, structure: BucketStructure) -> bool:
     """True when every level-t probe of every tree lands in bucket t."""
     if structure.cells != forest.input_space.cells:
         return False
-
-    def walk(node: Node, level: int) -> bool:
-        if isinstance(node, Leaf):
-            return True
-        if level >= len(structure) or node.query not in structure.buckets[level]:
-            return False
-        return all(walk(c, level + 1) for c in node.children)
-
-    return all(walk(t.root, 0) for t in forest.trees)
+    return all(
+        cell < 0 or (level < len(structure) and cell in structure.buckets[level])
+        for cell, _, level, _ in forest._table.rows
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -319,31 +336,53 @@ def cube_order(forest: DecisionForest, extra_cells: Iterable[int] = ()) -> list:
     return sorted(set(forest.mentioned_cells()) | set(extra_cells))
 
 
-def eval_tree_on_cube(
-    tree: DecisionTree, cells_order: list, lam: int, out_dtype=np.int16
-) -> np.ndarray:
-    """Evaluate one tree on every assignment of cells_order.
+def _route(forest: DecisionForest, tree: int, rows: np.ndarray, symbol):
+    """Split `rows` down one tree, yielding (query, value, rows reaching it) per node.
 
-    Assignment index i encodes symbol (i // lam**rank) % lam for the cell at
-    position rank in cells_order.  Cells outside cells_order must not be
-    probed by the tree.
+    Nodes come in preorder.  `symbol(rows, cell)` gives the symbol each row
+    holds at `cell`: a cube digit or an entry of an input row.  A node's
+    rows are split with one mask per symbol and dropped once split.
     """
+    table = forest._table.rows
+    top = forest.input_space.alphabet - 1
+    stack = [(forest._table.roots[tree], rows)]
+    while stack:
+        node, rows = stack.pop()
+        cell, value, _, kids = table[node]
+        yield cell, value, rows
+        if cell >= 0:
+            sym = symbol(rows, cell)
+            for v in range(top, -1, -1):
+                reached = rows[sym == v]
+                if reached.size:
+                    stack.append((kids[v], reached))
+            del sym, reached
+
+
+def _leaf_values(forest: DecisionForest, tree: int, rows: np.ndarray, symbol, out: np.ndarray):
+    """Set out[r] to the leaf value one tree gives row r, for every r in rows."""
+    for cell, value, reached in _route(forest, tree, rows, symbol):
+        if cell < 0:
+            out[reached] = value
+
+
+def _count_probes(forest: DecisionForest, rows: np.ndarray, symbol, counts: np.ndarray, column):
+    """Add one to counts[r, column[cell]] for each probe any tree makes on row r."""
+    for tree in range(len(forest.trees)):
+        for cell, _, reached in _route(forest, tree, rows, symbol):
+            if cell >= 0:
+                counts[reached, column[cell]] += 1
+
+
+def _cube_symbols(cells_order: list, lam: int):
+    """Symbols of cube points: the cell at position rank is digit rank of the index."""
     rank_of = {c: r for r, c in enumerate(cells_order)}
-    n = lam ** len(cells_order)
-    out = np.empty(n, dtype=out_dtype)
+    return lambda rows, cell: _digits(rows, rank_of[cell], lam)
 
-    def go(node: Node, idx: np.ndarray):
-        if isinstance(node, Leaf):
-            out[idx] = node.value
-            return
-        sym = _digits(idx, rank_of[node.query], lam)
-        for v in range(lam):
-            mask = sym == v
-            if mask.any():
-                go(node.children[v], idx[mask])
 
-    go(tree.root, np.arange(n, dtype=np.int64))
-    return out
+def _input_symbols(inputs: np.ndarray):
+    """Symbols of explicit input rows: row r holds inputs[r, cell] at cell."""
+    return lambda rows, cell: inputs[rows, cell]
 
 
 def eval_forest_on_cube(
@@ -351,7 +390,12 @@ def eval_forest_on_cube(
     cells_order: list | None = None,
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> np.ndarray:
-    """All outputs over the cube, as an (assignments, trees) matrix."""
+    """All outputs over the cube, as an (assignments, trees) matrix.
+
+    Assignment index i encodes symbol (i // lam**rank) % lam for the cell at
+    position rank in cells_order.  Cells outside cells_order must not be
+    probed by the forest.
+    """
     if cells_order is None:
         cells_order = cube_order(forest)
     lam = forest.input_space.alphabet
@@ -359,8 +403,10 @@ def eval_forest_on_cube(
     width = forest.output_space.alphabet + 1
     dtype = np.uint8 if width <= 255 else np.int32
     out = np.empty((n, len(forest.trees)), dtype=dtype)
-    for ti, tree in enumerate(forest.trees):
-        out[:, ti] = eval_tree_on_cube(tree, cells_order, lam, out_dtype=dtype)
+    rows = np.arange(n, dtype=np.int64)
+    symbol = _cube_symbols(cells_order, lam)
+    for tree in range(len(forest.trees)):
+        _leaf_values(forest, tree, rows, symbol, out[:, tree])
     return out
 
 
@@ -382,11 +428,15 @@ def packed_outputs_on_cube(
     if m * math.log2(base) > 62:
         return None
     lam = forest.input_space.alphabet
-    _check_enum_budget(lam, len(cells_order), budget)
-    packed = None
-    for tree in forest.trees:
-        col = eval_tree_on_cube(tree, cells_order, lam, out_dtype=np.int64)
-        packed = col if packed is None else packed * base + col
+    n = _check_enum_budget(lam, len(cells_order), budget)
+    rows = np.arange(n, dtype=np.int64)
+    symbol = _cube_symbols(cells_order, lam)
+    packed = np.zeros(n, dtype=np.int64)
+    col = np.empty(n, dtype=np.int64)
+    for tree in range(m):
+        _leaf_values(forest, tree, rows, symbol, col)
+        packed *= base
+        packed += col
     return packed
 
 
@@ -416,21 +466,8 @@ def query_counts_on_cube(
         raise BudgetError("enum_budget", "probe-count table would exceed the state budget")
     rank_of = {c: r for r, c in enumerate(cells_order)}
     counts = np.zeros((n, len(cells_order)), dtype=np.uint16)
-
-    def go(node: Node, idx: np.ndarray):
-        if isinstance(node, Leaf):
-            return
-        r = rank_of[node.query]
-        counts[idx, r] += 1
-        sym = _digits(idx, r, lam)
-        for v in range(lam):
-            mask = sym == v
-            if mask.any():
-                go(node.children[v], idx[mask])
-
-    base = np.arange(n, dtype=np.int64)
-    for tree in forest.trees:
-        go(tree.root, base)
+    symbol = _cube_symbols(cells_order, lam)
+    _count_probes(forest, np.arange(n, dtype=np.int64), symbol, counts, rank_of)
     return counts, cells_order
 
 
@@ -473,18 +510,45 @@ def expected_query_counts(forest: DecisionForest) -> np.ndarray:
     nodes probing cell j gives the expectation without enumeration.
     """
     lam = forest.input_space.alphabet
-    ec = np.zeros(forest.input_space.cells, dtype=np.float64)
+    ec = [0.0] * forest.input_space.cells
+    for cell, _, depth, _ in forest._table.rows:
+        if cell >= 0:
+            ec[cell] += lam ** (-depth)
+    return np.array(ec, dtype=np.float64)
 
-    def go(node: Node, depth: int):
-        if isinstance(node, Leaf):
-            return
-        ec[node.query] += lam ** (-depth)
-        for c in node.children:
-            go(c, depth + 1)
 
-    for t in forest.trees:
-        go(t.root, 0)
-    return ec
+def _leaf_mass(forest: DecisionForest, value: int) -> float:
+    """Expected number of trees that end at a leaf labelled `value`.
+
+    Leaf reach probabilities alphabet^-depth are summed in preorder.
+    """
+    lam = forest.input_space.alphabet
+    acc = 0.0
+    for _, leaf, depth, _ in forest._table.rows:
+        if leaf == value:  # internal rows hold -1
+            acc += lam ** (-depth)
+    return acc
+
+
+def _deep_probe_mass(forest: DecisionForest, cells: set) -> float:
+    """Expected number of probes below the roots that land in `cells`.
+
+    Reach probabilities are summed per tree in preorder, then across trees.
+    """
+    lam = forest.input_space.alphabet
+    total = 0.0
+    for tree in range(len(forest.trees)):
+        acc = 0.0
+        for cell, _, depth, _ in forest._table.tree_rows(tree):
+            if depth >= 1 and cell in cells:
+                acc += lam ** (-depth)
+        total += acc
+    return total
+
+
+def _leaf_labels(forest: DecisionForest) -> set:
+    """Values of the leaves of every tree."""
+    return {value for _, value, _, _ in forest._table.rows} - {-1}
 
 
 def query_profile(
@@ -516,20 +580,7 @@ def query_profile(
     lam = forest.input_space.alphabet
     inputs = rng.integers(0, lam, size=(trials, s), dtype=np.uint8)
     counts = np.zeros((trials, s), dtype=np.uint16)
-
-    def go(node: Node, idx: np.ndarray):
-        if isinstance(node, Leaf):
-            return
-        counts[idx, node.query] += 1
-        sym = inputs[idx, node.query]
-        for v in range(lam):
-            mask = sym == v
-            if mask.any():
-                go(node.children[v], idx[mask])
-
-    base = np.arange(trials, dtype=np.int64)
-    for t in forest.trees:
-        go(t.root, base)
+    _count_probes(forest, np.arange(trials, dtype=np.int64), _input_symbols(inputs), counts, range(s))
     return QueryProfile(
         tuple(counts.mean(axis=0)),
         tuple((counts > mu).mean(axis=0)),
@@ -561,8 +612,8 @@ def locality(forest: DecisionForest) -> LocalityReport:
     """Probe footprint: cells per tree and trees per cell."""
     influence = [0] * forest.input_space.cells
     worst = 0
-    for t in forest.trees:
-        cells = _node_cells(t.root, set())
+    for tree in range(len(forest.trees)):
+        cells = {row[0] for row in forest._table.tree_rows(tree)} - {-1}
         worst = max(worst, len(cells))
         for c in cells:
             influence[c] += 1

@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .analysis import (
+    ENSEMBLE_EXACT_LIMIT,
     Distribution,
     IndependentEnsemble,
     OutcomeSet,
@@ -23,12 +24,11 @@ from .analysis import (
     conditional_entropy_detail,
     cube_distances_to_set,
     derive_seed,
-    ensemble_collision_probability,
     entropy,
     hoeffding_halfwidth,
     output_distribution,
-    sample_ensemble,
-    _rows_have_collision,
+    tv_distance,
+    tv_lower_bound_via_collision,
 )
 from .forest import (
     DEFAULT_STATE_BUDGET,
@@ -41,6 +41,9 @@ from .forest import (
     Node,
     OutputSpace,
     UsageError,
+    _deep_probe_mass,
+    _leaf_labels,
+    _leaf_mass,
     eval_forest_on_cube,
     expected_query_counts,
     is_bucketed,
@@ -48,7 +51,6 @@ from .forest import (
     query_counts_on_cube,
     restrict,
 )
-from .analysis import tv_distance, tv_lower_bound_via_collision
 from .report import ExperimentReport
 from .samplers import uniform_perm_distribution
 
@@ -191,21 +193,6 @@ def verify_entropy_deviation(forest: DecisionForest, cell: int) -> ExperimentRep
 # probe-count tails
 
 
-def _assert_boolean_outputs(forest: DecisionForest) -> None:
-    def walk(node: Node):
-        if isinstance(node, Leaf):
-            if node.value not in (0, 1):
-                raise UsageError("bad_leaf", "tail bound needs 0/1 leaf values")
-            return
-        for c in node.children:
-            walk(c)
-
-    if forest.output_space.bot_allowed:
-        raise UsageError("bad_leaf", "tail bound needs blank-free outputs")
-    for t in forest.trees:
-        walk(t.root)
-
-
 def verify_second_moment_tail(
     forest: DecisionForest,
     epsilons: Sequence[float] = DEFAULT_EPSILONS,
@@ -217,7 +204,10 @@ def verify_second_moment_tail(
     probe count of any cell, the mass strictly above 2(kappa +
     log2(1/eps) * d * mu) must be at most eps for each requested eps.
     """
-    _assert_boolean_outputs(forest)
+    if forest.output_space.bot_allowed:
+        raise UsageError("bad_leaf", "tail bound needs blank-free outputs")
+    if _leaf_labels(forest) - {0, 1}:
+        raise UsageError("bad_leaf", "tail bound needs 0/1 leaf values")
     rows = eval_forest_on_cube(forest, budget=budget)
     totals = rows.sum(axis=1, dtype=np.int64)
     kappa = float(totals.mean())
@@ -467,12 +457,6 @@ def _optimal_symbol_coupling(lam: int, child_counts, total) -> list:
     return table
 
 
-def _tree_depth(node: Node) -> int:
-    if isinstance(node, Leaf):
-        return 0
-    return 1 + max(_tree_depth(c) for c in node.children)
-
-
 def couple_accepting(
     tree: DecisionTree,
     space: InputSpace,
@@ -497,7 +481,6 @@ def couple_accepting(
     if total == 0:
         raise UsageError("zero_acceptance", "the tree accepts nothing")
     acceptance = Fraction(total, lam ** s)
-    depth = _tree_depth(tree.root)
 
     if mode == "sample":
         rng = random.Random(seed)
@@ -524,7 +507,7 @@ def couple_accepting(
 
     if mode != "exact_report":
         raise UsageError("bad_mode", f"unknown coupling mode {mode!r}")
-
+    depth = DecisionForest(space, OutputSpace(1, 2), (tree,)).depth
     expected_changes = Fraction(0)
     tv_gap = Fraction(0)
 
@@ -666,8 +649,8 @@ def collision_ensemble_report(
 ) -> ExperimentReport:
     """Collision chance of an independent ensemble, with its entropy profile.
 
-    Exact when the ensemble has at most 20 variables, Monte-Carlo otherwise.
-    The report juxtaposes the measured chance with the qualitative
+    Exact when the ensemble has at most ENSEMBLE_EXACT_LIMIT variables,
+    Monte-Carlo otherwise.  The report juxtaposes the measured chance with the qualitative
     high-entropy prediction 1 - exp(-delta^4 m^3 / n^2); no constant is
     asserted, so the pass flag only reflects a successful computation.
     """
@@ -676,18 +659,9 @@ def collision_ensemble_report(
     log2n = math.log2(n) if n >= 2 else 0.0
     delta = float(entropies.min() / (m * log2n)) if log2n > 0 else 0.0
     if mode == "auto":
-        mode = "exact" if m <= 20 else "monte_carlo"
-    if mode == "exact":
-        measured = ensemble_collision_probability(ensemble)
-        trials_used = None
-        seed_used = None
-    elif mode == "monte_carlo":
-        rows = sample_ensemble(ensemble, trials, seed)
-        measured = float(_rows_have_collision(rows, n, count_bot=False).mean())
-        trials_used = trials
-        seed_used = seed
-    else:
-        raise UsageError("bad_mode", f"unknown mode {mode!r}")
+        mode = "exact" if m <= ENSEMBLE_EXACT_LIMIT else "monte_carlo"
+    measured = collision_probability(ensemble, mode=mode, trials=trials, seed=seed)
+    sampled = mode == "monte_carlo"
     reference = 1.0 - math.exp(-(delta ** 4) * m ** 3 / (n * n)) if n else 0.0
     symbol_mass = ensemble.rows[:, :n]
     expected_stat = float(
@@ -699,8 +673,8 @@ def collision_ensemble_report(
         measured=measured,
         passed=True,
         mode=mode,
-        trials=trials_used,
-        seed=seed_used,
+        trials=trials if sampled else None,
+        seed=seed if sampled else None,
         details={
             "delta": delta,
             "min_row_entropy": float(entropies.min()),
@@ -755,41 +729,9 @@ class DepthReductionReport:
     expected_blank_outputs: float
 
 
-def _expected_deep_queries_into(tree: DecisionTree, cells: set, lam: int) -> float:
-    acc = 0.0
-
-    def go(node: Node, depth: int):
-        nonlocal acc
-        if isinstance(node, Leaf):
-            return
-        if depth >= 1 and node.query in cells:
-            acc += lam ** (-depth)
-        for c in node.children:
-            go(c, depth + 1)
-
-    go(tree.root, 0)
-    return acc
-
-
 def _expected_blanks(forest: DecisionForest) -> float:
     bot = forest.output_space.bot
-    if bot is None:
-        return 0.0
-    lam = forest.input_space.alphabet
-    acc = 0.0
-
-    def go(node: Node, depth: int):
-        nonlocal acc
-        if isinstance(node, Leaf):
-            if node.value == bot:
-                acc += lam ** (-depth)
-            return
-        for c in node.children:
-            go(c, depth + 1)
-
-    for t in forest.trees:
-        go(t.root, 0)
-    return acc
+    return 0.0 if bot is None else _leaf_mass(forest, bot)
 
 
 def depth_reduction_step(
@@ -828,9 +770,7 @@ def depth_reduction_step(
         forest.input_space, sub_out, tuple(forest.trees[ti] for ti in indices)
     )
     pruned = prune_on_query_set(subforest, selected, exempt_first_query=True)
-    lam = forest.input_space.alphabet
-    cut = set(selected)
-    extra = sum(_expected_deep_queries_into(t, cut, lam) for t in subforest.trees)
+    extra = _deep_probe_mass(subforest, set(selected))
     return DepthReductionReport(
         alpha=alpha,
         seed=seed,

@@ -201,6 +201,8 @@ def random_forest(spec: ForestGenSpec) -> DecisionForest:
         else:
             pool = set(open_cells)
 
+        tree_cells: set = set()
+
         def build(level: int, used: set):
             if level >= spec.depth or rng.random() < spec.stop_prob:
                 return leaf()
@@ -211,25 +213,13 @@ def random_forest(spec: ForestGenSpec) -> DecisionForest:
             if not candidates:
                 return leaf()
             cell = rng.choice(candidates)
+            tree_cells.add(cell)
             used.add(cell)
             kids = tuple(build(level + 1, used) for _ in range(spec.alphabet))
             used.remove(cell)
             return Internal(cell, kids)
 
-        root = build(0, set())
-        tree = DecisionTree(root)
-        for c in sorted(_tree_cells(root)):
+        trees.append(DecisionTree(build(0, set())))
+        for c in tree_cells:
             influence[c] += 1
-        trees.append(tree)
     return DecisionForest(space, out, tuple(trees))
-
-
-def _tree_cells(node) -> set:
-    acc: set = set()
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Internal):
-            acc.add(cur.query)
-            stack.extend(cur.children)
-    return acc

@@ -287,6 +287,15 @@ def test_seed_derivation_spreads_steps_apart():
     assert derive_seed(5, 1) == (5 << 20) ^ 1
     stream = {derive_seed(7, t) for t in range(1000)}
     assert len(stream) == 1000
+    assert derive_seed(1, (1 << 20) - 1) != derive_seed(2, 0)
+
+
+@pytest.mark.parametrize("seed, step", [(0, 1 << 20), (3, -1), (-1, 0)])
+def test_seed_derivation_rejects_colliding_arguments(seed, step):
+    # derive_seed(0, 2**20) would equal derive_seed(1, 0)
+    with pytest.raises(UsageError) as err:
+        derive_seed(seed, step)
+    assert err.value.reason == "bad_seed"
 
 
 def test_hoeffding_halfwidth_formula():

@@ -216,15 +216,14 @@ def test_gen_random_writes_a_manifest_and_deterministic_forests(tmp_path, capsys
     blobs = []
     for row in rows:
         assert row["spec"]["s"] == 4
-        text = (tmp_path / row["path"]).read_text() if not row["path"].startswith("/") else open(row["path"]).read()
+        text = (tmp_path / row["path"]).read_text()
         blobs.append(text)
         forest = loads_forest(text)
         assert forest.input_space.cells == 4
         assert forest.depth <= 2
     assert main(args) == 0
     for row, old in zip(rows, blobs):
-        path = (tmp_path / row["path"]) if not row["path"].startswith("/") else row["path"]
-        assert open(path).read() == old
+        assert (tmp_path / row["path"]).read_text() == old
 
 
 def test_budget_violations_exit_two(tmp_path, capsys):
@@ -313,6 +312,55 @@ def test_analyze_neighborhood_writes_the_grown_set(tmp_path, capsys):
     assert payload["value"] == 11.0
     grown = json.loads(out_path.read_text())
     assert len(grown["members"]) == 11
+
+
+GATE_FOREST = {
+    "input_arity": 1,
+    "input_alphabet": 2,
+    "output_alphabet": 2,
+    "bot_allowed": False,
+    "trees": [{"query": 0, "children": [{"leaf": 0}, {"leaf": 1}]}],
+}
+
+
+def _without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+# (arguments before the file path, file text or None for no file, expected
+# reason); GATE stands for the path of a valid one-tree forest
+MALFORMED_FILES = [
+    (["eval", "--input", "0", "--forest"], "{not json", "bad_file"),
+    (["eval", "--input", "0", "--forest"], json.dumps(_without(GATE_FOREST, "output_alphabet")), "bad_file"),
+    (["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "trees": [{"query": 0}]}), "bad_file"),
+    (["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "trees": 7}), "bad_file"),
+    (["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "trees": [{"leaf": 5}]}), "bad_leaf"),
+    (["verify", "at-least-two", "--config"], "[1, 2", "bad_config"),
+    (["verify", "at-least-two", "--config"], "[1, 2]", "bad_config"),
+    (["sweep"], "{", "bad_config"),
+    (["sweep"], json.dumps({"families": 3}), "bad_config"),
+    (["sweep"], json.dumps({"families": ["taylor-bound"], "overrides": [1]}), "bad_config"),
+    (["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 2, "members": []}), "bad_file"),
+    (["verify", "harper", "--k", "1", "--set"], "", "bad_file"),
+    (["verify", "ensemble-collision", "--target"], "{]", "bad_file"),
+    (["verify", "ensemble-collision", "--target"], json.dumps({"row": [[1.0]]}), "bad_file"),
+    (["verify", "chain-bound", "--forest", "GATE", "--buckets"], "oops", "bad_file"),
+    (["verify", "chain-bound", "--forest", "GATE", "--buckets"], json.dumps({"buckets": 3}), "bad_file"),
+    (["eval", "--input", "0", "--forest"], None, "missing_file"),
+]
+
+
+@pytest.mark.parametrize("args, text, reason", MALFORMED_FILES)
+def test_malformed_input_files_exit_two_with_a_reason(tmp_path, capsys, args, text, reason):
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    gate = write_gate_forest(tmp_path)
+    argv = [gate if a == "GATE" else a for a in args] + [str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {reason}: ")
+    assert "Traceback" not in err
 
 
 def test_missing_forest_argument_is_a_usage_error(capsys):

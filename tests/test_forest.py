@@ -28,7 +28,15 @@ from forestlab import (
     random_forest,
     restrict,
 )
-from forestlab.forest import eval_forest_on_cube, query_counts_on_cube
+from forestlab.analysis import eval_forest_on_inputs, sample_forest_outputs
+from forestlab.corpus import enforcement_instances, restriction_instances
+from forestlab.forest import (
+    eval_forest_on_cube,
+    packed_outputs_on_cube,
+    query_counts_on_cube,
+)
+from forestlab.harness import _expected_blanks
+from forestlab.samplers import ThorpSpec, thorp_forest
 
 
 def identity_forest(s: int, lam: int = 2) -> DecisionForest:
@@ -190,8 +198,7 @@ def test_pruned_forest_depth_never_grows():
 
 
 def test_expected_query_counts_match_the_exhaustive_table():
-    for seed in (0, 5, 13):
-        f = small_random_forest(seed)
+    for f in differential_corpus():
         counts, order = query_counts_on_cube(f)
         exact = expected_query_counts(f)
         table_mean = counts.mean(axis=0)
@@ -200,6 +207,11 @@ def test_expected_query_counts_match_the_exhaustive_table():
         untouched = set(range(f.input_space.cells)) - set(order)
         for cell in untouched:
             assert exact[cell] == 0.0
+        # blanks: leaf reach mass against the blank frequency over the cube
+        rows = eval_forest_on_cube(f, order)
+        bot = f.output_space.bot
+        blanks = float((rows == bot).sum(axis=1).mean()) if bot is not None else 0.0
+        assert _expected_blanks(f) == pytest.approx(blanks, abs=1e-12)
 
 
 def test_identity_forest_profile_is_flat():
@@ -274,18 +286,83 @@ def test_enumeration_respects_the_state_budget():
     assert err.value.reason == "enum_budget"
 
 
-def test_cube_outputs_match_pointwise_evaluation():
-    f = small_random_forest(31)
-    order = sorted(set(f.mentioned_cells()))
-    table = eval_forest_on_cube(f, order)
-    lam = f.input_space.alphabet
-    for idx in range(table.shape[0]):
-        u = [0] * f.input_space.cells
+def differential_corpus() -> list:
+    """Forests of every shape the cube and sampling kernels must agree on."""
+    binary = ForestGenSpec(cells=5, alphabet=2, out_cells=3, out_alphabet=3, depth=4, seed=3)
+    forests = [
+        random_forest(binary),
+        small_random_forest(0),
+        small_random_forest(31),
+        prune_on_query_set(small_random_forest(5), {1, 3}),
+        prune_on_query_set(random_forest(binary), {0}, exempt_first_query=True),
+        prune_on_query_set(thorp_forest(ThorpSpec(2, 4)), {0, 7}),  # blanks at depths 0 and 3
+        DecisionForest(InputSpace(3, 3), OutputSpace(2, 2), (DecisionTree(Leaf(1)), DecisionTree(Leaf(0)))),
+    ]
+    forests += [thorp_forest(ThorpSpec(3, rounds)) for rounds in (1, 2, 3)]
+    forests += [forest for _, forest, _, _ in restriction_instances()]
+    forests += [forest for _, forest, _, _ in itertools.islice(enforcement_instances(), 8)]
+    return forests
+
+
+def cube_transcripts(forest: DecisionForest, order: list) -> list:
+    """eval_tree transcripts of every tree at every cube point, in cube order."""
+    lam = forest.input_space.alphabet
+    points = []
+    for idx in range(lam ** len(order)):
+        u = [0] * forest.input_space.cells
         rem = idx
         for cell in order:
             u[cell] = rem % lam
             rem //= lam
-        assert tuple(table[idx]) == eval_forest(f, tuple(u))
+        points.append([eval_tree(t, u) for t in forest.trees])
+    return points
+
+
+def transcript_counts(point: list, cells) -> list:
+    """How often the transcripts of one input probe each of `cells`."""
+    probed = [c for t in point for c, _ in t.steps]
+    return [probed.count(c) for c in cells]
+
+
+def test_cube_outputs_match_pointwise_evaluation():
+    for f in differential_corpus():
+        order = sorted(set(f.mentioned_cells()))
+        points = cube_transcripts(f, order)
+        values = [tuple(t.value for t in point) for point in points]
+        assert [tuple(row) for row in eval_forest_on_cube(f, order).tolist()] == values
+        base = f.output_space.alphabet + 1
+        packed = [sum(v * base ** (len(row) - 1 - i) for i, v in enumerate(row)) for row in values]
+        assert packed_outputs_on_cube(f, order).tolist() == packed
+        counts, _ = query_counts_on_cube(f, order)
+        assert counts.tolist() == [transcript_counts(point, order) for point in points]
+        tree_cells = [set() for _ in f.trees]
+        for point in points:
+            for cells, t in zip(tree_cells, point):
+                cells.update(c for c, _ in t.steps)
+        assert f.mentioned_cells() == sorted(set().union(*tree_cells))
+        report = locality(f)
+        assert report.max_tree_cells == max(len(cells) for cells in tree_cells)
+        assert report.influence == tuple(
+            sum(c in cells for cells in tree_cells) for c in range(f.input_space.cells)
+        )
+        assert f.depth == max(len(t.steps) for point in points for t in point)
+
+
+def test_sampled_outputs_and_profiles_match_transcripts_on_the_same_rows():
+    trials, seed = 300, 11
+    for f in differential_corpus():
+        s, lam = f.input_space.cells, f.input_space.alphabet
+        inputs = np.random.Generator(np.random.Philox(seed)).integers(
+            0, lam, size=(trials, s), dtype=np.uint8
+        )
+        points = [[eval_tree(t, row) for t in f.trees] for row in inputs.tolist()]
+        values = [[t.value for t in point] for point in points]
+        assert sample_forest_outputs(f, trials, seed).tolist() == values
+        assert eval_forest_on_inputs(f, inputs).tolist() == values
+        counts = np.array([transcript_counts(point, range(s)) for point in points])
+        profile = query_profile(f, mu=1.0, mode="monte_carlo", trials=trials, seed=seed)
+        assert profile.expected == tuple(counts.mean(axis=0))
+        assert profile.tail == tuple((counts > 1.0).mean(axis=0))
 
 
 def test_depth_property_tracks_the_longest_path():

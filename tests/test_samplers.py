@@ -77,6 +77,9 @@ def test_bucket_structure_lists_rounds_backwards():
     buckets = thorp_bucket_structure(spec)
     assert buckets.buckets == ((8, 9, 10, 11), (4, 5, 6, 7), (0, 1, 2, 3))
     assert is_bucketed(thorp_forest(spec), buckets)
+    assert not is_bucketed(thorp_forest(spec), BucketStructure(buckets.buckets[::-1]))
+    # the third level probes a round-1 coin, which two buckets cannot place
+    assert not is_bucketed(thorp_forest(spec), BucketStructure(((8, 9, 10, 11), tuple(range(8)))))
 
 
 def test_root_probe_is_a_last_round_coin():
