@@ -21,10 +21,10 @@ from .forest import (
     _digits,
     _input_symbols,
     _leaf_values,
+    _uniform_inputs,
     cube_order,
     eval_forest_on_cube,
     packed_outputs_on_cube,
-    unpack_output_key,
 )
 
 SUM_TOLERANCE = 1e-9
@@ -137,12 +137,12 @@ def output_distribution(
     base = forest.output_space.alphabet + 1
     m = len(forest.trees)
     packed = packed_outputs_on_cube(forest, order, budget)
-    probs: dict = {}
     if packed is not None:
         keys, counts = np.unique(packed, return_counts=True)
-        for key, cnt in zip(keys.tolist(), counts.tolist()):
-            probs[unpack_output_key(key, m, base)] = cnt / n
+        digits = keys[:, None] // base ** np.arange(m - 1, -1, -1, dtype=np.int64) % base
+        probs = dict(zip(map(tuple, digits.tolist()), (counts / n).tolist()))
     else:
+        probs = {}
         rows = eval_forest_on_cube(forest, order, budget)
         for row in map(tuple, rows.tolist()):
             probs[row] = probs.get(row, 0.0) + 1.0 / n
@@ -153,11 +153,7 @@ def sample_forest_outputs(
     forest: DecisionForest, trials: int, seed: int
 ) -> np.ndarray:
     """Outputs on `trials` uniform inputs, one row per trial."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    s = forest.input_space.cells
-    lam = forest.input_space.alphabet
-    inputs = rng.integers(0, lam, size=(trials, s), dtype=np.uint8)
-    return eval_forest_on_inputs(forest, inputs)
+    return eval_forest_on_inputs(forest, _uniform_inputs(forest.input_space, trials, seed))
 
 
 def eval_forest_on_inputs(forest: DecisionForest, inputs: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -123,7 +124,18 @@ class RunConfig:
     time_limit: float = 600.0
 
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+_CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+# JSON values a config file may give for each type named in an annotation
+_JSON_TYPES = {
+    "int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "None": (type(None),)
+}
+
+
+def _check_config_value(key: str, name: str, value) -> None:
+    annotation = _CONFIG_TYPES[name]
+    kinds = sum((_JSON_TYPES[t] for t in annotation.split(" | ")), ())
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise UsageError("bad_config", f"config field {key!r} must be {annotation}, got {value!r}")
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -138,8 +150,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
                 name = "lam"
             if name == "set":
                 name = "set_spec"
-            if name not in _CONFIG_FIELDS:
+            if name not in _CONFIG_TYPES:
                 raise UsageError("bad_config", f"unknown config field {key!r}")
+            _check_config_value(key, name, value)
             merged[name] = value
     for key, value in raw.items():
         if value is not None:
@@ -757,6 +770,13 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         def plan(doc) -> tuple:
             doc = _json_object(doc)
             overrides = _json_object(doc.get("overrides", {}))
+            for family, values in overrides.items():
+                # an unknown family is a KeyError, which _read_json reports
+                family_signature = inspect.signature(corpus_mod.FAMILIES[family])
+                try:
+                    family_signature.bind_partial(**_json_object(values))
+                except TypeError as exc:
+                    raise UsageError("bad_config", f"overrides for family {family!r}: {exc}")
             return tuple(doc.get("families", corpus_mod.FAMILIES)), overrides
 
         names, overrides = _read_json(cfg.corpus_config, "bad_config", plan)

@@ -380,9 +380,38 @@ def _cube_symbols(cells_order: list, lam: int):
     return lambda rows, cell: _digits(rows, rank_of[cell], lam)
 
 
+def _uniform_inputs(space: InputSpace, trials: int, seed: int) -> np.ndarray:
+    """`trials` uniform input rows from a counter-based generator keyed by `seed`.
+
+    Symbols are drawn as the narrowest unsigned type that holds the
+    alphabet, so alphabets up to 256 keep their uint8 streams.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    dtype = np.min_scalar_type(space.alphabet - 1)
+    return rng.integers(0, space.alphabet, size=(trials, space.cells), dtype=dtype)
+
+
 def _input_symbols(inputs: np.ndarray):
     """Symbols of explicit input rows: row r holds inputs[r, cell] at cell."""
     return lambda rows, cell: inputs[rows, cell]
+
+
+def _tree_on_cube(forest: DecisionForest, tree: int, rank_of: dict, dtype) -> np.ndarray:
+    """One tree's leaf values over the cube, shaped to broadcast over it.
+
+    The tree is routed over the cube of its own cells only, ordered by
+    rank.  The full cube is C-order over (lam,)*K, so the cell at rank r
+    sits on axis K-1-r: the table has size lam on its cells' axes and size
+    1 on every other axis.
+    """
+    lam, k = forest.input_space.alphabet, len(rank_of)
+    cells = sorted({row[0] for row in forest._table.tree_rows(tree)} - {-1}, key=rank_of.__getitem__)
+    table = np.empty(lam ** len(cells), dtype=dtype)
+    _leaf_values(forest, tree, np.arange(table.size, dtype=np.int64), _cube_symbols(cells, lam), table)
+    shape = [1] * k
+    for cell in cells:
+        shape[k - 1 - rank_of[cell]] = lam
+    return table.reshape(shape)
 
 
 def eval_forest_on_cube(
@@ -402,11 +431,12 @@ def eval_forest_on_cube(
     n = _check_enum_budget(lam, len(cells_order), budget)
     width = forest.output_space.alphabet + 1
     dtype = np.uint8 if width <= 255 else np.int32
-    out = np.empty((n, len(forest.trees)), dtype=dtype)
-    rows = np.arange(n, dtype=np.int64)
-    symbol = _cube_symbols(cells_order, lam)
-    for tree in range(len(forest.trees)):
-        _leaf_values(forest, tree, rows, symbol, out[:, tree])
+    m = len(forest.trees)
+    out = np.empty((n, m), dtype=dtype)
+    cube = out.reshape((lam,) * len(cells_order) + (m,))
+    rank_of = {c: r for r, c in enumerate(cells_order)}
+    for tree in range(m):
+        cube[..., tree] = _tree_on_cube(forest, tree, rank_of, dtype)
     return out
 
 
@@ -417,9 +447,10 @@ def packed_outputs_on_cube(
 ) -> np.ndarray | None:
     """Outputs over the cube packed into one integer key per assignment.
 
-    Keys are big-endian base (alphabet+1) over tree outputs.  Returns None
-    when the packed range does not fit a signed 64-bit integer; callers then
-    fall back to tuple-keyed dictionaries.
+    Keys are big-endian base (alphabet+1) over tree outputs, int32 when
+    base**trees fits and int64 otherwise.  Returns None when the packed
+    range does not fit a signed 64-bit integer; callers then fall back to
+    tuple-keyed dictionaries.
     """
     if cells_order is None:
         cells_order = cube_order(forest)
@@ -428,16 +459,14 @@ def packed_outputs_on_cube(
     if m * math.log2(base) > 62:
         return None
     lam = forest.input_space.alphabet
-    n = _check_enum_budget(lam, len(cells_order), budget)
-    rows = np.arange(n, dtype=np.int64)
-    symbol = _cube_symbols(cells_order, lam)
-    packed = np.zeros(n, dtype=np.int64)
-    col = np.empty(n, dtype=np.int64)
+    _check_enum_budget(lam, len(cells_order), budget)
+    dtype = np.int32 if base ** m < 2 ** 31 else np.int64
+    packed = np.zeros((lam,) * len(cells_order), dtype=dtype)
+    rank_of = {c: r for r, c in enumerate(cells_order)}
     for tree in range(m):
-        _leaf_values(forest, tree, rows, symbol, col)
         packed *= base
-        packed += col
-    return packed
+        packed += _tree_on_cube(forest, tree, rank_of, dtype)
+    return packed.reshape(-1)
 
 
 def unpack_output_key(key: int, m: int, base: int) -> tuple:
@@ -576,9 +605,7 @@ def query_profile(
         return QueryProfile(tuple(expected), tuple(tail), float(mu), "exact")
     if mode != "monte_carlo":
         raise UsageError("bad_mode", f"unknown profile mode {mode!r}")
-    rng = np.random.Generator(np.random.Philox(seed))
-    lam = forest.input_space.alphabet
-    inputs = rng.integers(0, lam, size=(trials, s), dtype=np.uint8)
+    inputs = _uniform_inputs(forest.input_space, trials, seed)
     counts = np.zeros((trials, s), dtype=np.uint16)
     _count_probes(forest, np.arange(trials, dtype=np.int64), _input_symbols(inputs), counts, range(s))
     return QueryProfile(

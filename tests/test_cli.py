@@ -347,6 +347,13 @@ MALFORMED_FILES = [
     (["verify", "chain-bound", "--forest", "GATE", "--buckets"], "oops", "bad_file"),
     (["verify", "chain-bound", "--forest", "GATE", "--buckets"], json.dumps({"buckets": 3}), "bad_file"),
     (["eval", "--input", "0", "--forest"], None, "missing_file"),
+    (["verify", "at-least-two", "--config"], json.dumps({"alpha": "x", "q": "0.1,0.1"}), "bad_config"),
+    (["verify", "at-least-two", "--config"], json.dumps({"alpha": 0.5, "q": [0.1, 0.1]}), "bad_config"),
+    (["verify", "at-least-two", "--config"], json.dumps({"alpha": True, "q": "0.1,0.1"}), "bad_config"),
+    (["verify", "at-least-two", "--config"], json.dumps({"alpha": 0.5, "q": "0.1,0.1", "trials": None}), "bad_config"),
+    (["sweep"], json.dumps({"families": ["taylor-bound"], "overrides": {"taylor-bound": {"nonsense": 1}}}), "bad_config"),
+    (["sweep"], json.dumps({"families": ["taylor-bound"], "overrides": {"harper": 3}}), "bad_config"),
+    (["sweep"], json.dumps({"families": ["taylor-bound"], "overrides": {"no-such-family": {}}}), "bad_config"),
 ]
 
 

@@ -1,5 +1,7 @@
 """Core engine checks: evaluation, restriction, pruning, profiles, IO."""
+import collections
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -28,9 +30,10 @@ from forestlab import (
     random_forest,
     restrict,
 )
-from forestlab.analysis import eval_forest_on_inputs, sample_forest_outputs
+from forestlab.analysis import eval_forest_on_inputs, output_distribution, sample_forest_outputs
 from forestlab.corpus import enforcement_instances, restriction_instances
 from forestlab.forest import (
+    _uniform_inputs,
     eval_forest_on_cube,
     packed_outputs_on_cube,
     query_counts_on_cube,
@@ -299,23 +302,30 @@ def differential_corpus() -> list:
         DecisionForest(InputSpace(3, 3), OutputSpace(2, 2), (DecisionTree(Leaf(1)), DecisionTree(Leaf(0)))),
     ]
     forests += [thorp_forest(ThorpSpec(3, rounds)) for rounds in (1, 2, 3)]
+    # 9**10 packed keys do not fit int32
+    forests.append(random_forest(ForestGenSpec(cells=4, alphabet=2, out_cells=10, out_alphabet=8, depth=2, seed=7)))
     forests += [forest for _, forest, _, _ in restriction_instances()]
     forests += [forest for _, forest, _, _ in itertools.islice(enforcement_instances(), 8)]
     return forests
 
 
-def cube_transcripts(forest: DecisionForest, order: list) -> list:
-    """eval_tree transcripts of every tree at every cube point, in cube order."""
+def cube_inputs(forest: DecisionForest, order: list) -> list:
+    """Every cube point as a full input, in cube order; unlisted cells hold 0."""
     lam = forest.input_space.alphabet
-    points = []
+    inputs = []
     for idx in range(lam ** len(order)):
         u = [0] * forest.input_space.cells
         rem = idx
         for cell in order:
             u[cell] = rem % lam
             rem //= lam
-        points.append([eval_tree(t, u) for t in forest.trees])
-    return points
+        inputs.append(u)
+    return inputs
+
+
+def cube_transcripts(forest: DecisionForest, order: list) -> list:
+    """eval_tree transcripts of every tree at every cube point, in cube order."""
+    return [[eval_tree(t, u) for t in forest.trees] for u in cube_inputs(forest, order)]
 
 
 def transcript_counts(point: list, cells) -> list:
@@ -325,16 +335,25 @@ def transcript_counts(point: list, cells) -> list:
 
 
 def test_cube_outputs_match_pointwise_evaluation():
+    rng = random.Random(5)
     for f in differential_corpus():
+        base, m = f.output_space.alphabet + 1, len(f.trees)
         order = sorted(set(f.mentioned_cells()))
+        shuffled = rng.sample(order, len(order))
+        padded = list(range(f.input_space.cells))  # unprobed cells too
+        for cells_order in (order, shuffled, padded):
+            points = cube_transcripts(f, cells_order)
+            values = [tuple(t.value for t in point) for point in points]
+            assert [tuple(row) for row in eval_forest_on_cube(f, cells_order).tolist()] == values
+            packed = packed_outputs_on_cube(f, cells_order)
+            assert packed.dtype == (np.int32 if base**m < 2**31 else np.int64)
+            assert packed.tolist() == [sum(v * base ** (m - 1 - i) for i, v in enumerate(row)) for row in values]
+            counts, _ = query_counts_on_cube(f, cells_order)
+            assert counts.tolist() == [transcript_counts(point, cells_order) for point in points]
+        inputs = cube_inputs(f, order)
+        law = collections.Counter(eval_forest(f, u) for u in inputs)
+        assert output_distribution(f).probs == {row: c / len(inputs) for row, c in law.items()}
         points = cube_transcripts(f, order)
-        values = [tuple(t.value for t in point) for point in points]
-        assert [tuple(row) for row in eval_forest_on_cube(f, order).tolist()] == values
-        base = f.output_space.alphabet + 1
-        packed = [sum(v * base ** (len(row) - 1 - i) for i, v in enumerate(row)) for row in values]
-        assert packed_outputs_on_cube(f, order).tolist() == packed
-        counts, _ = query_counts_on_cube(f, order)
-        assert counts.tolist() == [transcript_counts(point, order) for point in points]
         tree_cells = [set() for _ in f.trees]
         for point in points:
             for cells, t in zip(tree_cells, point):
@@ -363,6 +382,24 @@ def test_sampled_outputs_and_profiles_match_transcripts_on_the_same_rows():
         profile = query_profile(f, mu=1.0, mode="monte_carlo", trials=trials, seed=seed)
         assert profile.expected == tuple(counts.mean(axis=0))
         assert profile.tail == tuple((counts > 1.0).mean(axis=0))
+
+
+def test_wide_alphabets_sample_and_profile_on_the_drawn_rows():
+    lam, trials, seed = 300, 500, 4
+    wide = Internal(2, tuple(Leaf(v % 7) for v in range(lam)))
+    trees = (
+        DecisionTree(Internal(0, tuple(Leaf(v % 7) for v in range(lam)))),
+        DecisionTree(Internal(1, tuple(wide if v >= 256 else Leaf(v % 5) for v in range(lam)))),
+    )
+    f = DecisionForest(InputSpace(3, lam), OutputSpace(2, 7), trees)
+    inputs = _uniform_inputs(f.input_space, trials, seed)
+    assert inputs.max() >= 256
+    outputs = sample_forest_outputs(f, trials, seed)
+    assert [tuple(row) for row in outputs.tolist()] == [eval_forest(f, u) for u in inputs.tolist()]
+    points = [[eval_tree(t, u) for t in f.trees] for u in inputs.tolist()]
+    counts = np.array([transcript_counts(point, range(3)) for point in points])
+    profile = query_profile(f, mu=1.0, mode="monte_carlo", trials=trials, seed=seed)
+    assert profile.expected == tuple(counts.mean(axis=0))
 
 
 def test_depth_property_tracks_the_longest_path():
