@@ -6,6 +6,7 @@ counter-based generator, so trial t depends only on (seed, t).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -102,7 +103,11 @@ class Distribution:
 
 @dataclass(frozen=True)
 class OutcomeSet:
-    """Finite set of tuples over a shared arity and alphabet."""
+    """Finite set of tuples over a shared arity and alphabet.
+
+    `indices`, built on first use, holds the members' int64 cube indices
+    (rank r weighted by alphabet**r); past 2**63 points it raises enum_budget.
+    """
 
     members: frozenset
     arity: int
@@ -119,6 +124,13 @@ class OutcomeSet:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @functools.cached_property
+    def indices(self) -> np.ndarray:
+        if self.alphabet ** self.arity > np.iinfo(np.int64).max:
+            raise BudgetError("enum_budget", f"{self.alphabet}^{self.arity} cube indices overflow int64")
+        points = np.array(list(self.members), dtype=np.int64).reshape(len(self), self.arity)
+        return points @ self.alphabet ** np.arange(self.arity, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +545,14 @@ def neighborhood(
 def cube_distances_to_set(
     outcome_set: OutcomeSet, budget: int = DEFAULT_STATE_BUDGET
 ) -> np.ndarray:
-    """Distance from every cube point to the set, via multi-source layers.
+    """Distance from every cube point to the set, as an int32 array.
 
     Point index i encodes symbol (i // alphabet**rank) % alphabet at
-    coordinate rank, matching the enumeration order used elsewhere.
+    coordinate rank, matching the enumeration order used elsewhere.  The
+    cube starts at 0 on the members and at the arity elsewhere; one pass
+    per coordinate lets each point take the least value along that
+    coordinate's line plus 1, because Hamming distance is a sum of
+    per-coordinate 0/1 distances.
     """
     if not outcome_set.members:
         raise UsageError("empty_set", "cannot measure distances to an empty set")
@@ -545,26 +561,12 @@ def cube_distances_to_set(
     n = lam ** s
     if n > budget:
         raise BudgetError("enum_budget", f"{lam}^{s} states exceed the budget {budget}")
-    dist = np.full(n, -1, dtype=np.int32)
-    cur = np.fromiter(
-        (sum(sym * lam ** r for r, sym in enumerate(x)) for x in outcome_set.members),
-        dtype=np.int64,
-        count=len(outcome_set.members),
-    )
-    dist[cur] = 0
-    level = 0
-    while cur.size:
-        level += 1
-        parts = []
-        for r in range(s):
-            digit = _digits(cur, r, lam)
-            base = cur - digit * (lam ** r)
-            for v in range(lam):
-                parts.append(base + v * (lam ** r))
-        cand = np.unique(np.concatenate(parts))
-        fresh = cand[dist[cand] < 0]
-        dist[fresh] = level
-        cur = fresh
+    indices = outcome_set.indices
+    dist = np.full(n, s, dtype=np.int32)
+    dist[indices] = 0
+    cube = dist.reshape((lam,) * s)
+    for axis in range(s):
+        np.minimum(cube, cube.min(axis=axis, keepdims=True) + 1, out=cube)
     return dist
 
 

@@ -17,6 +17,8 @@ import sys
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import corpus as corpus_mod
 from .analysis import (
     Distribution,
@@ -124,6 +126,7 @@ class RunConfig:
     time_limit: float = 600.0
 
 
+_MODES = ("exact", "monte_carlo", "sample", "exact_report", "auto")
 _CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 # JSON values a config file may give for each type named in an annotation
 _JSON_TYPES = {
@@ -157,7 +160,14 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     for key, value in raw.items():
         if value is not None:
             merged[key] = value
-    return RunConfig(**merged)
+    cfg = RunConfig(**merged)
+    if cfg.mode not in _MODES:
+        raise UsageError("bad_config", f"mode must be one of {', '.join(_MODES)}, got {cfg.mode!r}")
+    if cfg.seed < 0:
+        raise UsageError("bad_seed", f"seed must be non-negative, got {cfg.seed}")
+    if cfg.trials < 1:
+        raise UsageError("bad_trials", f"trials must be at least 1, got {cfg.trials}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -374,26 +384,29 @@ def _cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
+def _sampled(quantity: str, value: float, cfg: RunConfig) -> Measurement:
+    """A Monte-Carlo measurement with the Hoeffding half-width of `cfg.trials`."""
+    return Measurement(
+        quantity, "monte_carlo", value,
+        ci_halfwidth=hoeffding_halfwidth(cfg.trials), seed=cfg.seed, trials=cfg.trials,
+    )
+
+
+def _empirical_law(cfg: RunConfig, forest) -> Distribution:
+    """Plug-in law of `cfg.trials` sampled outputs."""
+    rows = sample_forest_outputs(forest, cfg.trials, cfg.seed)
+    keys, counts = np.unique(rows, axis=0, return_counts=True)
+    probs = dict(zip(map(tuple, keys.tolist()), (counts / len(rows)).tolist()))
+    return Distribution(probs, forest.output_space.cells, bot=forest.output_space.bot)
+
+
 def _analyze_tv(cfg: RunConfig) -> Measurement:
     forest = _load_forest(cfg)
     target = _target_distribution(cfg, forest)
     if cfg.mode == "exact":
         dist = output_distribution(forest, budget=cfg.budget_states)
         return Measurement("tv", "exact", tv_distance(dist, target))
-    rows = sample_forest_outputs(forest, cfg.trials, cfg.seed)
-    probs: dict = {}
-    for row in rows:
-        key = tuple(int(v) for v in row)
-        probs[key] = probs.get(key, 0.0) + 1.0 / len(rows)
-    empirical = Distribution(probs, forest.output_space.cells, bot=forest.output_space.bot)
-    return Measurement(
-        "tv",
-        "monte_carlo",
-        tv_distance(empirical, target),
-        ci_halfwidth=hoeffding_halfwidth(cfg.trials),
-        seed=cfg.seed,
-        trials=cfg.trials,
-    )
+    return _sampled("tv", tv_distance(_empirical_law(cfg, forest), target), cfg)
 
 
 def _analyze_entropy(cfg: RunConfig) -> Measurement:
@@ -402,20 +415,7 @@ def _analyze_entropy(cfg: RunConfig) -> Measurement:
         return Measurement(
             "entropy", "exact", entropy(output_distribution(forest, budget=cfg.budget_states))
         )
-    rows = sample_forest_outputs(forest, cfg.trials, cfg.seed)
-    probs: dict = {}
-    for row in rows:
-        key = tuple(int(v) for v in row)
-        probs[key] = probs.get(key, 0.0) + 1.0 / len(rows)
-    value = entropy(Distribution(probs, forest.output_space.cells, bot=forest.output_space.bot))
-    return Measurement(
-        "entropy",
-        "monte_carlo",
-        value,
-        ci_halfwidth=hoeffding_halfwidth(cfg.trials),
-        seed=cfg.seed,
-        trials=cfg.trials,
-    )
+    return _sampled("entropy", entropy(_empirical_law(cfg, forest)), cfg)
 
 
 def _analyze_cond_entropy(cfg: RunConfig) -> Measurement:
@@ -427,14 +427,7 @@ def _analyze_cond_entropy(cfg: RunConfig) -> Measurement:
         value = conditional_entropy(forest, cells, budget=cfg.budget_states)
         return Measurement("cond-entropy", "exact", value)
     value = monte_carlo_conditional_entropy(forest, cells, trials=cfg.trials, seed=cfg.seed).value
-    return Measurement(
-        "cond-entropy",
-        "monte_carlo",
-        value,
-        ci_halfwidth=hoeffding_halfwidth(cfg.trials),
-        seed=cfg.seed,
-        trials=cfg.trials,
-    )
+    return _sampled("cond-entropy", value, cfg)
 
 
 def _analyze_collision(cfg: RunConfig) -> Measurement:
@@ -449,14 +442,7 @@ def _analyze_collision(cfg: RunConfig) -> Measurement:
     )
     if cfg.mode == "exact":
         return Measurement("collision", "exact", value)
-    return Measurement(
-        "collision",
-        "monte_carlo",
-        value,
-        ci_halfwidth=hoeffding_halfwidth(cfg.trials),
-        seed=cfg.seed,
-        trials=cfg.trials,
-    )
+    return _sampled("collision", value, cfg)
 
 
 def _analyze_lipschitz(cfg: RunConfig) -> Measurement:
@@ -480,14 +466,7 @@ def _analyze_lipschitz(cfg: RunConfig) -> Measurement:
         )
     if cfg.mode == "exact":
         return Measurement("lipschitz-worst-tail", "exact", worst_tail)
-    return Measurement(
-        "lipschitz-worst-tail",
-        "monte_carlo",
-        worst_tail,
-        ci_halfwidth=hoeffding_halfwidth(cfg.trials),
-        seed=cfg.seed,
-        trials=cfg.trials,
-    )
+    return _sampled("lipschitz-worst-tail", worst_tail, cfg)
 
 
 def _analyze_neighborhood(cfg: RunConfig) -> Measurement:
@@ -513,6 +492,8 @@ _ANALYZERS = {
 def _cmd_analyze(cfg: RunConfig) -> int:
     if cfg.analysis not in _ANALYZERS:
         raise UsageError("unknown_analysis", f"no analysis named {cfg.analysis!r}")
+    if cfg.analysis in ("tv", "entropy", "cond-entropy") and cfg.mode not in ("exact", "monte_carlo"):
+        raise UsageError("bad_mode", f"analyze {cfg.analysis} takes mode exact or monte_carlo, not {cfg.mode!r}")
     measurement = _ANALYZERS[cfg.analysis](cfg)
     _emit_measurement(measurement)
     from .report import ExperimentReport
@@ -564,16 +545,7 @@ def _cmd_couple(cfg: RunConfig) -> int:
         return _report_exit(report)
     if cfg.trials > 1:
         mean, _ = sample_coupling_distance(tree, space, cfg.trials, cfg.seed)
-        _emit_measurement(
-            Measurement(
-                "coupling-mean-dist",
-                "monte_carlo",
-                mean,
-                ci_halfwidth=hoeffding_halfwidth(cfg.trials),
-                seed=cfg.seed,
-                trials=cfg.trials,
-            )
-        )
+        _emit_measurement(_sampled("coupling-mean-dist", mean, cfg))
         return 0
     sample = couple_accepting(tree, space, mode="sample", seed=cfg.seed)
     print(json.dumps({"x": list(sample.x), "y": list(sample.y), "dist": sample.dist, "seed": cfg.seed}))
@@ -874,7 +846,7 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--q")
     parser.add_argument("--set", dest="set_spec")
     parser.add_argument("--input")
-    parser.add_argument("--mode", choices=["exact", "monte_carlo", "sample", "exact_report", "auto"])
+    parser.add_argument("--mode", choices=_MODES)
     parser.add_argument("--trials", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--forest")

@@ -12,6 +12,8 @@ import math
 import random
 from typing import Iterator
 
+import numpy as np
+
 from .analysis import (
     Distribution,
     IndependentEnsemble,
@@ -216,10 +218,8 @@ def harper_family(count: int = 100, seed: int = 31, radii: tuple = (1, 2, 3, 4, 
     n = lam ** s
     for i in range(count):
         size = rng.randint(n // 8, (9 * n) // 10)
-        picks = rng.sample(range(n), size)
-        members = frozenset(
-            tuple((idx >> r) & 1 for r in range(s)) for idx in picks
-        )
+        picks = np.array(rng.sample(range(n), size))
+        members = frozenset(map(tuple, ((picks[:, None] >> np.arange(s)) & 1).tolist()))
         outcome_set = OutcomeSet(members, s, lam, description=f"draw {i}")
         for k in radii:
             yield f"harper-{i:04d}-k{k}", verify_harper(outcome_set, k)

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from forestlab import (
+    BudgetError,
     DecisionForest,
     DecisionTree,
     Distribution,
@@ -252,6 +253,45 @@ def test_cube_distances_shrink_by_exactly_the_radius():
     for k in (1, 2, 3):
         grown = cube_distances_to_set(neighborhood(s, k))
         assert (grown == np.maximum(base - k, 0)).all()
+
+
+def _distance_sets(rng, lam: int, arity: int):
+    n = lam ** arity
+    yield [int(rng.integers(n))]
+    yield list(range(n))
+    density = rng.random()
+    picked = np.flatnonzero(rng.random(n) < density)
+    yield list(picked) if picked.size else [int(rng.integers(n))]
+
+
+@pytest.mark.parametrize("lam", [2, 3, 4])
+def test_cube_distances_match_the_pointwise_reference(lam):
+    # hamming_dist_to_set scans the members for each point, so on the larger
+    # cubes it is checked at a seeded sample of about 2**18 / |set| points
+    rng = np.random.default_rng(lam)
+    for arity in range(7):
+        n = lam ** arity
+        points = [tuple(int(i // lam**r % lam) for r in range(arity)) for i in range(n)]
+        for picks in _distance_sets(rng, lam, arity):
+            outcome_set = OutcomeSet(frozenset(points[i] for i in picks), arity, lam)
+            dist = cube_distances_to_set(outcome_set)
+            assert dist.dtype == np.int32 and dist.shape == (n,)
+            checked = range(n)
+            if n * len(picks) > 2**18:
+                checked = rng.choice(n, size=2**18 // len(picks), replace=False)
+            for i in checked:
+                assert dist[i] == hamming_dist_to_set(points[i], outcome_set), (arity, i)
+
+
+def test_sets_past_int64_indices_keep_the_member_paths():
+    members = frozenset({(299,) * 10, tuple(range(10)), (0,) * 10})
+    s = OutcomeSet(members, 10, 300)
+    assert hamming_dist_to_set((299,) * 9 + (0,), s) == 1
+    assert neighborhood(s, 0).members == members
+    for budget in (2**26, 10**30):
+        with pytest.raises(BudgetError) as err:
+            cube_distances_to_set(s, budget=budget)
+        assert err.value.reason == "enum_budget"
 
 
 def test_distribution_dump_round_trips_with_blanks():

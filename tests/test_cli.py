@@ -8,13 +8,18 @@ import pytest
 from forestlab import (
     DecisionForest,
     DecisionTree,
+    Distribution,
     InputSpace,
     Internal,
     Leaf,
     OutputSpace,
     dumps_forest,
+    entropy,
     loads_forest,
     prune_on_query_set,
+    sample_forest_outputs,
+    tv_distance,
+    uniform_perm_distribution,
 )
 from forestlab.cli import main
 from forestlab.report import LEDGER_HEADER
@@ -282,6 +287,16 @@ def test_analyze_entropy_and_lipschitz_smoke(tmp_path, capsys):
     assert main(["analyze", "entropy", "--forest", str(forest_path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"] == pytest.approx(2.0, abs=1e-12)
+    rows = sample_forest_outputs(loads_forest(forest_path.read_text()), 500, 9)
+    probs: dict = {}
+    for row in rows:
+        key = tuple(int(v) for v in row)
+        probs[key] = probs.get(key, 0.0) + 1 / 500
+    plug_in = Distribution(probs, 4)
+    for quantity, expected in (("entropy", entropy(plug_in)), ("tv", tv_distance(plug_in, uniform_perm_distribution(4)))):
+        sampled = ["--mode", "monte_carlo", "--trials", "500", "--seed", "9", "--target", "uniform-perm"]
+        assert main(["analyze", quantity, "--forest", str(forest_path)] + sampled) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(expected, abs=1e-12)
     rc = main(
         ["analyze", "lipschitz", "--forest", str(forest_path), "--mu", "2.0", "--delta", "0.0"]
     )
@@ -328,7 +343,8 @@ def _without(doc: dict, key: str) -> dict:
 
 
 # (arguments before the file path, file text or None for no file, expected
-# reason); GATE stands for the path of a valid one-tree forest
+# reason); GATE stands for the path of a valid one-tree forest.  The last rows
+# give a valid forest file and put the bad value in a flag.
 MALFORMED_FILES = [
     (["eval", "--input", "0", "--forest"], "{not json", "bad_file"),
     (["eval", "--input", "0", "--forest"], json.dumps(_without(GATE_FOREST, "output_alphabet")), "bad_file"),
@@ -354,6 +370,14 @@ MALFORMED_FILES = [
     (["sweep"], json.dumps({"families": ["taylor-bound"], "overrides": {"taylor-bound": {"nonsense": 1}}}), "bad_config"),
     (["sweep"], json.dumps({"families": ["taylor-bound"], "overrides": {"harper": 3}}), "bad_config"),
     (["sweep"], json.dumps({"families": ["taylor-bound"], "overrides": {"no-such-family": {}}}), "bad_config"),
+    (["analyze", "entropy", "--mode", "monte_carlo", "--trials", "100", "--seed", "-3", "--forest"], json.dumps(GATE_FOREST), "bad_seed"),
+    (["analyze", "entropy", "--forest", "GATE", "--mode", "monte_carlo", "--trials", "100", "--config"], json.dumps({"seed": -3}), "bad_seed"),
+    (["analyze", "entropy", "--forest", "GATE", "--config"], json.dumps({"mode": "bogus"}), "bad_config"),
+    (["analyze", "entropy", "--mode", "monte_carlo", "--trials", "0", "--forest"], json.dumps(GATE_FOREST), "bad_trials"),
+    (["analyze", "entropy", "--mode", "monte_carlo", "--trials", "-5", "--forest"], json.dumps(GATE_FOREST), "bad_trials"),
+    (["analyze", "tv", "--target", "uniform-perm", "--mode", "sample", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
+    (["analyze", "entropy", "--mode", "exact_report", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
+    (["analyze", "cond-entropy", "--cells", "0", "--mode", "auto", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
 ]
 
 
