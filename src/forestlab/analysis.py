@@ -19,6 +19,7 @@ from .forest import (
     BudgetError,
     DecisionForest,
     UsageError,
+    _check_enum_budget,
     _digits,
     _input_symbols,
     _leaf_values,
@@ -142,10 +143,7 @@ def output_distribution(
 ) -> Distribution:
     """Exact law of the output tuple under a uniform input."""
     order = cube_order(forest)
-    lam = forest.input_space.alphabet
-    n = lam ** len(order)
-    if n > budget:
-        raise BudgetError("enum_budget", f"{lam}^{len(order)} states exceed the budget {budget}")
+    n = _check_enum_budget(forest.input_space.alphabet, len(order), budget)
     base = forest.output_space.alphabet + 1
     m = len(forest.trees)
     packed = packed_outputs_on_cube(forest, order, budget)
@@ -220,9 +218,7 @@ def conditional_entropy_detail(
             raise UsageError("bad_cells", f"cell {c} outside the input space")
     lam = forest.input_space.alphabet
     order = cube_order(forest, cells)
-    n = lam ** len(order)
-    if n > budget:
-        raise BudgetError("enum_budget", f"{lam}^{len(order)} states exceed the budget {budget}")
+    n = _check_enum_budget(lam, len(order), budget)
     packed = packed_outputs_on_cube(forest, order, budget)
     if packed is None:
         rows = eval_forest_on_cube(forest, order, budget)
@@ -558,9 +554,7 @@ def cube_distances_to_set(
         raise UsageError("empty_set", "cannot measure distances to an empty set")
     lam = outcome_set.alphabet
     s = outcome_set.arity
-    n = lam ** s
-    if n > budget:
-        raise BudgetError("enum_budget", f"{lam}^{s} states exceed the budget {budget}")
+    n = _check_enum_budget(lam, s, budget)
     indices = outcome_set.indices
     dist = np.full(n, s, dtype=np.int32)
     dist[indices] = 0

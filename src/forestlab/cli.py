@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
+import itertools
 import json
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +72,7 @@ from .harness import (
     verify_sum_ratio_bound,
     verify_taylor_bound,
 )
-from .report import append_ledger, default_ledger_path, ledger_row
+from .report import ExperimentReport, append_ledger, default_ledger_path, ledger_row
 from .samplers import (
     ForestGenSpec,
     ThorpSpec,
@@ -210,6 +212,13 @@ def _json_object(doc) -> dict:
     return doc
 
 
+def _json_int(value, reason: str, what: str) -> int:
+    """A JSON integer; floats and booleans raise UsageError(reason)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(reason, f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _load_forest(cfg: RunConfig):
     if not cfg.forest:
         raise UsageError("missing_argument", "this command needs --forest")
@@ -238,9 +247,14 @@ def _load_outcome_set(cfg: RunConfig) -> OutcomeSet:
         return OutcomeSet(frozenset(), cfg.s or 12, cfg.lam or 2, description="empty set")
 
     def build(doc) -> OutcomeSet:
-        members = frozenset(tuple(int(v) for v in row) for row in doc["members"])
+        members = frozenset(
+            tuple(_json_int(v, "bad_outcome", "member symbol") for v in row) for row in doc["members"]
+        )
         return OutcomeSet(
-            members, int(doc["arity"]), int(doc["alphabet"]), description=doc.get("description", "")
+            members,
+            _json_int(doc["arity"], "bad_file", "arity"),
+            _json_int(doc["alphabet"], "bad_file", "alphabet"),
+            description=doc.get("description", ""),
         )
 
     return _read_json(spec, "bad_file", build)
@@ -303,9 +317,7 @@ def _log_report(cfg: RunConfig, report, instance_id: str) -> None:
 
 
 def _report_exit(report) -> int:
-    if report.status != "ok":
-        return 0
-    return 0 if report.passed else 1
+    return 1 if report.csv_status == "fail" else 0
 
 
 def _print_report(report) -> None:
@@ -496,13 +508,11 @@ def _cmd_analyze(cfg: RunConfig) -> int:
         raise UsageError("bad_mode", f"analyze {cfg.analysis} takes mode exact or monte_carlo, not {cfg.mode!r}")
     measurement = _ANALYZERS[cfg.analysis](cfg)
     _emit_measurement(measurement)
-    from .report import ExperimentReport
-
     report = ExperimentReport(
         lemma_id=f"analyze-{cfg.analysis}",
         bound=None,
         measured=measurement.value,
-        passed=True,
+        direction=None,
         mode=measurement.mode,
         trials=measurement.trials,
         seed=measurement.seed,
@@ -758,53 +768,31 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     ledger_path = _ledger_path(cfg)
     started = time.monotonic()
     fresh = cfg.fresh
-    failures = 0
-    violations = 0
-    total = 0
-    current = None
-    family_rows: list = []
-
-    def flush():
-        nonlocal fresh
-        if family_rows:
-            append_ledger(ledger_path, family_rows, fresh=fresh)
-            fresh = False
-            family_rows.clear()
-
-    counts: dict = {}
-    for family, instance_id, report in corpus_mod.standard_sweep(names, overrides):
-        if family != current:
-            flush()
-            if current is not None:
-                _summarize_family(current, counts)
-            current = family
-            counts = {"total": 0, "failures": 0, "violations": 0}
-            if time.monotonic() - started > cfg.time_limit:
-                print(
-                    f"warning: time_budget: sweep passed {cfg.time_limit:.0f}s before {family}",
-                    file=sys.stderr,
-                )
-        total += 1
-        counts["total"] += 1
-        if report.status != "ok":
-            violations += 1
-            counts["violations"] += 1
-        elif not report.passed:
-            failures += 1
-            counts["failures"] += 1
-        family_rows.append(ledger_row(report, instance_id))
-    flush()
-    if current is not None:
-        _summarize_family(current, counts)
-    print(f"sweep: {total} instances, {failures} failures, {violations} precondition violations")
-    return 1 if failures else 0
+    totals: Counter = Counter()
+    sweep = corpus_mod.standard_sweep(names, overrides)
+    for family, items in itertools.groupby(sweep, key=lambda item: item[0]):
+        if time.monotonic() - started > cfg.time_limit:
+            print(
+                f"warning: time_budget: sweep passed {cfg.time_limit:.0f}s before {family}",
+                file=sys.stderr,
+            )
+        rows = []
+        counts: Counter = Counter()
+        for _, instance_id, report in items:
+            counts[report.csv_status] += 1
+            rows.append(ledger_row(report, instance_id))
+        append_ledger(ledger_path, rows, fresh=fresh)
+        fresh = False
+        print(_summary(family, counts))
+        totals += counts
+    print(_summary("sweep", totals))
+    return 1 if totals["fail"] else 0
 
 
-def _summarize_family(name: str, counts: dict) -> None:
-    print(
-        f"{name}: {counts['total']} instances,"
-        f" {counts['failures']} failures,"
-        f" {counts['violations']} precondition violations"
+def _summary(name: str, counts: Counter) -> str:
+    return (
+        f"{name}: {sum(counts.values())} instances, {counts['fail']} failures,"
+        f" {counts['precondition_violation']} precondition violations"
     )
 
 

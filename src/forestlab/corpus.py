@@ -329,10 +329,11 @@ def enforcement_family(
             lemma_id="enforce-lipschitz",
             bound=bound,
             measured=measured,
-            passed=measured <= bound + 1e-12,
+            direction="le",
             mode="monte_carlo",
             trials=runs,
             seed=seed,
+            tolerance=1e-12,
             details={"mu": mu, "eps": eps, "failures": failures},
         )
 

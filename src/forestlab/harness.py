@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -77,9 +77,7 @@ def containment_set(dist: Distribution, k: float) -> tuple:
     mass = sum(dist.probs[x] for x in members)
     h = entropy(dist)
     size_bound = 2.0 ** (2.0 * k)
-    size_ok = len(members) <= size_bound + TOL
     entropy_applies = h <= k + TOL
-    mass_ok = mass >= 0.5 - TOL if entropy_applies else True
     alphabet = 1 + max((max(x) for x in dist.probs if x), default=0)
     container = OutcomeSet(
         frozenset(members),
@@ -91,7 +89,8 @@ def containment_set(dist: Distribution, k: float) -> tuple:
         lemma_id="containment",
         bound=0.5,
         measured=mass,
-        passed=bool(size_ok and mass_ok),
+        direction="ge" if entropy_applies else None,
+        status="ok" if len(members) <= size_bound + TOL else "fail",
         details={
             "size": len(members),
             "size_bound": size_bound,
@@ -130,7 +129,7 @@ def verify_mixture_bound(
         lemma_id="mixture-bound",
         bound=bound,
         measured=measured,
-        passed=measured <= bound + TOL,
+        direction="le",
         details={"expected_filled": expected_filled, "arity": m, "sigma": sigma},
     )
 
@@ -155,7 +154,7 @@ def verify_chain_bound(forest: DecisionForest, buckets: BucketStructure) -> Expe
         lemma_id="chain-bound",
         bound=bound,
         measured=measured,
-        passed=measured <= bound + TOL,
+        direction="le",
         details={"terms": terms, "blocks": [list(b) for b in buckets.buckets]},
     )
 
@@ -184,7 +183,7 @@ def verify_entropy_deviation(forest: DecisionForest, cell: int) -> ExperimentRep
         lemma_id="entropy-deviation",
         bound=bound,
         measured=deviation,
-        passed=deviation <= bound + TOL,
+        direction="le",
         details={"entropy": h, "per_value": per_value, "expected_probes": ec, "cell": cell},
     )
 
@@ -226,7 +225,7 @@ def verify_second_moment_tail(
         lemma_id="second-moment-tail",
         bound=0.0,
         measured=worst,
-        passed=worst <= TOL,
+        direction="le",
         details={"kappa": kappa, "mu": mu, "depth": d, "cases": cases},
     )
 
@@ -261,7 +260,7 @@ def verify_avg_to_tail_lipschitz(
         lemma_id="avg-to-tail-lipschitz",
         bound=0.0,
         measured=worst,
-        passed=worst <= TOL,
+        direction="le",
         details={"mu": mu, "depth": d, "cases": cases, "cells": list(order)},
     )
 
@@ -392,7 +391,7 @@ def verify_lipschitz_after_conditioning(
         lemma_id="lipschitz-restriction",
         bound=bound,
         measured=measured,
-        passed=measured <= bound + TOL,
+        direction="le",
         mode="monte_carlo",
         trials=trials,
         seed=seed,
@@ -530,12 +529,12 @@ def couple_accepting(
     bound = calibration * math.sqrt(depth * math.log(1.0 / float(acceptance))) if total else 0.0
     measured = float(expected_changes)
     tv = 0.5 * float(tv_gap)
-    passed = tv <= TOL and measured <= bound + TOL
     return ExperimentReport(
         lemma_id="coupling",
         bound=bound,
         measured=measured,
-        passed=passed,
+        direction="le",
+        status="ok" if tv <= TOL else "fail",
         details={
             "marginal_tv": tv,
             "acceptance": float(acceptance),
@@ -583,7 +582,7 @@ def verify_at_least_two(q: Sequence[float], alpha: float) -> ExperimentReport:
         lemma_id="at-least-two",
         bound=bound,
         measured=measured,
-        passed=bool(precondition and measured >= bound - TOL),
+        direction="ge",
         status="ok" if precondition else "precondition_violation",
         details={"qbar": qbar, "alpha": alpha, "events": len(q)},
     )
@@ -608,7 +607,7 @@ def verify_light_mass(p: Sequence[float], c: float) -> ExperimentReport:
         lemma_id="light-mass",
         bound=bound,
         measured=measured,
-        passed=bool(precondition and measured >= bound - TOL),
+        direction="ge",
         status="ok" if precondition else "precondition_violation",
         details={"entropy": h, "c": c, "n": n, "threshold": threshold},
     )
@@ -636,7 +635,7 @@ def verify_harper(
         lemma_id="harper",
         bound=bound,
         measured=measured,
-        passed=measured >= bound - TOL,
+        direction="ge",
         details={"set_mass": p_set, "k": k, "arity": outcome_set.arity},
     )
 
@@ -671,7 +670,7 @@ def collision_ensemble_report(
         lemma_id="ensemble-collision",
         bound=reference,
         measured=measured,
-        passed=True,
+        direction=None,
         mode=mode,
         trials=trials if sampled else None,
         seed=seed if sampled else None,
@@ -699,7 +698,7 @@ def verify_collision_tv(forest: DecisionForest, budget: int = DEFAULT_STATE_BUDG
         lemma_id="collision-tv",
         bound=lower,
         measured=measured,
-        passed=measured >= lower - TOL,
+        direction="ge",
         details={"n": n},
     )
 
@@ -805,16 +804,8 @@ def bucketed_dichotomy_experiment(
     h = entropy(dist)
     if h <= entropy_threshold + TOL:
         container, inner = containment_set(dist, entropy_threshold)
-        details = dict(inner.details)
-        details.update({"branch": "containment", "container_size": len(container)})
-        return ExperimentReport(
-            lemma_id="bucketed-dichotomy",
-            bound=inner.bound,
-            measured=inner.measured,
-            passed=inner.passed,
-            seed=seed,
-            details=details,
-        )
+        details = {**inner.details, "branch": "containment", "container_size": len(container)}
+        return replace(inner, lemma_id="bucketed-dichotomy", seed=seed, details=details)
     s = forest.input_space.cells
     lam = forest.input_space.alphabet
     conditionals = []
@@ -843,7 +834,7 @@ def bucketed_dichotomy_experiment(
         lemma_id="bucketed-dichotomy",
         bound=entropy_threshold,
         measured=h,
-        passed=True,
+        direction=None,
         seed=seed,
         details={
             "branch": "collision",
@@ -878,7 +869,7 @@ def verify_taylor_bound(
         lemma_id="taylor-bound",
         bound=0.0,
         measured=worst,
-        passed=worst <= 1e-12,
+        direction="le",
         tolerance=1e-12,
         details={"grid": len(xs), "max_n": max(ns)},
     )
@@ -899,6 +890,6 @@ def verify_sum_ratio_bound(a: Sequence[float], b: Sequence[float]) -> Experiment
         lemma_id="sum-ratio",
         bound=bound,
         measured=measured,
-        passed=measured >= bound - TOL,
+        direction="ge",
         details={"terms": int(a.size)},
     )

@@ -13,27 +13,45 @@ LEDGER_ENV_VAR = "FORESTLAB_LEDGER"
 class ExperimentReport:
     """Outcome of one verification or experiment run.
 
-    `passed` tracks whether the measured value satisfies the declared bound
-    within `tolerance`.  A violated claim precondition is reported through
-    `status` instead of an exception so sweeps can tabulate guard rates.
+    `status` is ok | precondition_violation | fail.  A violated claim
+    precondition is reported through it instead of an exception, so sweeps
+    can tabulate guard rates, and "fail" marks a side condition of the
+    claim that does not hold.  With status ok the verdict follows
+    `direction`: "le" passes when measured <= bound + tolerance, "ge" when
+    measured >= bound - tolerance, and None asserts nothing and passes.
+    `csv_status` is that verdict, pass | fail | precondition_violation.
     """
 
     lemma_id: str
-    bound: float
+    bound: float | None
     measured: float
-    passed: bool
-    status: str = "ok"  # ok | precondition_violation
+    direction: str | None
+    status: str = "ok"
     mode: str = "exact"
     trials: int | None = None
     seed: int | None = None
     tolerance: float = 1e-9
     details: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.direction not in ("le", "ge", None):
+            raise ValueError(f"direction must be 'le', 'ge' or None, got {self.direction!r}")
+
     @property
     def csv_status(self) -> str:
         if self.status != "ok":
             return self.status
-        return "pass" if self.passed else "fail"
+        if self.direction == "le":
+            held = self.measured <= self.bound + self.tolerance
+        elif self.direction == "ge":
+            held = self.measured >= self.bound - self.tolerance
+        else:
+            held = True
+        return "pass" if held else "fail"
+
+    @property
+    def passed(self) -> bool:
+        return self.csv_status == "pass"
 
 
 def _fmt(x) -> str:

@@ -1,4 +1,5 @@
 """Command-line behavior: exit codes, output formats, ledger plumbing."""
+import inspect
 import json
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from forestlab import (
     tv_distance,
     uniform_perm_distribution,
 )
+from forestlab import corpus
 from forestlab.cli import main
 from forestlab.report import LEDGER_HEADER
 
@@ -263,6 +265,33 @@ def test_sweep_runs_selected_families_and_summarizes(tmp_path, capsys, isolated_
     assert len(ledger_lines(isolated_ledger)) == 202
 
 
+def test_sweep_counts_failures_and_violations_per_family(tmp_path, capsys, isolated_ledger):
+    cfg = tmp_path / "sweep.json"
+    plan = {
+        "families": ["at-least-two", "coupling"],
+        "overrides": {"at-least-two": {"count": 40}, "coupling": {"count": 5, "calibration": 0.01}},
+    }
+    cfg.write_text(json.dumps(plan))
+    assert main(["sweep", str(cfg)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "at-least-two: 40 instances, 0 failures, 2 precondition violations",
+        "coupling: 5 instances, 4 failures, 0 precondition violations",
+        "sweep: 45 instances, 4 failures, 2 precondition violations",
+    ]
+    statuses = [row.split(",")[5] for row in ledger_lines(isolated_ledger)[1:]]
+    assert len(statuses) == 45
+    assert statuses.count("fail") == 4
+    assert statuses.count("precondition_violation") == 2
+
+
+def test_family_seeds_are_the_default_seeds_of_the_families():
+    assert sorted(corpus.FAMILY_SEEDS) == sorted(corpus.FAMILIES)
+    for name, family in corpus.FAMILIES.items():
+        seed = inspect.signature(family).parameters.get("seed")
+        if seed is not None:
+            assert seed.default == corpus.FAMILY_SEEDS[name], name
+
+
 def test_sweep_rejects_unknown_families(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"families": ["nonsense"]}))
@@ -378,6 +407,11 @@ MALFORMED_FILES = [
     (["analyze", "tv", "--target", "uniform-perm", "--mode", "sample", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
     (["analyze", "entropy", "--mode", "exact_report", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
     (["analyze", "cond-entropy", "--cells", "0", "--mode", "auto", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
+    (["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 2, "alphabet": 2, "members": [[0.5, 1]]}), "bad_outcome"),
+    (["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 2, "alphabet": 2, "members": [[0, True]]}), "bad_outcome"),
+    (["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 2.0, "alphabet": 2, "members": [[0, 1]]}), "bad_file"),
+    (["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 2, "alphabet": 2.5, "members": [[0, 1]]}), "bad_file"),
+    (["analyze", "neighborhood", "--k", "1", "--set"], json.dumps({"arity": 1, "alphabet": "2", "members": [[0]]}), "bad_file"),
 ]
 
 

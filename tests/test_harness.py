@@ -9,6 +9,7 @@ from forestlab import (
     DecisionForest,
     DecisionTree,
     Distribution,
+    ExperimentReport,
     IndependentEnsemble,
     InputSpace,
     Internal,
@@ -41,6 +42,7 @@ from forestlab import (
     verify_sum_ratio_bound,
     verify_taylor_bound,
 )
+from forestlab.cli import _report_exit
 from forestlab.harness import bucketed_dichotomy_experiment, depth_reduction_step
 
 import numpy as np
@@ -63,6 +65,51 @@ def uniform1(n: int) -> Distribution:
 
 
 BIT_SPACE = InputSpace(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the verdict rule
+
+
+def assert_verdict(report: ExperimentReport, want: str) -> None:
+    assert report.csv_status == want
+    assert report.passed is (want == "pass")
+    assert _report_exit(report) == (1 if want == "fail" else 0)
+
+
+@pytest.mark.parametrize("bound", [0.0, 0.25])
+@pytest.mark.parametrize("tolerance", [1e-9, 1e-12])
+@pytest.mark.parametrize("direction", ["le", "ge"])
+def test_verdict_holds_at_the_tolerance_edge_and_fails_one_ulp_past(direction, tolerance, bound):
+    if direction == "le":
+        edge, outward = bound + tolerance, math.inf
+    else:
+        edge, outward = bound - tolerance, -math.inf
+    at_edge = ExperimentReport("rule", bound, edge, direction, tolerance=tolerance)
+    assert_verdict(at_edge, "pass")
+    past = ExperimentReport("rule", bound, math.nextafter(edge, outward), direction, tolerance=tolerance)
+    assert_verdict(past, "fail")
+
+
+@pytest.mark.parametrize(
+    "direction, status, bound, measured, want",
+    [
+        (None, "ok", None, 5.0, "pass"),
+        (None, "ok", 1.0, -5.0, "pass"),
+        ("le", "precondition_violation", 1.0, 5.0, "precondition_violation"),
+        ("ge", "precondition_violation", 1.0, 5.0, "precondition_violation"),
+        ("le", "fail", 1.0, 0.0, "fail"),
+        ("ge", "fail", 1.0, 5.0, "fail"),
+        (None, "fail", 1.0, 5.0, "fail"),
+    ],
+)
+def test_status_overrides_the_inequality(direction, status, bound, measured, want):
+    assert_verdict(ExperimentReport("rule", bound, measured, direction, status=status), want)
+
+
+def test_reports_name_a_known_direction():
+    with pytest.raises(ValueError):
+        ExperimentReport("rule", 1.0, 0.0, "lt")
 
 
 # ---------------------------------------------------------------------------
