@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 import numpy as np
@@ -62,14 +62,7 @@ class Measurement:
     trials: int | None = None
 
     def to_json(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "mode": self.mode,
-            "value": self.value,
-            "ci_halfwidth": self.ci_halfwidth,
-            "seed": self.seed,
-            "trials": self.trials,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -97,9 +90,6 @@ class Distribution:
 
     def support(self) -> list:
         return sorted(self.probs)
-
-    def mass(self, outcomes: Iterable) -> float:
-        return sum(self.probs.get(tuple(o), 0.0) for o in outcomes)
 
 
 @dataclass(frozen=True)
@@ -145,7 +135,7 @@ def output_distribution(
     order = cube_order(forest)
     n = _check_enum_budget(forest.input_space.alphabet, len(order), budget)
     base = forest.output_space.alphabet + 1
-    m = len(forest.trees)
+    m = forest.output_space.cells
     packed = packed_outputs_on_cube(forest, order, budget)
     if packed is not None:
         keys, counts = np.unique(packed, return_counts=True)
@@ -170,10 +160,10 @@ def eval_forest_on_inputs(forest: DecisionForest, inputs: np.ndarray) -> np.ndar
     """Vectorized forest evaluation on explicit input rows."""
     width = forest.output_space.alphabet + 1
     dtype = np.uint8 if width <= 255 else np.int32
-    out = np.empty((inputs.shape[0], len(forest.trees)), dtype=dtype)
+    out = np.empty((inputs.shape[0], forest.output_space.cells), dtype=dtype)
     rows = np.arange(inputs.shape[0], dtype=np.int64)
     symbol = _input_symbols(inputs)
-    for tree in range(len(forest.trees)):
+    for tree in range(forest.output_space.cells):
         _leaf_values(forest, tree, rows, symbol, out[:, tree])
     return out
 
@@ -356,8 +346,8 @@ def tv_lower_bound_via_collision(
     """
     if n is None:
         n = forest.output_space.cells
-    if len(forest.trees) != n:
-        raise UsageError("mismatched_spaces", f"{len(forest.trees)} outputs vs deck size {n}")
+    if forest.output_space.cells != n:
+        raise UsageError("mismatched_spaces", f"{forest.output_space.cells} outputs vs deck size {n}")
     if forest.output_space.alphabet > n:
         raise UsageError("mismatched_spaces", "output alphabet exceeds the deck size")
     rows = _forest_rows(forest, mode, trials, seed, budget)

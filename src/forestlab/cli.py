@@ -45,6 +45,7 @@ from .forest import (
     BucketStructure,
     BudgetError,
     UsageError,
+    _json_int,
     check_lipschitz,
     dumps_forest,
     eval_forest,
@@ -212,11 +213,11 @@ def _json_object(doc) -> dict:
     return doc
 
 
-def _json_int(value, reason: str, what: str) -> int:
-    """A JSON integer; floats and booleans raise UsageError(reason)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(reason, f"{what} must be an integer, got {value!r}")
-    return value
+def _integer_k(cfg: RunConfig) -> int:
+    """--k where it names a cell or a radius: an integer, never truncated."""
+    if not float(cfg.k).is_integer():
+        raise UsageError("bad_parameter", f"--k must be an integer here, got {cfg.k!r}")
+    return int(cfg.k)
 
 
 def _load_forest(cfg: RunConfig):
@@ -282,7 +283,9 @@ def _load_buckets(cfg: RunConfig) -> BucketStructure:
 
     def build(doc) -> BucketStructure:
         blocks = doc["buckets"] if isinstance(doc, dict) else doc
-        return BucketStructure(tuple(tuple(int(c) for c in block) for block in blocks))
+        return BucketStructure(
+            tuple(tuple(_json_int(c, "bad_file", "bucket cell") for c in block) for block in blocks)
+        )
 
     return _read_json(cfg.buckets, "bad_file", build)
 
@@ -485,7 +488,7 @@ def _analyze_neighborhood(cfg: RunConfig) -> Measurement:
     outcome_set = _load_outcome_set(cfg)
     if cfg.k is None:
         raise UsageError("missing_argument", "neighborhood needs --k")
-    grown = neighborhood(outcome_set, int(cfg.k), budget=cfg.budget_set)
+    grown = neighborhood(outcome_set, _integer_k(cfg), budget=cfg.budget_set)
     if cfg.out:
         _atomic_write(cfg.out, _dump_outcome_set(grown))
     return Measurement("neighborhood-size", "exact", float(len(grown)))
@@ -631,7 +634,7 @@ def _verify_chain(cfg: RunConfig):
 
 
 def _verify_entropy_deviation(cfg: RunConfig):
-    cell = cfg.cell if cfg.cell is not None else (int(cfg.k) if cfg.k is not None else None)
+    cell = cfg.cell if cfg.cell is not None else (_integer_k(cfg) if cfg.k is not None else None)
     if cell is None:
         raise UsageError("missing_argument", "entropy-deviation needs --cell")
     return verify_entropy_deviation(_load_forest(cfg), cell)
@@ -687,7 +690,7 @@ def _verify_light_mass(cfg: RunConfig):
 def _verify_harper(cfg: RunConfig):
     if cfg.k is None:
         raise UsageError("missing_argument", "harper needs --k")
-    return verify_harper(_load_outcome_set(cfg), int(cfg.k), budget=cfg.budget_states)
+    return verify_harper(_load_outcome_set(cfg), _integer_k(cfg), budget=cfg.budget_states)
 
 
 def _verify_ensemble(cfg: RunConfig):

@@ -32,9 +32,9 @@ from .forest import (
     Leaf,
     OutputSpace,
     _leaf_mass,
-    query_counts_on_cube,
 )
 from .harness import (
+    _max_tail,
     collision_ensemble_report,
     containment_set,
     couple_accepting,
@@ -357,8 +357,7 @@ def restriction_instances(seed: int = 61) -> Iterator[tuple]:
     while produced < 4:
         forest = _random_forest_instance(rng, s_max=6, m_max=6, depth_max=3)
         mu = rng.choice([1.0, 1.5])
-        counts, _ = query_counts_on_cube(forest)
-        delta = float((counts > mu).mean(axis=0).max()) if counts.size else 0.0
+        delta = _max_tail(forest, mu)
         if not 0.005 <= delta <= 0.7:
             continue
         produced += 1

@@ -54,12 +54,6 @@ class InputSpace:
         if self.alphabet < 2:
             raise UsageError("bad_space", "input alphabet must have size >= 2")
 
-    def state_count(self) -> int:
-        return self.alphabet ** self.cells
-
-    def enumerable(self, budget: int = DEFAULT_STATE_BUDGET) -> bool:
-        return self.state_count() <= budget
-
 
 @dataclass(frozen=True)
 class OutputSpace:
@@ -132,6 +126,12 @@ class _NodeTable(NamedTuple):
         return self.rows[self.roots[tree] : end]
 
 
+def _unroll(rows: list, row: int, leaf, internal):
+    """The subtree at `row` built bottom-up: leaf(value) at leaves, internal(cell, children) above."""
+    cell, value, _, kids = rows[row]
+    return leaf(value) if cell < 0 else internal(cell, [_unroll(rows, k, leaf, internal) for k in kids])
+
+
 def _tabulate(space: InputSpace, out: OutputSpace, trees: tuple) -> _NodeTable:
     """Validate every tree and return the forest's node table."""
     rows: list = []
@@ -189,6 +189,22 @@ class DecisionForest:
                 f"{len(self.trees)} trees for {self.output_space.cells} output cells",
             )
         object.__setattr__(self, "_table", _tabulate(self.input_space, self.output_space, self.trees))
+
+    @classmethod
+    def _from_table(cls, space: InputSpace, out: OutputSpace, table: _NodeTable) -> "DecisionForest":
+        """A forest over an already valid node table; `trees` is rebuilt from it on first use."""
+        forest = object.__new__(cls)
+        vars(forest).update(input_space=space, output_space=out, _table=table)
+        return forest
+
+    def __getattr__(self, name: str):
+        # only `trees` of a forest from _from_table is ever missing; it is rebuilt once
+        if name != "trees":
+            raise AttributeError(name)
+        internal = lambda cell, kids: Internal(cell, tuple(kids))
+        trees = tuple(DecisionTree(_unroll(self._table.rows, r, Leaf, internal)) for r in self._table.roots)
+        object.__setattr__(self, "trees", trees)
+        return trees
 
     @property
     def depth(self) -> int:
@@ -267,24 +283,40 @@ def eval_forest(forest: DecisionForest, u) -> tuple:
 # restriction and pruning
 
 
-def _restrict_node(node: Node, assignment: PartialAssignment) -> Node:
-    if isinstance(node, Leaf):
-        return node
-    if node.query in assignment:
-        return _restrict_node(node.children[assignment[node.query]], assignment)
-    return Internal(node.query, tuple(_restrict_node(c, assignment) for c in node.children))
+def _copy_table(forest: DecisionForest, out: OutputSpace, pick) -> DecisionForest:
+    """Copy `forest`'s node table in preorder, renumbering depths and child ids; never re-validated.
+
+    pick(row, depth) gives the row standing in for parent row `row`: it, a descendant, or a new leaf.
+    """
+    rows, roots = [], []
+    stack = [(root, 0, roots) for root in reversed(forest._table.roots)]
+    while stack:
+        row, depth, siblings = stack.pop()
+        cell, value, _, kids = pick(row, depth)
+        siblings.append(len(rows))
+        rows.append((cell, value, depth, []))
+        stack.extend((kid, depth + 1, rows[-1][3]) for kid in reversed(kids))
+    table = [(cell, value, depth, tuple(kids)) for cell, value, depth, kids in rows]
+    return DecisionForest._from_table(forest.input_space, out, _NodeTable(table, roots))
 
 
 def restrict(forest: DecisionForest, assignment: PartialAssignment) -> DecisionForest:
-    """Hard-wire the assigned cells, short-circuiting their probes."""
+    """Hard-wire the assigned cells: a node-table copy that steps through their probes, never re-validated."""
     lam = forest.input_space.alphabet
     for cell, val in assignment.items():
         if not 0 <= cell < forest.input_space.cells:
             raise UsageError("bad_assignment", f"cell {cell} outside input space")
         if not 0 <= val < lam:
             raise UsageError("bad_assignment", f"value {val} outside input alphabet")
-    trees = tuple(DecisionTree(_restrict_node(t.root, assignment)) for t in forest.trees)
-    return DecisionForest(forest.input_space, forest.output_space, trees)
+    table = forest._table.rows
+
+    def pick(row: int, depth: int) -> tuple:
+        node = table[row]
+        while node[0] in assignment:
+            node = table[node[3][assignment[node[0]]]]
+        return node
+
+    return _copy_table(forest, forest.output_space, pick)
 
 
 def prune_on_query_set(
@@ -298,17 +330,15 @@ def prune_on_query_set(
     """
     cut = set(cells)
     out = OutputSpace(forest.output_space.cells, forest.output_space.alphabet, bot_allowed=True)
-    bot = out.bot
+    table = forest._table.rows
 
-    def prune(node: Node, is_root: bool) -> Node:
-        if isinstance(node, Leaf):
-            return node
-        if node.query in cut and not (exempt_first_query and is_root):
-            return Leaf(bot)
-        return Internal(node.query, tuple(prune(c, False) for c in node.children))
+    def pick(row: int, depth: int) -> tuple:
+        cell = table[row][0]
+        if cell >= 0 and cell in cut and not (exempt_first_query and depth == 0):
+            return (-1, out.bot, depth, ())
+        return table[row]
 
-    trees = tuple(DecisionTree(prune(t.root, True)) for t in forest.trees)
-    return DecisionForest(forest.input_space, out, trees)
+    return _copy_table(forest, out, pick)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +398,7 @@ def _leaf_values(forest: DecisionForest, tree: int, rows: np.ndarray, symbol, ou
 
 def _count_probes(forest: DecisionForest, rows: np.ndarray, symbol, counts: np.ndarray, column):
     """Add one to counts[r, column[cell]] for each probe any tree makes on row r."""
-    for tree in range(len(forest.trees)):
+    for tree in range(forest.output_space.cells):
         for cell, _, reached in _route(forest, tree, rows, symbol):
             if cell >= 0:
                 counts[reached, column[cell]] += 1
@@ -431,7 +461,7 @@ def eval_forest_on_cube(
     n = _check_enum_budget(lam, len(cells_order), budget)
     width = forest.output_space.alphabet + 1
     dtype = np.uint8 if width <= 255 else np.int32
-    m = len(forest.trees)
+    m = forest.output_space.cells
     out = np.empty((n, m), dtype=dtype)
     cube = out.reshape((lam,) * len(cells_order) + (m,))
     rank_of = {c: r for r, c in enumerate(cells_order)}
@@ -455,7 +485,7 @@ def packed_outputs_on_cube(
     if cells_order is None:
         cells_order = cube_order(forest)
     base = forest.output_space.alphabet + 1
-    m = len(forest.trees)
+    m = forest.output_space.cells
     if m * math.log2(base) > 62:
         return None
     lam = forest.input_space.alphabet
@@ -467,14 +497,6 @@ def packed_outputs_on_cube(
         packed *= base
         packed += _tree_on_cube(forest, tree, rank_of, dtype)
     return packed.reshape(-1)
-
-
-def unpack_output_key(key: int, m: int, base: int) -> tuple:
-    digits = []
-    for _ in range(m):
-        key, d = divmod(key, base)
-        digits.append(d)
-    return tuple(reversed(digits))
 
 
 def query_counts_on_cube(
@@ -566,7 +588,7 @@ def _deep_probe_mass(forest: DecisionForest, cells: set) -> float:
     """
     lam = forest.input_space.alphabet
     total = 0.0
-    for tree in range(len(forest.trees)):
+    for tree in range(forest.output_space.cells):
         acc = 0.0
         for cell, _, depth, _ in forest._table.tree_rows(tree):
             if depth >= 1 and cell in cells:
@@ -639,7 +661,7 @@ def locality(forest: DecisionForest) -> LocalityReport:
     """Probe footprint: cells per tree and trees per cell."""
     influence = [0] * forest.input_space.cells
     worst = 0
-    for tree in range(len(forest.trees)):
+    for tree in range(forest.output_space.cells):
         cells = {row[0] for row in forest._table.tree_rows(tree)} - {-1}
         worst = max(worst, len(cells))
         for c in cells:
@@ -651,12 +673,11 @@ def locality(forest: DecisionForest) -> LocalityReport:
 # serialization
 
 
-def _node_to_json(node: Node, bot: int | None):
-    if isinstance(node, Leaf):
-        if bot is not None and node.value == bot:
-            return {"leaf": None}
-        return {"leaf": node.value}
-    return {"query": node.query, "children": [_node_to_json(c, bot) for c in node.children]}
+def _json_int(value, reason: str, what: str) -> int:
+    """A JSON integer; floats and booleans raise UsageError(reason)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(reason, f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _node_from_json(obj, bot: int | None) -> Node:
@@ -666,26 +687,29 @@ def _node_from_json(obj, bot: int | None) -> Node:
             if bot is None:
                 raise UsageError("bad_leaf", "blank leaf in a forest without blanks")
             return Leaf(bot)
-        return Leaf(int(val))
-    return Internal(int(obj["query"]), tuple(_node_from_json(c, bot) for c in obj["children"]))
+        return Leaf(_json_int(val, "bad_file", "leaf"))
+    query = _json_int(obj["query"], "bad_file", "query")
+    return Internal(query, tuple(_node_from_json(c, bot) for c in obj["children"]))
 
 
 def forest_to_json(forest: DecisionForest) -> dict:
     bot = forest.output_space.bot
+    leaf = lambda value: {"leaf": None if value == bot else value}
+    internal = lambda cell, kids: {"query": cell, "children": kids}
     return {
         "input_arity": forest.input_space.cells,
         "input_alphabet": forest.input_space.alphabet,
         "output_alphabet": forest.output_space.alphabet,
         "bot_allowed": forest.output_space.bot_allowed,
-        "trees": [_node_to_json(t.root, bot) for t in forest.trees],
+        "trees": [_unroll(forest._table.rows, root, leaf, internal) for root in forest._table.roots],
     }
 
 
 def forest_from_json(obj: dict) -> DecisionForest:
-    space = InputSpace(int(obj["input_arity"]), int(obj["input_alphabet"]))
+    space = InputSpace(*(_json_int(obj[key], "bad_file", key) for key in ("input_arity", "input_alphabet")))
     bot_allowed = bool(obj["bot_allowed"])
     trees = obj["trees"]
-    out = OutputSpace(len(trees), int(obj["output_alphabet"]), bot_allowed)
+    out = OutputSpace(len(trees), _json_int(obj["output_alphabet"], "bad_file", "output_alphabet"), bot_allowed)
     parsed = tuple(DecisionTree(_node_from_json(t, out.bot)) for t in trees)
     return DecisionForest(space, out, parsed)
 

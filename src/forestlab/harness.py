@@ -329,7 +329,7 @@ def enforce_avg_lipschitz(
     )
 
 
-def _max_tail(forest: DecisionForest, mu: float, budget: int) -> float:
+def _max_tail(forest: DecisionForest, mu: float, budget: int = DEFAULT_STATE_BUDGET) -> float:
     counts, _ = query_counts_on_cube(forest, budget=budget)
     if not counts.size:
         return 0.0
@@ -377,13 +377,14 @@ def verify_lipschitz_after_conditioning(
     if sampler is None:
         size = subset_size if subset_size is not None else max(1, forest.input_space.cells // 2)
         sampler = default_restriction_sampler(forest, size)
+    verdicts: dict = {}  # draws repeat: each distinct restriction is tested once per call
     failures = 0
     for t in range(trials):
-        rng = random.Random(derive_seed(seed, t))
-        assignment = sampler(rng)
-        restricted = restrict(forest, assignment)
-        if _max_tail(restricted, mu, budget) > sqrt_delta + 1e-12:
-            failures += 1
+        assignment = sampler(random.Random(derive_seed(seed, t)))
+        key = tuple(sorted(assignment.items()))
+        if key not in verdicts:
+            verdicts[key] = _max_tail(restrict(forest, assignment), mu, budget) > sqrt_delta + 1e-12
+        failures += verdicts[key]
     halfwidth = hoeffding_halfwidth(trials)
     measured = failures / trials
     bound = sqrt_delta + halfwidth

@@ -151,7 +151,9 @@ class ForestGenSpec:
     output space allows it).  Optional caps: at most `max_tree_cells`
     distinct cells per tree, at most `max_cell_influence` trees touching
     any one cell, probes at level t restricted to bucket t when a bucket
-    structure is given.
+    structure is given.  `nonadaptive` only allows depth at most 1, which
+    is narrower than the paper's nonadaptive forests (d fixed cells per
+    output, read at any depth).
     """
 
     cells: int

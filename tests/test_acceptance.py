@@ -4,8 +4,10 @@ Each test prints one summary line so a verbose run reads as a scorecard.
 The helper corpora live in forestlab.corpus and are fully seeded; every
 number here is reproducible from a clean checkout.
 """
+import itertools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from forestlab import (
     expected_query_counts,
     hoeffding_halfwidth,
     output_distribution,
+    restrict,
     sample_forest_outputs,
     thorp_forest,
     tv_distance,
@@ -37,7 +40,7 @@ from forestlab.corpus import (
     run_family,
 )
 from forestlab.report import ledger_row
-from forestlab.harness import verify_lipschitz_after_conditioning
+from forestlab.harness import _max_tail, verify_lipschitz_after_conditioning
 
 CRITERION_6_FAMILIES = (
     "entropy-deviation",
@@ -186,6 +189,26 @@ def test_criterion_08_restrictions_keep_the_tail_bound():
         assert report.measured <= allowed, instance_id
     assert count >= 6
     announce(f"criterion 8 pass: {count} instances x {trials} restrictions")
+
+
+def test_criterion_08_exact_failure_probabilities_are_pinned():
+    # every (cells, values) draw of the default sampler is equally likely, so
+    # enumerating them gives the exact failure probability of criterion 8
+    pinned = (0, 0, Fraction(7, 60), Fraction(3, 40), Fraction(7, 40), Fraction(13, 60))
+    for (instance_id, forest, mu, delta), want in zip(restriction_instances(), pinned, strict=True):
+        s, lam = forest.input_space.cells, forest.input_space.alphabet
+        k = max(1, s // 2)
+        draws = [
+            dict(zip(cells, values))
+            for cells in itertools.combinations(range(s), k)
+            for values in itertools.product(range(lam), repeat=k)
+        ]
+        failures = sum(_max_tail(restrict(forest, a), mu) > math.sqrt(delta) + 1e-12 for a in draws)
+        assert Fraction(failures, len(draws)) == want, instance_id
+        assert want <= math.sqrt(delta), instance_id
+        sampled = verify_lipschitz_after_conditioning(forest, mu, delta, trials=1000, seed=61)
+        assert abs(sampled.measured - float(want)) <= 3 * sampled.details["halfwidth"], instance_id
+    announce("criterion 8 exact: failure probabilities 0, 0, 7/60, 3/40, 7/40, 13/60")
 
 
 def test_criterion_09_high_entropy_identity_forest_always_collides():

@@ -412,6 +412,17 @@ MALFORMED_FILES = [
     (["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 2.0, "alphabet": 2, "members": [[0, 1]]}), "bad_file"),
     (["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 2, "alphabet": 2.5, "members": [[0, 1]]}), "bad_file"),
     (["analyze", "neighborhood", "--k", "1", "--set"], json.dumps({"arity": 1, "alphabet": "2", "members": [[0]]}), "bad_file"),
+    (["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "input_arity": 1.0}), "bad_file"),
+    (["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "input_alphabet": 2.5}), "bad_file"),
+    (["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "output_alphabet": True}), "bad_file"),
+    (["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "trees": [{"query": 0.5, "children": [{"leaf": 0}, {"leaf": 1}]}]}), "bad_file"),
+    (["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "trees": [{"query": 0, "children": [{"leaf": 0.9}, {"leaf": 1}]}]}), "bad_file"),
+    (["verify", "chain-bound", "--forest", "GATE", "--buckets"], json.dumps([[0.5]]), "bad_file"),
+    (["verify", "chain-bound", "--forest", "GATE", "--buckets"], json.dumps({"buckets": [[False]]}), "bad_file"),
+    (["verify", "entropy-deviation", "--k", "0.5", "--forest"], json.dumps(GATE_FOREST), "bad_parameter"),
+    (["verify", "entropy-deviation", "--forest", "GATE", "--config"], json.dumps({"k": 0.5}), "bad_parameter"),
+    (["verify", "harper", "--k", "1.5", "--set"], json.dumps({"arity": 2, "alphabet": 2, "members": [[0, 1]]}), "bad_parameter"),
+    (["analyze", "neighborhood", "--k", "0.5", "--set"], json.dumps({"arity": 1, "alphabet": 2, "members": [[0]]}), "bad_parameter"),
 ]
 
 

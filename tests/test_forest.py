@@ -2,6 +2,7 @@
 import collections
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from forestlab import (
     eval_forest,
     eval_tree,
     expected_query_counts,
+    forest_to_json,
     loads_forest,
     locality,
     prune_on_query_set,
@@ -38,7 +40,8 @@ from forestlab.forest import (
     packed_outputs_on_cube,
     query_counts_on_cube,
 )
-from forestlab.harness import _expected_blanks
+from forestlab import harness
+from forestlab.harness import _expected_blanks, enforce_avg_lipschitz
 from forestlab.samplers import ThorpSpec, thorp_forest
 
 
@@ -166,6 +169,99 @@ def test_restriction_validates_the_assignment():
     assert err.value.reason == "bad_assignment"
 
 
+# Slow references: restriction and pruning by rebuilding Node objects and
+# validating the result, as the engine did before it copied node tables.
+
+
+def reference_restrict(forest: DecisionForest, assignment: dict) -> DecisionForest:
+    def node(n):
+        if isinstance(n, Leaf):
+            return n
+        if n.query in assignment:
+            return node(n.children[assignment[n.query]])
+        return Internal(n.query, tuple(node(c) for c in n.children))
+
+    trees = tuple(DecisionTree(node(t.root)) for t in forest.trees)
+    return DecisionForest(forest.input_space, forest.output_space, trees)
+
+
+def reference_prune(forest: DecisionForest, cells, exempt_first_query: bool = False) -> DecisionForest:
+    cut = set(cells)
+    out = OutputSpace(forest.output_space.cells, forest.output_space.alphabet, bot_allowed=True)
+
+    def prune(n, is_root: bool):
+        if isinstance(n, Leaf):
+            return n
+        if n.query in cut and not (exempt_first_query and is_root):
+            return Leaf(out.bot)
+        return Internal(n.query, tuple(prune(c, False) for c in n.children))
+
+    return DecisionForest(forest.input_space, out, tuple(DecisionTree(prune(t.root, True)) for t in forest.trees))
+
+
+def restriction_corpus() -> list:
+    forests = [forest for _, forest, _, _ in restriction_instances()]
+    forests += [forest for _, forest, _, _ in enforcement_instances()]
+    return forests + [thorp_forest(ThorpSpec(3, 6))]
+
+
+def random_assignment(rng: random.Random, forest: DecisionForest) -> dict:
+    cells = rng.sample(range(forest.input_space.cells), rng.randint(0, forest.input_space.cells))
+    return {c: rng.randrange(forest.input_space.alphabet) for c in cells}
+
+
+def assert_same_forest(got: DecisionForest, want: DecisionForest, rng: random.Random) -> None:
+    """Table, spaces, outputs, JSON and equality agree; trees are built only when read."""
+    assert got._table.rows == want._table.rows
+    assert got._table.roots == want._table.roots
+    assert got.output_space == want.output_space and got.input_space == want.input_space
+    assert "trees" not in vars(got)
+    lam, cells = got.input_space.alphabet, got.input_space.cells
+    for _ in range(8):
+        u = tuple(rng.randrange(lam) for _ in range(cells))
+        assert eval_forest(got, u) == eval_forest(want, u)
+    assert forest_to_json(got) == forest_to_json(want)
+    assert loads_forest(dumps_forest(got))._table == got._table
+    assert got == want and hash(got) == hash(want)
+
+
+def test_table_restriction_matches_the_node_rebuilding_reference():
+    rng = random.Random(6)
+    for forest in restriction_corpus():
+        for _ in range(12):
+            first, second = random_assignment(rng, forest), random_assignment(rng, forest)
+            once = restrict(forest, first)
+            assert_same_forest(once, reference_restrict(forest, first), rng)
+            # a restriction of a table-built forest
+            want = reference_restrict(reference_restrict(forest, first), second)
+            assert_same_forest(restrict(restrict(forest, first), second), want, rng)
+
+
+def test_table_pruning_matches_the_node_rebuilding_reference():
+    rng = random.Random(7)
+    for forest in restriction_corpus():
+        for exempt in (False, True):
+            cut = set(random_assignment(rng, forest)) | {-1}  # -1 marks leaves in the table, never a cell
+            assert_same_forest(
+                prune_on_query_set(forest, cut, exempt), reference_prune(forest, cut, exempt), rng
+            )
+            assignment = random_assignment(rng, forest)
+            got = prune_on_query_set(restrict(forest, assignment), cut, exempt)
+            want = reference_prune(reference_restrict(forest, assignment), cut, exempt)
+            assert_same_forest(got, want, rng)
+
+
+def test_enforcement_traces_match_the_reference_restriction_step_for_step(monkeypatch):
+    instances = list(enforcement_instances())
+    fast = [enforce_avg_lipschitz(f, mu, eps, seed=r) for _, f, mu, eps in instances for r in range(4)]
+    monkeypatch.setattr(harness, "restrict", reference_restrict)
+    slow = [enforce_avg_lipschitz(f, mu, eps, seed=r) for _, f, mu, eps in instances for r in range(4)]
+    for a, b in zip(fast, slow, strict=True):
+        assert (a.steps, a.success, a.budget) == (b.steps, b.success, b.budget)
+        assert a.final_forest._table == b.final_forest._table
+        assert a.final_forest == b.final_forest
+
+
 def path_hits(tree: DecisionTree, u, cut, exempt_root: bool) -> bool:
     node = tree.root
     first = True
@@ -276,7 +372,10 @@ def test_forest_json_round_trip(seed):
 
 def test_serialized_blanks_round_trip():
     f = prune_on_query_set(small_random_forest(2), {0})
-    g = loads_forest(dumps_forest(f))
+    text = dumps_forest(f)
+    leaves = re.findall(r'"leaf": (\w+)', text)
+    assert "null" in leaves and str(f.output_space.bot) not in leaves  # a blank is written as null
+    g = loads_forest(text)
     assert g.output_space.bot == f.output_space.bot
     for u in all_inputs(f):
         assert eval_forest(g, u) == eval_forest(f, u)

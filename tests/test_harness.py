@@ -1,6 +1,7 @@
 """Verifier behavior on closed-form instances and guard paths."""
 import itertools
 import math
+import random
 
 import pytest
 
@@ -21,6 +22,7 @@ from forestlab import (
     collision_ensemble_report,
     containment_set,
     couple_accepting,
+    derive_seed,
     enforce_avg_lipschitz,
     eval_forest,
     expected_query_counts,
@@ -43,7 +45,9 @@ from forestlab import (
     verify_taylor_bound,
 )
 from forestlab.cli import _report_exit
-from forestlab.harness import bucketed_dichotomy_experiment, depth_reduction_step
+from forestlab.corpus import restriction_instances
+from forestlab.forest import query_counts_on_cube
+from forestlab.harness import bucketed_dichotomy_experiment, default_restriction_sampler, depth_reduction_step
 
 import numpy as np
 
@@ -337,6 +341,18 @@ def test_conditioning_accepts_a_custom_restriction_sampler():
     )
     assert report.measured == 0.0
     assert report.trials == 50
+
+
+def test_memoized_conditioning_counts_every_draw_like_a_plain_loop():
+    for instance_id, forest, mu, delta in restriction_instances():
+        report = verify_lipschitz_after_conditioning(forest, mu, delta, trials=300, seed=9)
+        sampler = default_restriction_sampler(forest, max(1, forest.input_space.cells // 2))
+        failures = 0
+        for t in range(300):
+            counts, _ = query_counts_on_cube(restrict(forest, sampler(random.Random(derive_seed(9, t)))))
+            tail = float((counts > mu).mean(axis=0).max()) if counts.size else 0.0
+            failures += tail > math.sqrt(delta) + 1e-12
+        assert report.details["failures"] == failures, instance_id
 
 
 # ---------------------------------------------------------------------------
