@@ -45,9 +45,9 @@ def derive_seed(seed: int, step: int) -> int:
     return (seed << 20) ^ step
 
 
-def hoeffding_halfwidth(trials: int, confidence: float = 0.99) -> float:
+def hoeffding_halfwidth(trials: int) -> float:
     """99% two-sided half-width for a mean of [0,1] samples."""
-    return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * trials))
+    return math.sqrt(math.log(2.0 / (1.0 - 0.99)) / (2.0 * trials))
 
 
 @dataclass
@@ -333,7 +333,6 @@ def _forest_rows(
 
 def tv_lower_bound_via_collision(
     forest: DecisionForest,
-    n: int | None = None,
     mode: str = "exact",
     trials: int = 100_000,
     seed: int = 0,
@@ -341,14 +340,11 @@ def tv_lower_bound_via_collision(
 ) -> float:
     """Pr[some non-blank symbol repeats, or any blank appears].
 
-    A uniform deck never triggers the event, so the probability lower
-    bounds the total variation distance to the uniform permutation law.
+    A uniform deck, one card per output cell, never triggers the event, so
+    the probability lower bounds the total variation distance to the
+    uniform permutation law.
     """
-    if n is None:
-        n = forest.output_space.cells
-    if forest.output_space.cells != n:
-        raise UsageError("mismatched_spaces", f"{forest.output_space.cells} outputs vs deck size {n}")
-    if forest.output_space.alphabet > n:
+    if forest.output_space.alphabet > forest.output_space.cells:
         raise UsageError("mismatched_spaces", "output alphabet exceeds the deck size")
     rows = _forest_rows(forest, mode, trials, seed, budget)
     return float(_rows_have_collision(rows, forest.output_space.bot, count_bot=True).mean())

@@ -86,7 +86,7 @@ from .samplers import (
 
 @dataclass
 class RunConfig:
-    """Merged view of flags and the optional config file; flags win."""
+    """The CLI's inputs: each field past the positionals is a flag and a config key; flags win."""
 
     command: str
     analysis: str | None = None
@@ -114,7 +114,7 @@ class RunConfig:
     q: str | None = None
     set_spec: str | None = None
     input: str | None = None
-    mode: str = "exact"
+    mode: str | None = None
     trials: int = 100_000
     seed: int = 0
     forest: str | None = None
@@ -131,10 +131,18 @@ class RunConfig:
 
 _MODES = ("exact", "monte_carlo", "sample", "exact_report", "auto")
 _CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_POSITIONAL = ("command", "analysis", "lemma", "corpus_config")
+# flag names, and config keys, that differ from the field name
+_SPELLINGS = {"lam": "lambda", "set_spec": "set"}
+_FIELD_OF_KEY = {key: name for name, key in _SPELLINGS.items()}
 # JSON values a config file may give for each type named in an annotation
 _JSON_TYPES = {
     "int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "None": (type(None),)
 }
+
+
+def _flag(name: str) -> str:
+    return "--" + _SPELLINGS.get(name, name).replace("_", "-")
 
 
 def _check_config_value(key: str, name: str, value) -> None:
@@ -152,10 +160,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         file_values = _read_json(config_path, "bad_config", _json_object)
         for key, value in file_values.items():
             name = key.replace("-", "_")
-            if name == "lambda":
-                name = "lam"
-            if name == "set":
-                name = "set_spec"
+            name = _FIELD_OF_KEY.get(name, name)
             if name not in _CONFIG_TYPES:
                 raise UsageError("bad_config", f"unknown config field {key!r}")
             _check_config_value(key, name, value)
@@ -164,13 +169,32 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             merged[key] = value
     cfg = RunConfig(**merged)
-    if cfg.mode not in _MODES:
+    if cfg.mode not in (None, *_MODES):
         raise UsageError("bad_config", f"mode must be one of {', '.join(_MODES)}, got {cfg.mode!r}")
     if cfg.seed < 0:
         raise UsageError("bad_seed", f"seed must be non-negative, got {cfg.seed}")
     if cfg.trials < 1:
         raise UsageError("bad_trials", f"trials must be at least 1, got {cfg.trials}")
     return cfg
+
+
+# inputs that name a file, where an empty value is no value
+_PATHS = ("forest", "target", "buckets", "set_spec", "out")
+
+
+def _command_name(cfg: RunConfig) -> str:
+    return {"analyze": cfg.analysis, "verify": cfg.lemma}.get(cfg.command, cfg.command)
+
+
+def _need(cfg: RunConfig, *names: str) -> None:
+    """Stop with missing_argument, naming the command and every input of `names` left unset."""
+    missing = [
+        _flag(name) for name in names
+        if getattr(cfg, name) is None or (name in _PATHS and not getattr(cfg, name))
+    ]
+    if missing:
+        flags = ", ".join(missing[:-1]) + " and " + missing[-1] if len(missing) > 1 else missing[0]
+        raise UsageError("missing_argument", f"{_command_name(cfg)} needs {flags}")
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +245,7 @@ def _integer_k(cfg: RunConfig) -> int:
 
 
 def _load_forest(cfg: RunConfig):
-    if not cfg.forest:
-        raise UsageError("missing_argument", "this command needs --forest")
+    _need(cfg, "forest")
     return _read_json(cfg.forest, "bad_file", forest_from_json)
 
 
@@ -241,9 +264,8 @@ def _parse_floats(text: str) -> list:
 
 
 def _load_outcome_set(cfg: RunConfig) -> OutcomeSet:
+    _need(cfg, "set_spec")
     spec = cfg.set_spec
-    if not spec:
-        raise UsageError("missing_argument", "this command needs --set")
     if spec == "empty":
         return OutcomeSet(frozenset(), cfg.s or 12, cfg.lam or 2, description="empty set")
 
@@ -278,8 +300,7 @@ def _load_ensemble(path: str) -> IndependentEnsemble:
 
 
 def _load_buckets(cfg: RunConfig) -> BucketStructure:
-    if not cfg.buckets:
-        raise UsageError("missing_argument", "this command needs --buckets")
+    _need(cfg, "buckets")
 
     def build(doc) -> BucketStructure:
         blocks = doc["buckets"] if isinstance(doc, dict) else doc
@@ -291,8 +312,7 @@ def _load_buckets(cfg: RunConfig) -> BucketStructure:
 
 
 def _target_distribution(cfg: RunConfig, forest=None) -> Distribution:
-    if not cfg.target:
-        raise UsageError("missing_argument", "this command needs --target")
+    _need(cfg, "target")
     if cfg.target == "uniform-perm":
         if forest is None:
             raise UsageError("missing_argument", "uniform-perm target needs --forest")
@@ -315,15 +335,16 @@ def _emit_measurement(measurement: Measurement) -> None:
     print(json.dumps(measurement.to_json()))
 
 
-def _log_report(cfg: RunConfig, report, instance_id: str) -> None:
-    append_ledger(_ledger_path(cfg), [ledger_row(report, instance_id)], fresh=cfg.fresh)
+def _log_report(cfg: RunConfig, report) -> None:
+    append_ledger(_ledger_path(cfg), [ledger_row(report, _instance_id(cfg))], fresh=cfg.fresh)
 
 
 def _report_exit(report) -> int:
     return 1 if report.csv_status == "fail" else 0
 
 
-def _print_report(report) -> None:
+def _publish(cfg: RunConfig, report) -> int:
+    """Print a verdict line, log the report and return its exit status."""
     line = (
         f"{report.csv_status} {report.lemma_id}"
         f" measured={report.measured:.12g}"
@@ -333,6 +354,8 @@ def _print_report(report) -> None:
     if report.trials is not None:
         line += f" trials={report.trials} seed={report.seed}"
     print(line)
+    _log_report(cfg, report)
+    return _report_exit(report)
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +363,7 @@ def _print_report(report) -> None:
 
 
 def _cmd_gen_thorp(cfg: RunConfig) -> int:
-    if cfg.log2n is None or cfg.rounds is None:
-        raise UsageError("missing_argument", "gen-thorp needs --log2n and --rounds")
-    if not cfg.out:
-        raise UsageError("missing_argument", "gen-thorp needs --out")
+    _need(cfg, "log2n", "rounds", "out")
     forest = thorp_forest(ThorpSpec(cfg.log2n, cfg.rounds))
     _atomic_write(cfg.out, dumps_forest(forest))
     print(f"wrote {cfg.out}")
@@ -351,11 +371,7 @@ def _cmd_gen_thorp(cfg: RunConfig) -> int:
 
 
 def _cmd_gen_random(cfg: RunConfig) -> int:
-    if not cfg.out:
-        raise UsageError("missing_argument", "gen-random needs --out (manifest path)")
-    missing = [name for name in ("s", "lam", "m", "sigma", "depth") if getattr(cfg, name) is None]
-    if missing:
-        raise UsageError("missing_argument", f"gen-random needs --{', --'.join(missing)}")
+    _need(cfg, "out", "s", "lam", "m", "sigma", "depth")
     count = cfg.count or 1
     base, _ = os.path.splitext(cfg.out)
     lines = []
@@ -390,9 +406,8 @@ def _cmd_gen_random(cfg: RunConfig) -> int:
 
 
 def _cmd_eval(cfg: RunConfig) -> int:
+    _need(cfg, "forest", "input")
     forest = _load_forest(cfg)
-    if cfg.input is None:
-        raise UsageError("missing_argument", "eval needs --input")
     value = eval_forest(forest, _parse_symbols(cfg.input))
     bot = forest.output_space.bot
     print(",".join("_" if sym == bot else str(sym) for sym in value))
@@ -416,6 +431,7 @@ def _empirical_law(cfg: RunConfig, forest) -> Distribution:
 
 
 def _analyze_tv(cfg: RunConfig) -> Measurement:
+    _need(cfg, "forest", "target")
     forest = _load_forest(cfg)
     target = _target_distribution(cfg, forest)
     if cfg.mode == "exact":
@@ -434,9 +450,8 @@ def _analyze_entropy(cfg: RunConfig) -> Measurement:
 
 
 def _analyze_cond_entropy(cfg: RunConfig) -> Measurement:
+    _need(cfg, "forest", "cells")
     forest = _load_forest(cfg)
-    if cfg.cells is None:
-        raise UsageError("missing_argument", "cond-entropy needs --cells")
     cells = [int(v) for v in _parse_symbols(cfg.cells)]
     if cfg.mode == "exact":
         value = conditional_entropy(forest, cells, budget=cfg.budget_states)
@@ -461,9 +476,8 @@ def _analyze_collision(cfg: RunConfig) -> Measurement:
 
 
 def _analyze_lipschitz(cfg: RunConfig) -> Measurement:
+    _need(cfg, "forest", "mu")
     forest = _load_forest(cfg)
-    if cfg.mu is None:
-        raise UsageError("missing_argument", "lipschitz needs --mu")
     profile = query_profile(
         forest,
         cfg.mu,
@@ -485,9 +499,8 @@ def _analyze_lipschitz(cfg: RunConfig) -> Measurement:
 
 
 def _analyze_neighborhood(cfg: RunConfig) -> Measurement:
+    _need(cfg, "set_spec", "k")
     outcome_set = _load_outcome_set(cfg)
-    if cfg.k is None:
-        raise UsageError("missing_argument", "neighborhood needs --k")
     grown = neighborhood(outcome_set, _integer_k(cfg), budget=cfg.budget_set)
     if cfg.out:
         _atomic_write(cfg.out, _dump_outcome_set(grown))
@@ -507,6 +520,7 @@ _ANALYZERS = {
 def _cmd_analyze(cfg: RunConfig) -> int:
     if cfg.analysis not in _ANALYZERS:
         raise UsageError("unknown_analysis", f"no analysis named {cfg.analysis!r}")
+    cfg = dataclasses.replace(cfg, mode=cfg.mode or "exact")
     if cfg.analysis in ("tv", "entropy", "cond-entropy") and cfg.mode not in ("exact", "monte_carlo"):
         raise UsageError("bad_mode", f"analyze {cfg.analysis} takes mode exact or monte_carlo, not {cfg.mode!r}")
     measurement = _ANALYZERS[cfg.analysis](cfg)
@@ -520,14 +534,13 @@ def _cmd_analyze(cfg: RunConfig) -> int:
         trials=measurement.trials,
         seed=measurement.seed,
     )
-    _log_report(cfg, report, _instance_id(cfg))
+    _log_report(cfg, report)
     return 0
 
 
 def _cmd_enforce(cfg: RunConfig) -> int:
+    _need(cfg, "forest", "mu", "eps")
     forest = _load_forest(cfg)
-    if cfg.mu is None or cfg.eps is None:
-        raise UsageError("missing_argument", "enforce-lipschitz needs --mu and --eps")
     trace = enforce_avg_lipschitz(forest, cfg.mu, cfg.eps, cfg.seed)
     doc = {
         "success": trace.success,
@@ -543,19 +556,18 @@ def _cmd_enforce(cfg: RunConfig) -> int:
     return 0 if trace.success else 1
 
 
-def _cmd_couple(cfg: RunConfig) -> int:
+def _single_tree(cfg: RunConfig) -> tuple:
+    """The tree and input space of a one-tree --forest."""
     forest = _load_forest(cfg)
-    if len(forest.trees) != 1:
-        raise UsageError("bad_forest", "couple needs a single-tree forest")
-    tree = forest.trees[0]
-    space = forest.input_space
-    if cfg.mode in ("exact", "exact_report"):
-        report = couple_accepting(
-            tree, space, mode="exact_report", calibration=cfg.calib_coupling_c
-        )
-        _print_report(report)
-        _log_report(cfg, report, _instance_id(cfg))
-        return _report_exit(report)
+    if forest.output_space.cells != 1:
+        raise UsageError("bad_forest", f"{_command_name(cfg)} needs a single-tree forest")
+    return forest.trees[0], forest.input_space
+
+
+def _cmd_couple(cfg: RunConfig) -> int:
+    if cfg.mode in (None, "exact", "exact_report"):
+        return _publish(cfg, _verify_coupling(cfg))
+    tree, space = _single_tree(cfg)
     if cfg.trials > 1:
         mean, _ = sample_coupling_distance(tree, space, cfg.trials, cfg.seed)
         _emit_measurement(_sampled("coupling-mean-dist", mean, cfg))
@@ -566,9 +578,8 @@ def _cmd_couple(cfg: RunConfig) -> int:
 
 
 def _cmd_depth_reduce(cfg: RunConfig) -> int:
+    _need(cfg, "forest", "alpha")
     forest = _load_forest(cfg)
-    if cfg.alpha is None:
-        raise UsageError("missing_argument", "depth-reduce needs --alpha")
     step = depth_reduction_step(forest, cfg.alpha, cfg.seed)
     doc = {
         "alpha": step.alpha,
@@ -587,9 +598,8 @@ def _cmd_depth_reduce(cfg: RunConfig) -> int:
 
 
 def _cmd_dichotomy(cfg: RunConfig) -> int:
+    _need(cfg, "forest", "threshold")
     forest = _load_forest(cfg)
-    if cfg.threshold is None:
-        raise UsageError("missing_argument", "dichotomy needs --threshold")
     if cfg.buckets:
         buckets = _load_buckets(cfg)
     elif cfg.log2n is not None and cfg.rounds is not None:
@@ -599,14 +609,11 @@ def _cmd_dichotomy(cfg: RunConfig) -> int:
     report = bucketed_dichotomy_experiment(
         forest, buckets, cfg.threshold, seed=cfg.seed, betas=cfg.betas
     )
-    _print_report(report)
-    _log_report(cfg, report, _instance_id(cfg))
-    return _report_exit(report)
+    return _publish(cfg, report)
 
 
 def _verify_containment(cfg: RunConfig):
-    if cfg.k is None:
-        raise UsageError("missing_argument", "containment needs --k")
+    _need(cfg, "k")
     forest = _load_forest(cfg) if cfg.forest else None
     if forest is not None:
         dist = output_distribution(forest, budget=cfg.budget_states)
@@ -617,8 +624,7 @@ def _verify_containment(cfg: RunConfig):
 
 
 def _verify_mixture(cfg: RunConfig):
-    if cfg.sigma is None:
-        raise UsageError("missing_argument", "mixture-bound needs --sigma")
+    _need(cfg, "sigma")
     if cfg.forest:
         forest = _load_forest(cfg)
         dist = output_distribution(forest, budget=cfg.budget_states)
@@ -630,6 +636,7 @@ def _verify_mixture(cfg: RunConfig):
 
 
 def _verify_chain(cfg: RunConfig):
+    _need(cfg, "forest", "buckets")
     return verify_chain_bound(_load_forest(cfg), _load_buckets(cfg))
 
 
@@ -649,8 +656,9 @@ def _verify_avg_tail(cfg: RunConfig):
 
 
 def _verify_restriction(cfg: RunConfig):
-    if cfg.mu is None or cfg.delta is None:
-        raise UsageError("missing_argument", "lipschitz-restriction needs --mu and --delta")
+    if cfg.mode not in (None, "monte_carlo"):
+        raise UsageError("bad_mode", f"lipschitz-restriction takes mode monte_carlo, not {cfg.mode!r}")
+    _need(cfg, "forest", "mu", "delta")
     return verify_lipschitz_after_conditioning(
         _load_forest(cfg),
         cfg.mu,
@@ -662,42 +670,29 @@ def _verify_restriction(cfg: RunConfig):
 
 
 def _verify_coupling(cfg: RunConfig):
-    forest = _load_forest(cfg)
-    if len(forest.trees) != 1:
-        raise UsageError("bad_forest", "coupling needs a single-tree forest")
-    return couple_accepting(
-        forest.trees[0],
-        forest.input_space,
-        mode="exact_report",
-        calibration=cfg.calib_coupling_c,
-    )
+    tree, space = _single_tree(cfg)
+    return couple_accepting(tree, space, mode="exact_report", calibration=cfg.calib_coupling_c)
 
 
 def _verify_at_least_two(cfg: RunConfig):
-    if cfg.q is None or cfg.alpha is None:
-        raise UsageError("missing_argument", "at-least-two needs --q and --alpha")
+    _need(cfg, "q", "alpha")
     return verify_at_least_two(_parse_floats(cfg.q), cfg.alpha)
 
 
 def _verify_light_mass(cfg: RunConfig):
-    if cfg.c is None:
-        raise UsageError("missing_argument", "light-mass needs --c")
-    if not cfg.target:
-        raise UsageError("missing_argument", "light-mass needs --target (probability file)")
+    _need(cfg, "c", "target")
     return verify_light_mass(_parse_floats(_read_text(cfg.target)), cfg.c)
 
 
 def _verify_harper(cfg: RunConfig):
-    if cfg.k is None:
-        raise UsageError("missing_argument", "harper needs --k")
+    _need(cfg, "set_spec", "k")
     return verify_harper(_load_outcome_set(cfg), _integer_k(cfg), budget=cfg.budget_states)
 
 
 def _verify_ensemble(cfg: RunConfig):
-    if not cfg.target:
-        raise UsageError("missing_argument", "ensemble-collision needs --target")
+    _need(cfg, "target")
     return collision_ensemble_report(
-        _load_ensemble(cfg.target), mode=cfg.mode if cfg.mode != "exact" else "auto",
+        _load_ensemble(cfg.target), mode=cfg.mode if cfg.mode not in (None, "exact") else "auto",
         trials=cfg.trials, seed=cfg.seed,
     )
 
@@ -711,8 +706,7 @@ def _verify_taylor(cfg: RunConfig):
 
 
 def _verify_sum_ratio(cfg: RunConfig):
-    if not cfg.target:
-        raise UsageError("missing_argument", "sum-ratio needs --target (two-line number file)")
+    _need(cfg, "target")
     lines = [line for line in _read_text(cfg.target).splitlines() if line.strip()]
     if len(lines) != 2:
         raise UsageError("bad_file", "sum-ratio target must hold two lines of numbers")
@@ -741,10 +735,7 @@ _VERIFIERS = {
 def _cmd_verify(cfg: RunConfig) -> int:
     if cfg.lemma not in _VERIFIERS:
         raise UsageError("unknown_lemma", f"no verifier named {cfg.lemma!r}")
-    report = _VERIFIERS[cfg.lemma](cfg)
-    _print_report(report)
-    _log_report(cfg, report, _instance_id(cfg))
-    return _report_exit(report)
+    return _publish(cfg, _VERIFIERS[cfg.lemma](cfg))
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
@@ -815,41 +806,18 @@ _COMMANDS = {
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file merged under explicit flags")
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--log2n", type=int)
-    parser.add_argument("--s", type=int)
-    parser.add_argument("--lambda", dest="lam", type=int)
-    parser.add_argument("--sigma", type=int)
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--depth", type=int)
-    parser.add_argument("--rounds", type=int)
-    parser.add_argument("--mu", type=float)
-    parser.add_argument("--eps", type=float)
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--k", type=float)
-    parser.add_argument("--c", type=float)
-    parser.add_argument("--cell", type=int)
-    parser.add_argument("--cells")
-    parser.add_argument("--threshold", type=float)
-    parser.add_argument("--betas", type=int)
-    parser.add_argument("--count", type=int)
-    parser.add_argument("--q")
-    parser.add_argument("--set", dest="set_spec")
-    parser.add_argument("--input")
-    parser.add_argument("--mode", choices=_MODES)
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--forest")
-    parser.add_argument("--target")
-    parser.add_argument("--buckets")
-    parser.add_argument("-o", "--out")
-    parser.add_argument("--ledger")
-    parser.add_argument("--fresh", action="store_const", const=True)
-    parser.add_argument("--budget-states", dest="budget_states", type=int)
-    parser.add_argument("--budget-set", dest="budget_set", type=int)
-    parser.add_argument("--calib-coupling-c", dest="calib_coupling_c", type=float)
-    parser.add_argument("--time-limit", dest="time_limit", type=float)
+    for name, annotation in _CONFIG_TYPES.items():
+        if name in _POSITIONAL:
+            continue
+        kind = annotation.split(" | ")[0]
+        if kind == "bool":
+            parser.add_argument(_flag(name), dest=name, action="store_const", const=True)
+            continue
+        flags = ("-o", _flag(name)) if name == "out" else (_flag(name),)
+        parser.add_argument(
+            *flags, dest=name, type={"int": int, "float": float}.get(kind),
+            choices=_MODES if name == "mode" else None,
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

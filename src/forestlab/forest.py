@@ -707,7 +707,9 @@ def forest_to_json(forest: DecisionForest) -> dict:
 
 def forest_from_json(obj: dict) -> DecisionForest:
     space = InputSpace(*(_json_int(obj[key], "bad_file", key) for key in ("input_arity", "input_alphabet")))
-    bot_allowed = bool(obj["bot_allowed"])
+    bot_allowed = obj["bot_allowed"]
+    if not isinstance(bot_allowed, bool):
+        raise UsageError("bad_file", f"bot_allowed must be a boolean, got {bot_allowed!r}")
     trees = obj["trees"]
     out = OutputSpace(len(trees), _json_int(obj["output_alphabet"], "bad_file", "output_alphabet"), bot_allowed)
     parsed = tuple(DecisionTree(_node_from_json(t, out.bot)) for t in trees)

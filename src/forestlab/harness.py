@@ -354,7 +354,6 @@ def verify_lipschitz_after_conditioning(
     delta: float,
     trials: int = 10_000,
     seed: int = 0,
-    subset_size: int | None = None,
     sampler: Callable | None = None,
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> ExperimentReport:
@@ -375,8 +374,7 @@ def verify_lipschitz_after_conditioning(
         )
     sqrt_delta = math.sqrt(delta)
     if sampler is None:
-        size = subset_size if subset_size is not None else max(1, forest.input_space.cells // 2)
-        sampler = default_restriction_sampler(forest, size)
+        sampler = default_restriction_sampler(forest, max(1, forest.input_space.cells // 2))
     verdicts: dict = {}  # draws repeat: each distinct restriction is tested once per call
     failures = 0
     for t in range(trials):
@@ -693,7 +691,7 @@ def verify_collision_tv(forest: DecisionForest, budget: int = DEFAULT_STATE_BUDG
     variation distance to the uniform permutation law.
     """
     n = forest.output_space.cells
-    lower = tv_lower_bound_via_collision(forest, n=n, budget=budget)
+    lower = tv_lower_bound_via_collision(forest, budget=budget)
     measured = tv_distance(output_distribution(forest, budget=budget), uniform_perm_distribution(n))
     return ExperimentReport(
         lemma_id="collision-tv",

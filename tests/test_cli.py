@@ -1,4 +1,5 @@
 """Command-line behavior: exit codes, output formats, ledger plumbing."""
+import dataclasses
 import inspect
 import json
 import subprocess
@@ -23,7 +24,8 @@ from forestlab import (
     uniform_perm_distribution,
 )
 from forestlab import corpus
-from forestlab.cli import main
+from forestlab.cli import RunConfig, _build_config, build_parser, main
+from forestlab.forest import UsageError
 from forestlab.report import LEDGER_HEADER
 
 
@@ -423,6 +425,9 @@ MALFORMED_FILES = [
     (["verify", "entropy-deviation", "--forest", "GATE", "--config"], json.dumps({"k": 0.5}), "bad_parameter"),
     (["verify", "harper", "--k", "1.5", "--set"], json.dumps({"arity": 2, "alphabet": 2, "members": [[0, 1]]}), "bad_parameter"),
     (["analyze", "neighborhood", "--k", "0.5", "--set"], json.dumps({"arity": 1, "alphabet": 2, "members": [[0]]}), "bad_parameter"),
+    (["verify", "lipschitz-restriction", "--mu", "1", "--delta", "0.5", "--mode", "exact", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
+    (["verify", "lipschitz-restriction", "--forest", "GATE", "--config"], json.dumps({"mu": 1, "delta": 0.5, "mode": "exact"}), "bad_mode"),
+    (["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "bot_allowed": "false"}), "bad_file"),
 ]
 
 
@@ -442,6 +447,71 @@ def test_malformed_input_files_exit_two_with_a_reason(tmp_path, capsys, args, te
 def test_missing_forest_argument_is_a_usage_error(capsys):
     assert main(["eval", "--input", "0"]) == 2
     assert "missing_argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify", "lipschitz-restriction", "--forest", "GATE"], "lipschitz-restriction needs --mu and --delta"),
+        (["verify", "lipschitz-restriction"], "lipschitz-restriction needs --forest, --mu and --delta"),
+        (["gen-random", "--s", "4", "-o", "batch.jsonl"], "gen-random needs --lambda, --m, --sigma and --depth"),
+    ],
+)
+def test_a_missing_input_names_the_command_and_every_missing_flag(tmp_path, capsys, args, message):
+    assert main([write_gate_forest(tmp_path) if a == "GATE" else a for a in args]) == 2
+    assert capsys.readouterr().err == f"error: missing_argument: {message}\n"
+
+
+def test_lipschitz_restriction_runs_monte_carlo_with_or_without_the_mode_flag(tmp_path, capsys):
+    args = ["verify", "lipschitz-restriction", "--forest", write_gate_forest(tmp_path), "--mu", "1", "--delta", "0.5", "--trials", "50"]
+    assert main(args) == 0
+    assert main(args + ["--mode", "monte_carlo"]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second
+    assert first.startswith("pass lipschitz-restriction measured=0 ")
+
+
+# Every RunConfig field past the positionals is a flag of every subcommand and
+# a config key.  Per annotation: a config value, a different flag value (as
+# typed and as parsed) and a config value of the wrong JSON type.
+FIELD_VALUES = {
+    "int": (3, "4", 4, "x"),
+    "float": (0.5, "0.25", 0.25, "x"),
+    "str": ("a", "b", "b", 1),
+    "bool": (False, None, True, "x"),
+}
+COMMAND_ARGS = {"analyze": ["analyze", "tv"], "verify": ["verify", "taylor-bound"]}
+
+
+def run_config_fields():
+    return [f for f in dataclasses.fields(RunConfig) if f.name not in ("command", "analysis", "lemma", "corpus_config")]
+
+
+def config_from(parser, tmp_path, argv, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return _build_config(parser.parse_args(argv + ["--config", str(path)]))
+
+
+@pytest.mark.parametrize("field", run_config_fields(), ids=lambda f: f.name)
+def test_each_run_config_field_is_a_flag_and_a_config_key(tmp_path, field):
+    flag = "--" + {"lam": "lambda", "set_spec": "set"}.get(field.name, field.name).replace("_", "-")
+    config_value, flag_text, flag_value, wrong = FIELD_VALUES[field.type.split(" | ")[0]]
+    if field.name == "mode":
+        config_value, flag_text, flag_value = "auto", "sample", "sample"
+    parser = build_parser()
+    commands = [action for action in parser._actions if action.dest == "command"][0].choices
+    assert len(commands) == 10
+    for command in commands:
+        argv = COMMAND_ARGS.get(command, [command])
+        flag_argv = argv + ([flag] if flag_text is None else [flag, flag_text])
+        assert getattr(parser.parse_args(flag_argv), field.name) == flag_value
+        for key in {flag[2:], field.name}:
+            assert getattr(config_from(parser, tmp_path, argv, {key: config_value}), field.name) == config_value
+            assert getattr(config_from(parser, tmp_path, flag_argv, {key: config_value}), field.name) == flag_value
+            with pytest.raises(UsageError) as err:
+                config_from(parser, tmp_path, argv, {key: wrong})
+            assert err.value.reason == "bad_config"
 
 
 def test_module_entry_point_runs_in_a_subprocess():
