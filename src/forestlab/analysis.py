@@ -27,6 +27,7 @@ from .forest import (
     cube_order,
     eval_forest_on_cube,
     packed_outputs_on_cube,
+    restrict,
 )
 
 SUM_TOLERANCE = 1e-9
@@ -272,8 +273,6 @@ def monte_carlo_conditional_entropy(
     rng = np.random.Generator(np.random.Philox(seed))
     inner = max(1, trials // max(1, assignments))
     per = np.zeros(assignments)
-    from .forest import restrict  # local import keeps module load light
-
     for b in range(assignments):
         beta = {c: int(v) for c, v in zip(cells, rng.integers(0, lam, size=len(cells)))}
         rows = sample_forest_outputs(restrict(forest, beta), inner, derive_seed(seed, b))

@@ -32,7 +32,6 @@ from .analysis import (
     derive_seed,
     entropy,
     hoeffding_halfwidth,
-    monte_carlo_conditional_entropy,
     neighborhood,
     output_distribution,
     parse_distribution,
@@ -92,7 +91,6 @@ class RunConfig:
     analysis: str | None = None
     lemma: str | None = None
     corpus_config: str | None = None
-    n: int | None = None
     log2n: int | None = None
     s: int | None = None
     lam: int | None = None
@@ -129,7 +127,6 @@ class RunConfig:
     time_limit: float = 600.0
 
 
-_MODES = ("exact", "monte_carlo", "sample", "exact_report", "auto")
 _CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 _POSITIONAL = ("command", "analysis", "lemma", "corpus_config")
 # flag names, and config keys, that differ from the field name
@@ -414,68 +411,49 @@ def _cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def _sampled(quantity: str, value: float, cfg: RunConfig) -> Measurement:
-    """A Monte-Carlo measurement with the Hoeffding half-width of `cfg.trials`."""
-    return Measurement(
-        quantity, "monte_carlo", value,
-        ci_halfwidth=hoeffding_halfwidth(cfg.trials), seed=cfg.seed, trials=cfg.trials,
-    )
-
-
-def _empirical_law(cfg: RunConfig, forest) -> Distribution:
-    """Plug-in law of `cfg.trials` sampled outputs."""
+def _output_law(cfg: RunConfig, forest) -> Distribution:
+    """The exact output law, or the plug-in law of `cfg.trials` sampled outputs."""
+    if cfg.mode == "exact":
+        return output_distribution(forest, budget=cfg.budget_states)
     rows = sample_forest_outputs(forest, cfg.trials, cfg.seed)
     keys, counts = np.unique(rows, axis=0, return_counts=True)
     probs = dict(zip(map(tuple, keys.tolist()), (counts / len(rows)).tolist()))
     return Distribution(probs, forest.output_space.cells, bot=forest.output_space.bot)
 
 
-def _analyze_tv(cfg: RunConfig) -> Measurement:
+def _analyze_tv(cfg: RunConfig) -> float:
     _need(cfg, "forest", "target")
     forest = _load_forest(cfg)
     target = _target_distribution(cfg, forest)
-    if cfg.mode == "exact":
-        dist = output_distribution(forest, budget=cfg.budget_states)
-        return Measurement("tv", "exact", tv_distance(dist, target))
-    return _sampled("tv", tv_distance(_empirical_law(cfg, forest), target), cfg)
+    return tv_distance(_output_law(cfg, forest), target)
 
 
-def _analyze_entropy(cfg: RunConfig) -> Measurement:
-    forest = _load_forest(cfg)
-    if cfg.mode == "exact":
-        return Measurement(
-            "entropy", "exact", entropy(output_distribution(forest, budget=cfg.budget_states))
-        )
-    return _sampled("entropy", entropy(_empirical_law(cfg, forest)), cfg)
+def _analyze_entropy(cfg: RunConfig) -> float:
+    return entropy(_output_law(cfg, _load_forest(cfg)))
 
 
-def _analyze_cond_entropy(cfg: RunConfig) -> Measurement:
+def _analyze_cond_entropy(cfg: RunConfig) -> float:
     _need(cfg, "forest", "cells")
     forest = _load_forest(cfg)
     cells = [int(v) for v in _parse_symbols(cfg.cells)]
-    if cfg.mode == "exact":
-        value = conditional_entropy(forest, cells, budget=cfg.budget_states)
-        return Measurement("cond-entropy", "exact", value)
-    value = monte_carlo_conditional_entropy(forest, cells, trials=cfg.trials, seed=cfg.seed).value
-    return _sampled("cond-entropy", value, cfg)
+    return conditional_entropy(
+        forest, cells, mode=cfg.mode, trials=cfg.trials, seed=cfg.seed, budget=cfg.budget_states
+    )
 
 
-def _analyze_collision(cfg: RunConfig) -> Measurement:
+def _analyze_collision(cfg: RunConfig) -> float:
     if cfg.forest:
         source = _load_forest(cfg)
     elif cfg.target:
         source = _load_ensemble(cfg.target)
     else:
         raise UsageError("missing_argument", "collision needs --forest or --target")
-    value = collision_probability(
+    return collision_probability(
         source, mode=cfg.mode, trials=cfg.trials, seed=cfg.seed, budget=cfg.budget_states
     )
-    if cfg.mode == "exact":
-        return Measurement("collision", "exact", value)
-    return _sampled("collision", value, cfg)
 
 
-def _analyze_lipschitz(cfg: RunConfig) -> Measurement:
+def _analyze_lipschitz(cfg: RunConfig) -> float:
     _need(cfg, "forest", "mu")
     forest = _load_forest(cfg)
     profile = query_profile(
@@ -486,44 +464,49 @@ def _analyze_lipschitz(cfg: RunConfig) -> Measurement:
         seed=cfg.seed,
         budget=cfg.budget_states,
     )
-    worst_tail = max(profile.tail) if profile.tail else 0.0
     if cfg.delta is not None:
         report = check_lipschitz(profile, cfg.mu, cfg.delta)
         print(
             f"average_ok={report.average_ok} tail_ok={report.tail_ok}"
             f" worst_cell={report.worst_cell}"
         )
-    if cfg.mode == "exact":
-        return Measurement("lipschitz-worst-tail", "exact", worst_tail)
-    return _sampled("lipschitz-worst-tail", worst_tail, cfg)
+    return max(profile.tail) if profile.tail else 0.0
 
 
-def _analyze_neighborhood(cfg: RunConfig) -> Measurement:
+def _analyze_neighborhood(cfg: RunConfig) -> float:
     _need(cfg, "set_spec", "k")
     outcome_set = _load_outcome_set(cfg)
     grown = neighborhood(outcome_set, _integer_k(cfg), budget=cfg.budget_set)
     if cfg.out:
         _atomic_write(cfg.out, _dump_outcome_set(grown))
-    return Measurement("neighborhood-size", "exact", float(len(grown)))
+    return float(len(grown))
 
 
+# Each analysis, verifier and command with the modes its code reads, default first.
+_EXACT = ("exact",)
+_EXACT_OR_SAMPLED = ("exact", "monte_carlo")
 _ANALYZERS = {
-    "tv": _analyze_tv,
-    "entropy": _analyze_entropy,
-    "cond-entropy": _analyze_cond_entropy,
-    "collision": _analyze_collision,
-    "lipschitz": _analyze_lipschitz,
-    "neighborhood": _analyze_neighborhood,
+    "tv": (_analyze_tv, _EXACT_OR_SAMPLED),
+    "entropy": (_analyze_entropy, _EXACT_OR_SAMPLED),
+    "cond-entropy": (_analyze_cond_entropy, _EXACT_OR_SAMPLED),
+    "collision": (_analyze_collision, _EXACT_OR_SAMPLED),
+    "lipschitz": (_analyze_lipschitz, _EXACT_OR_SAMPLED),
+    "neighborhood": (_analyze_neighborhood, _EXACT),
 }
+# the quantity an analysis reports, where it is not the analysis name
+_QUANTITIES = {"lipschitz": "lipschitz-worst-tail", "neighborhood": "neighborhood-size"}
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:
-    if cfg.analysis not in _ANALYZERS:
-        raise UsageError("unknown_analysis", f"no analysis named {cfg.analysis!r}")
-    cfg = dataclasses.replace(cfg, mode=cfg.mode or "exact")
-    if cfg.analysis in ("tv", "entropy", "cond-entropy") and cfg.mode not in ("exact", "monte_carlo"):
-        raise UsageError("bad_mode", f"analyze {cfg.analysis} takes mode exact or monte_carlo, not {cfg.mode!r}")
-    measurement = _ANALYZERS[cfg.analysis](cfg)
+    value = _ANALYZERS[cfg.analysis][0](cfg)
+    sampled = cfg.mode == "monte_carlo"
+    # Hoeffding's interval holds for a mean of 0/1 events, which collision is; plug-in
+    # tv and entropies are biased, and lipschitz is a max over cells with no union bound.
+    measurement = Measurement(
+        _QUANTITIES.get(cfg.analysis, cfg.analysis), cfg.mode, value,
+        ci_halfwidth=hoeffding_halfwidth(cfg.trials) if sampled and cfg.analysis == "collision" else None,
+        seed=cfg.seed if sampled else None, trials=cfg.trials if sampled else None,
+    )
     _emit_measurement(measurement)
     report = ExperimentReport(
         lemma_id=f"analyze-{cfg.analysis}",
@@ -557,20 +540,22 @@ def _cmd_enforce(cfg: RunConfig) -> int:
 
 
 def _single_tree(cfg: RunConfig) -> tuple:
-    """The tree and input space of a one-tree --forest."""
+    """The tree, input space and depth of a one-tree --forest."""
     forest = _load_forest(cfg)
     if forest.output_space.cells != 1:
         raise UsageError("bad_forest", f"{_command_name(cfg)} needs a single-tree forest")
-    return forest.trees[0], forest.input_space
+    return forest.trees[0], forest.input_space, forest.depth
 
 
 def _cmd_couple(cfg: RunConfig) -> int:
-    if cfg.mode in (None, "exact", "exact_report"):
+    if cfg.mode in ("exact_report", "exact"):
         return _publish(cfg, _verify_coupling(cfg))
-    tree, space = _single_tree(cfg)
+    tree, space, depth = _single_tree(cfg)
     if cfg.trials > 1:
         mean, _ = sample_coupling_distance(tree, space, cfg.trials, cfg.seed)
-        _emit_measurement(_sampled("coupling-mean-dist", mean, cfg))
+        # each sample's changed-coordinate count lies in [0, depth], so Hoeffding scales by it
+        halfwidth = depth * hoeffding_halfwidth(cfg.trials)
+        _emit_measurement(Measurement("coupling-mean-dist", "monte_carlo", mean, halfwidth, cfg.seed, cfg.trials))
         return 0
     sample = couple_accepting(tree, space, mode="sample", seed=cfg.seed)
     print(json.dumps({"x": list(sample.x), "y": list(sample.y), "dist": sample.dist, "seed": cfg.seed}))
@@ -656,8 +641,6 @@ def _verify_avg_tail(cfg: RunConfig):
 
 
 def _verify_restriction(cfg: RunConfig):
-    if cfg.mode not in (None, "monte_carlo"):
-        raise UsageError("bad_mode", f"lipschitz-restriction takes mode monte_carlo, not {cfg.mode!r}")
     _need(cfg, "forest", "mu", "delta")
     return verify_lipschitz_after_conditioning(
         _load_forest(cfg),
@@ -670,7 +653,7 @@ def _verify_restriction(cfg: RunConfig):
 
 
 def _verify_coupling(cfg: RunConfig):
-    tree, space = _single_tree(cfg)
+    tree, space, _ = _single_tree(cfg)
     return couple_accepting(tree, space, mode="exact_report", calibration=cfg.calib_coupling_c)
 
 
@@ -692,8 +675,7 @@ def _verify_harper(cfg: RunConfig):
 def _verify_ensemble(cfg: RunConfig):
     _need(cfg, "target")
     return collision_ensemble_report(
-        _load_ensemble(cfg.target), mode=cfg.mode if cfg.mode not in (None, "exact") else "auto",
-        trials=cfg.trials, seed=cfg.seed,
+        _load_ensemble(cfg.target), mode=cfg.mode, trials=cfg.trials, seed=cfg.seed
     )
 
 
@@ -714,28 +696,26 @@ def _verify_sum_ratio(cfg: RunConfig):
 
 
 _VERIFIERS = {
-    "containment": _verify_containment,
-    "mixture-bound": _verify_mixture,
-    "chain-bound": _verify_chain,
-    "entropy-deviation": _verify_entropy_deviation,
-    "second-moment-tail": _verify_second_moment,
-    "avg-to-tail-lipschitz": _verify_avg_tail,
-    "lipschitz-restriction": _verify_restriction,
-    "coupling": _verify_coupling,
-    "at-least-two": _verify_at_least_two,
-    "light-mass": _verify_light_mass,
-    "harper": _verify_harper,
-    "ensemble-collision": _verify_ensemble,
-    "collision-tv": _verify_collision_tv,
-    "taylor-bound": _verify_taylor,
-    "sum-ratio": _verify_sum_ratio,
+    "containment": (_verify_containment, _EXACT),
+    "mixture-bound": (_verify_mixture, _EXACT),
+    "chain-bound": (_verify_chain, _EXACT),
+    "entropy-deviation": (_verify_entropy_deviation, _EXACT),
+    "second-moment-tail": (_verify_second_moment, _EXACT),
+    "avg-to-tail-lipschitz": (_verify_avg_tail, _EXACT),
+    "lipschitz-restriction": (_verify_restriction, ("monte_carlo",)),
+    "coupling": (_verify_coupling, _EXACT),
+    "at-least-two": (_verify_at_least_two, _EXACT),
+    "light-mass": (_verify_light_mass, _EXACT),
+    "harper": (_verify_harper, _EXACT),
+    "ensemble-collision": (_verify_ensemble, ("auto", "exact", "monte_carlo")),
+    "collision-tv": (_verify_collision_tv, _EXACT),
+    "taylor-bound": (_verify_taylor, _EXACT),
+    "sum-ratio": (_verify_sum_ratio, _EXACT),
 }
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
-    if cfg.lemma not in _VERIFIERS:
-        raise UsageError("unknown_lemma", f"no verifier named {cfg.lemma!r}")
-    return _publish(cfg, _VERIFIERS[cfg.lemma](cfg))
+    return _publish(cfg, _VERIFIERS[cfg.lemma][0](cfg))
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
@@ -790,18 +770,35 @@ def _summary(name: str, counts: Counter) -> str:
     )
 
 
+# analyze and verify name the table whose entries declare their modes
 _COMMANDS = {
-    "gen-thorp": _cmd_gen_thorp,
-    "gen-random": _cmd_gen_random,
-    "eval": _cmd_eval,
-    "analyze": _cmd_analyze,
-    "enforce-lipschitz": _cmd_enforce,
-    "couple": _cmd_couple,
-    "depth-reduce": _cmd_depth_reduce,
-    "dichotomy": _cmd_dichotomy,
-    "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
+    "gen-thorp": (_cmd_gen_thorp, _EXACT),
+    "gen-random": (_cmd_gen_random, _EXACT),
+    "eval": (_cmd_eval, _EXACT),
+    "analyze": (_cmd_analyze, _ANALYZERS),
+    "enforce-lipschitz": (_cmd_enforce, _EXACT),
+    "couple": (_cmd_couple, ("exact_report", "exact", "sample", "monte_carlo")),
+    "depth-reduce": (_cmd_depth_reduce, _EXACT),
+    "dichotomy": (_cmd_dichotomy, _EXACT),
+    "verify": (_cmd_verify, _VERIFIERS),
+    "sweep": (_cmd_sweep, _EXACT),
 }
+# every mode some command reads: the choices of --mode and of a config "mode"
+_MODES = tuple(sorted({
+    mode for table in (_COMMANDS, _ANALYZERS, _VERIFIERS)
+    for _, modes in table.values() if isinstance(modes, tuple) for mode in modes
+}))
+
+
+def _modes(cfg: RunConfig) -> tuple:
+    """The modes the command of `cfg` reads, default first."""
+    modes = _COMMANDS[cfg.command][1]
+    if isinstance(modes, dict):
+        name = _command_name(cfg)
+        if name not in modes:  # argparse checks the analysis, not the lemma
+            raise UsageError("unknown_lemma", f"no verifier named {name!r}")
+        modes = modes[name][1]
+    return modes
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
@@ -845,7 +842,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _build_config(args)
-        return _COMMANDS[cfg.command](cfg)
+        modes = _modes(cfg)
+        cfg.mode = cfg.mode or modes[0]
+        if cfg.mode not in modes:
+            raise UsageError("bad_mode", f"{_command_name(cfg)} takes mode {'/'.join(modes)}, not {cfg.mode!r}")
+        return _COMMANDS[cfg.command][0](cfg)
     except UsageError as exc:
         print(f"error: {exc.reason}: {exc.message}", file=sys.stderr)
         return 2

@@ -416,9 +416,8 @@ FAMILIES: dict = {
     "ensemble-collision": ensemble_family,
 }
 
+
 def run_family(name: str, **overrides) -> Iterator[tuple]:
-    if name not in FAMILIES:
-        raise KeyError(name)
     return FAMILIES[name](**overrides)
 
 

@@ -24,7 +24,8 @@ from forestlab import (
     uniform_perm_distribution,
 )
 from forestlab import corpus
-from forestlab.cli import RunConfig, _build_config, build_parser, main
+from forestlab.analysis import hoeffding_halfwidth
+from forestlab.cli import _ANALYZERS, _COMMANDS, _MODES, _VERIFIERS, RunConfig, _build_config, build_parser, main
 from forestlab.forest import UsageError
 from forestlab.report import LEDGER_HEADER
 
@@ -369,6 +370,10 @@ GATE_FOREST = {
 }
 
 
+# two output cells that swap the two symbols: a permutation of a 2-card deck
+SWAP_FOREST = {**GATE_FOREST, "trees": GATE_FOREST["trees"] + [{"query": 0, "children": [{"leaf": 1}, {"leaf": 0}]}]}
+
+
 def _without(doc: dict, key: str) -> dict:
     return {k: v for k, v in doc.items() if k != key}
 
@@ -428,6 +433,12 @@ MALFORMED_FILES = [
     (["verify", "lipschitz-restriction", "--mu", "1", "--delta", "0.5", "--mode", "exact", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
     (["verify", "lipschitz-restriction", "--forest", "GATE", "--config"], json.dumps({"mu": 1, "delta": 0.5, "mode": "exact"}), "bad_mode"),
     (["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "bot_allowed": "false"}), "bad_file"),
+    (["verify", "collision-tv", "--mode", "monte_carlo", "--forest"], json.dumps(SWAP_FOREST), "bad_mode"),
+    (["analyze", "neighborhood", "--k", "1", "--mode", "monte_carlo", "--set"], json.dumps({"arity": 1, "alphabet": 2, "members": [[0]]}), "bad_mode"),
+    (["couple", "--mode", "auto", "--trials", "1", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
+    (["gen-thorp", "--log2n", "1", "--rounds", "1", "--mode", "monte_carlo", "-o"], None, "bad_mode"),
+    (["verify", "taylor-bound", "--config"], json.dumps({"mode": "monte_carlo"}), "bad_mode"),
+    (["verify", "ensemble-collision", "--mode", "exact", "--trials", "100", "--target"], json.dumps({"rows": [[0.5, 0.5]] * 30}), "enum_budget"),
 ]
 
 
@@ -469,6 +480,45 @@ def test_lipschitz_restriction_runs_monte_carlo_with_or_without_the_mode_flag(tm
     first, second = capsys.readouterr().out.splitlines()
     assert first == second
     assert first.startswith("pass lipschitz-restriction measured=0 ")
+
+
+# (argv, modes) for each entry of the three dispatch tables
+MODE_ENTRIES = (
+    [([name], modes) for name, (_, modes) in _COMMANDS.items() if isinstance(modes, tuple)]
+    + [(["analyze", name], modes) for name, (_, modes) in _ANALYZERS.items()]
+    + [(["verify", name], modes) for name, (_, modes) in _VERIFIERS.items()]
+)
+
+
+@pytest.mark.parametrize("argv, modes", [pytest.param(*entry, id=" ".join(entry[0])) for entry in MODE_ENTRIES])
+def test_every_mode_a_command_does_not_read_is_bad_mode(capsys, isolated_ledger, argv, modes):
+    assert set(_MODES) == {"exact", "monte_carlo", "sample", "exact_report", "auto"}
+    outside = [mode for mode in _MODES if mode not in modes]
+    assert outside
+    for mode in outside:
+        assert main(argv + ["--mode", mode]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: bad_mode: ")
+    assert not isolated_ledger.exists()
+
+
+def test_only_a_sampled_mean_of_bounded_events_carries_a_half_width(tmp_path, capsys):
+    forest_path = tmp_path / "f.json"
+    main(["gen-thorp", "--log2n", "2", "--rounds", "1", "-o", str(forest_path)])
+    sampled = ["--forest", str(forest_path), "--mode", "monte_carlo", "--trials", "400", "--seed", "3"]
+    capsys.readouterr()
+    assert main(["analyze", "tv", "--target", "uniform-perm"] + sampled) == 0
+    tv = json.loads(capsys.readouterr().out)
+    assert (tv["ci_halfwidth"], tv["trials"], tv["seed"]) == (None, 400, 3)
+    assert main(["analyze", "collision"] + sampled) == 0
+    assert json.loads(capsys.readouterr().out)["ci_halfwidth"] == hoeffding_halfwidth(400)
+    # a depth-2 acceptor: the mean coupled distance lies in [0, 2]
+    tree = DecisionTree(Internal(0, (Leaf(0), Internal(1, (Leaf(0), Leaf(1))))))
+    path = tmp_path / "acceptor.json"
+    path.write_text(dumps_forest(DecisionForest(InputSpace(2, 2), OutputSpace(1, 2), (tree,))))
+    assert main(["couple", "--forest", str(path), "--mode", "sample", "--trials", "400"]) == 0
+    assert json.loads(capsys.readouterr().out)["ci_halfwidth"] == 2 * hoeffding_halfwidth(400)
 
 
 # Every RunConfig field past the positionals is a flag of every subcommand and
