@@ -268,10 +268,12 @@ def monte_carlo_conditional_entropy(
     seed: int = 0,
     assignments: int = 64,
 ) -> ConditionalEntropyDetail:
+    if trials < 2 * assignments:  # one sample per assignment has plug-in entropy 0 whatever the law
+        raise UsageError("bad_trials", f"{assignments} assignments need {2 * assignments} trials, got {trials}")
     cells = sorted(set(cells))
     lam = forest.input_space.alphabet
     rng = np.random.Generator(np.random.Philox(seed))
-    inner = max(1, trials // max(1, assignments))
+    inner = trials // max(1, assignments)
     per = np.zeros(assignments)
     for b in range(assignments):
         beta = {c: int(v) for c, v in zip(cells, rng.integers(0, lam, size=len(cells)))}

@@ -539,25 +539,17 @@ def _cmd_enforce(cfg: RunConfig) -> int:
     return 0 if trace.success else 1
 
 
-def _single_tree(cfg: RunConfig) -> tuple:
-    """The tree, input space and depth of a one-tree --forest."""
-    forest = _load_forest(cfg)
-    if forest.output_space.cells != 1:
-        raise UsageError("bad_forest", f"{_command_name(cfg)} needs a single-tree forest")
-    return forest.trees[0], forest.input_space, forest.depth
-
-
 def _cmd_couple(cfg: RunConfig) -> int:
     if cfg.mode in ("exact_report", "exact"):
         return _publish(cfg, _verify_coupling(cfg))
-    tree, space, depth = _single_tree(cfg)
+    forest = _load_forest(cfg)
     if cfg.trials > 1:
-        mean, _ = sample_coupling_distance(tree, space, cfg.trials, cfg.seed)
+        mean, _ = sample_coupling_distance(forest, cfg.trials, cfg.seed)
         # each sample's changed-coordinate count lies in [0, depth], so Hoeffding scales by it
-        halfwidth = depth * hoeffding_halfwidth(cfg.trials)
+        halfwidth = forest.depth * hoeffding_halfwidth(cfg.trials)
         _emit_measurement(Measurement("coupling-mean-dist", "monte_carlo", mean, halfwidth, cfg.seed, cfg.trials))
         return 0
-    sample = couple_accepting(tree, space, mode="sample", seed=cfg.seed)
+    sample = couple_accepting(forest, mode="sample", seed=cfg.seed)
     print(json.dumps({"x": list(sample.x), "y": list(sample.y), "dist": sample.dist, "seed": cfg.seed}))
     return 0
 
@@ -653,8 +645,7 @@ def _verify_restriction(cfg: RunConfig):
 
 
 def _verify_coupling(cfg: RunConfig):
-    tree, space, _ = _single_tree(cfg)
-    return couple_accepting(tree, space, mode="exact_report", calibration=cfg.calib_coupling_c)
+    return couple_accepting(_load_forest(cfg), mode="exact_report", calibration=cfg.calib_coupling_c)
 
 
 def _verify_at_least_two(cfg: RunConfig):

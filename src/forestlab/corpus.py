@@ -290,17 +290,15 @@ def coupling_instances(count: int = 100, seed: int = 53) -> Iterator[tuple]:
         depth = rng.randint(1, min(6, s))
         space = InputSpace(s, 2)
         while True:
-            tree = _random_accepting_tree(rng, s, depth)
-            if _leaf_mass(DecisionForest(space, OutputSpace(1, 2), (tree,)), 1) >= 1.0 / 16.0:
+            forest = DecisionForest(space, OutputSpace(1, 2), (_random_accepting_tree(rng, s, depth),))
+            if _leaf_mass(forest, 1) >= 1.0 / 16.0:
                 break
-        yield f"coupling-{i:04d}", tree, space
+        yield f"coupling-{i:04d}", forest
 
 
 def coupling_family(count: int = 100, seed: int = 53, calibration: float = 2.0) -> Iterator[tuple]:
-    for instance_id, tree, space in coupling_instances(count, seed):
-        yield instance_id, couple_accepting(
-            tree, space, mode="exact_report", calibration=calibration
-        )
+    for instance_id, forest in coupling_instances(count, seed):
+        yield instance_id, couple_accepting(forest, mode="exact_report", calibration=calibration)
 
 
 def enforcement_instances(count: int = 50, seed: int = 59) -> Iterator[tuple]:

@@ -283,13 +283,15 @@ def eval_forest(forest: DecisionForest, u) -> tuple:
 # restriction and pruning
 
 
-def _copy_table(forest: DecisionForest, out: OutputSpace, pick) -> DecisionForest:
+def _copy_table(forest: DecisionForest, out: OutputSpace, pick, trees: tuple | None = None) -> DecisionForest:
     """Copy `forest`'s node table in preorder, renumbering depths and child ids; never re-validated.
 
     pick(row, depth) gives the row standing in for parent row `row`: it, a descendant, or a new leaf.
+    `trees` holds the indices of the trees to copy, in order; all of them by default.
     """
     rows, roots = [], []
-    stack = [(root, 0, roots) for root in reversed(forest._table.roots)]
+    selected = forest._table.roots if trees is None else [forest._table.roots[t] for t in trees]
+    stack = [(root, 0, roots) for root in reversed(selected)]
     while stack:
         row, depth, siblings = stack.pop()
         cell, value, _, kids = pick(row, depth)

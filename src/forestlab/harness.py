@@ -34,13 +34,9 @@ from .forest import (
     DEFAULT_STATE_BUDGET,
     BucketStructure,
     DecisionForest,
-    DecisionTree,
-    InputSpace,
-    Internal,
-    Leaf,
-    Node,
     OutputSpace,
     UsageError,
+    _copy_table,
     _deep_probe_mass,
     _leaf_labels,
     _leaf_mass,
@@ -414,16 +410,6 @@ class CouplingSample:
     dist: int
 
 
-def _annotate_acceptance(node: Node, depth: int, s: int, lam: int):
-    """Attach to every node the count of accepting completions below it."""
-    if isinstance(node, Leaf):
-        if node.value not in (0, 1):
-            raise UsageError("bad_leaf", "coupling needs 0/1 leaf values")
-        return (node, node.value * lam ** (s - depth), ())
-    kids = tuple(_annotate_acceptance(c, depth + 1, s, lam) for c in node.children)
-    return (node, sum(k[1] for k in kids), kids)
-
-
 def _optimal_symbol_coupling(lam: int, child_counts, total) -> list:
     """Joint table coupling the uniform symbol with the accepting marginal.
 
@@ -455,77 +441,100 @@ def _optimal_symbol_coupling(lam: int, child_counts, total) -> list:
     return table
 
 
+def _coupling_tables(forest: DecisionForest) -> tuple:
+    """Accepting completions below every row of a one-tree forest, and the coupling table of each probe.
+
+    Counts come from one backward pass over the preorder rows.  A probe
+    with no accepting completion is never reached and gets no table.
+    """
+    trees = forest.output_space.cells
+    if trees != 1:
+        raise UsageError("bad_forest", f"coupling needs a single-tree forest, got {trees} trees")
+    lam, s = forest.input_space.alphabet, forest.input_space.cells
+    rows = forest._table.rows
+    counts, tables = [0] * len(rows), {}
+    for r in reversed(range(len(rows))):
+        cell, value, depth, kids = rows[r]
+        if cell >= 0:
+            counts[r] = sum(counts[k] for k in kids)
+            if counts[r]:
+                tables[r] = _optimal_symbol_coupling(lam, [counts[k] for k in kids], counts[r])
+        elif value in (0, 1):
+            counts[r] = value * lam ** (s - depth)
+        else:
+            raise UsageError("bad_leaf", "coupling needs 0/1 leaf values")
+    if counts[0] == 0:
+        raise UsageError("zero_acceptance", "the tree accepts nothing")
+    return counts, tables
+
+
+def _coupled_sample(forest: DecisionForest, tables: dict, seed: int) -> CouplingSample:
+    """One uniform input and its coupled accepted input, walking the coupling tables."""
+    lam, s = forest.input_space.alphabet, forest.input_space.cells
+    rows = forest._table.rows
+    rng = random.Random(seed)
+    x = tuple(rng.randrange(lam) for _ in range(s))
+    y = list(x)
+    node = 0
+    while rows[node][0] >= 0:
+        cell = rows[node][0]
+        row = tables[node][x[cell]]
+        support = [cand for cand in range(lam) if row[cand] > 0]
+        r = rng.random() / lam  # row sums to p_a = 1/lam
+        b = support[-1]
+        acc = 0.0
+        for cand in support:
+            acc += float(row[cand])
+            if r < acc:
+                b = cand
+                break
+        y[cell] = b
+        node = rows[node][3][b]
+    changed = sum(1 for i in range(s) if x[i] != y[i])
+    return CouplingSample(x=x, y=tuple(y), dist=changed)
+
+
 def couple_accepting(
-    tree: DecisionTree,
-    space: InputSpace,
+    forest: DecisionForest,
     mode: str = "sample",
     seed: int = 0,
     calibration: float = 2.0,
 ):
     """Transform a uniform input into a uniform accepted input, step by step.
 
-    The walk follows the tree; at each probe the observed symbol is coupled
-    optimally with the symbol law of a uniform accepting input that reaches
-    the node, and the walk continues along the coupled value.  Sample mode
-    returns one CouplingSample.  Exact mode checks, by recursion and without
-    sampling, that the transformed marginal is the uniform accepting law and
-    that the expected number of changed coordinates stays below
-    calibration * sqrt(depth * ln(1/acceptance)).
+    The forest has one tree with 0/1 leaves.  The walk follows the tree; at
+    each probe the observed symbol is coupled optimally with the symbol law
+    of a uniform accepting input that reaches the node, and the walk
+    continues along the coupled value.  Sample mode returns one
+    CouplingSample.  Exact mode checks, in one forward pass over the rows
+    and without sampling, that the transformed marginal is the uniform
+    accepting law and that the expected number of changed coordinates stays
+    below calibration * sqrt(depth * ln(1/acceptance)).
     """
-    lam = space.alphabet
-    s = space.cells
-    root = _annotate_acceptance(tree.root, 0, s, lam)
-    total = root[1]
-    if total == 0:
-        raise UsageError("zero_acceptance", "the tree accepts nothing")
-    acceptance = Fraction(total, lam ** s)
-
+    counts, tables = _coupling_tables(forest)
     if mode == "sample":
-        rng = random.Random(seed)
-        x = tuple(rng.randrange(lam) for _ in range(s))
-        y = list(x)
-        node, count, kids = root
-        while not isinstance(node, Leaf):
-            table = _optimal_symbol_coupling(lam, [k[1] for k in kids], count)
-            a = x[node.query]
-            row = table[a]
-            support = [cand for cand in range(lam) if row[cand] > 0]
-            r = rng.random() / lam  # row sums to p_a = 1/lam
-            b = support[-1]
-            acc = 0.0
-            for cand in support:
-                acc += float(row[cand])
-                if r < acc:
-                    b = cand
-                    break
-            y[node.query] = b
-            node, count, kids = kids[b]
-        changed = sum(1 for i in range(s) if x[i] != y[i])
-        return CouplingSample(x=x, y=tuple(y), dist=changed)
-
+        return _coupled_sample(forest, tables, seed)
     if mode != "exact_report":
         raise UsageError("bad_mode", f"unknown coupling mode {mode!r}")
-    depth = DecisionForest(space, OutputSpace(1, 2), (tree,)).depth
+    lam, rows = forest.input_space.alphabet, forest._table.rows
+    total = counts[0]
+    acceptance = Fraction(total, lam ** forest.input_space.cells)
+    # reach[r]: chance that the coupled input reaches row r.  Rows without
+    # reach have no accepting completion: a leaf adds 0 and a probe is skipped.
+    reach = [Fraction(0)] * len(rows)
+    reach[0] = Fraction(1)
     expected_changes = Fraction(0)
     tv_gap = Fraction(0)
-
-    def walk(annotated, reach: Fraction, depth_here: int):
-        nonlocal expected_changes, tv_gap
-        node, count, kids = annotated
-        if isinstance(node, Leaf):
-            target = Fraction(count, total)
-            tv_gap += abs(reach - target)
-            return
-        table = _optimal_symbol_coupling(lam, [k[1] for k in kids], count)
-        stay = sum(table[a][a] for a in range(lam))
-        expected_changes += reach * (1 - stay)
-        for b in range(lam):
-            mass = sum(table[a][b] for a in range(lam))
-            if mass:
-                walk(kids[b], reach * mass, depth_here + 1)
-
-    walk(root, Fraction(1), 0)
-    bound = calibration * math.sqrt(depth * math.log(1.0 / float(acceptance))) if total else 0.0
+    for r, (cell, _, _, kids) in enumerate(rows):
+        if cell < 0:
+            tv_gap += abs(reach[r] - Fraction(counts[r], total))
+        elif reach[r]:
+            table = tables[r]
+            expected_changes += reach[r] * (1 - sum(table[a][a] for a in range(lam)))
+            for b, kid in enumerate(kids):
+                reach[kid] = reach[r] * sum(table[a][b] for a in range(lam))
+    depth = forest.depth
+    bound = calibration * math.sqrt(depth * math.log(1.0 / float(acceptance)))
     measured = float(expected_changes)
     tv = 0.5 * float(tv_gap)
     return ExperimentReport(
@@ -543,14 +552,10 @@ def couple_accepting(
     )
 
 
-def sample_coupling_distance(
-    tree: DecisionTree, space: InputSpace, trials: int, seed: int
-) -> tuple:
-    """Mean changed-coordinate count over seeded coupling samples."""
-    dists = [
-        couple_accepting(tree, space, mode="sample", seed=derive_seed(seed, t)).dist
-        for t in range(trials)
-    ]
+def sample_coupling_distance(forest: DecisionForest, trials: int, seed: int) -> tuple:
+    """Mean changed-coordinate count over seeded coupling samples; the coupling tables are built once."""
+    _, tables = _coupling_tables(forest)
+    dists = [_coupled_sample(forest, tables, derive_seed(seed, t)).dist for t in range(trials)]
     return float(np.mean(dists)), dists
 
 
@@ -624,6 +629,8 @@ def verify_harper(
         raise UsageError("empty_set", "cannot verify on an empty set")
     if k < 0:
         raise UsageError("bad_radius", "negative radius")
+    if outcome_set.arity < 1 or outcome_set.alphabet < 2:
+        raise UsageError("bad_parameter", "the harper bound needs arity >= 1 and alphabet >= 2")
     dist = cube_distances_to_set(outcome_set, budget=budget)
     n = dist.size
     p_set = len(outcome_set) / n
@@ -740,10 +747,11 @@ def depth_reduction_step(
         raise UsageError("too_shallow", "depth reduction needs depth at least 2")
     if not 0.0 <= alpha <= 1.0:
         raise UsageError("bad_parameter", "alpha must sit in [0, 1]")
+    rows = forest._table.rows
     groups: dict = {}
-    for ti, tree in enumerate(forest.trees):
-        if isinstance(tree.root, Internal):
-            groups.setdefault(tree.root.query, []).append(ti)
+    for ti, root in enumerate(forest._table.roots):
+        if rows[root][0] >= 0:
+            groups.setdefault(rows[root][0], []).append(ti)
     rng = random.Random(seed)
     selected = tuple(c for c in sorted(groups) if rng.random() < alpha)
     indices = tuple(ti for c in selected for ti in groups[c])
@@ -764,9 +772,7 @@ def depth_reduction_step(
     sub_out = OutputSpace(
         len(indices), forest.output_space.alphabet, forest.output_space.bot_allowed
     )
-    subforest = DecisionForest(
-        forest.input_space, sub_out, tuple(forest.trees[ti] for ti in indices)
-    )
+    subforest = _copy_table(forest, sub_out, lambda row, depth: rows[row], indices)
     pruned = prune_on_query_set(subforest, selected, exempt_first_query=True)
     extra = _deep_probe_mass(subforest, set(selected))
     return DepthReductionReport(

@@ -152,6 +152,15 @@ def test_monte_carlo_conditional_entropy_is_flagged_and_close():
     assert abs(detail.value - 1.0) < 0.05
 
 
+def test_monte_carlo_conditional_entropy_needs_two_samples_per_assignment():
+    f = thorp_forest(ThorpSpec(2, 2))
+    with pytest.raises(UsageError) as err:
+        monte_carlo_conditional_entropy(f, (0,), trials=127, seed=0)
+    assert err.value.reason == "bad_trials"
+    detail = monte_carlo_conditional_entropy(f, (0,), trials=128, seed=0)
+    assert (detail.trials, detail.value) == (128, 0.890625)
+
+
 def test_collision_stat_counts_repeats_beyond_the_first():
     assert collision_stat((0, 1, 2)) == 0
     assert collision_stat((0, 1, 0)) == 1

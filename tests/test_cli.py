@@ -99,6 +99,14 @@ def test_verify_harper_on_the_empty_set_is_a_usage_error(capsys):
     assert "empty set" in err
 
 
+@pytest.mark.parametrize("doc", [{"arity": 2, "alphabet": 1, "members": [[0, 0]]}, {"arity": 0, "alphabet": 2, "members": [[]]}])
+def test_the_neighborhood_of_a_set_harper_rejects_is_the_set(tmp_path, capsys, doc):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "neighborhood", "--set", str(path), "--k", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 1.0
+
+
 def test_verify_unknown_lemma_is_a_usage_error(capsys):
     assert main(["verify", "sorcery"]) == 2
     assert "unknown_lemma" in capsys.readouterr().err
@@ -439,6 +447,11 @@ MALFORMED_FILES = [
     (["gen-thorp", "--log2n", "1", "--rounds", "1", "--mode", "monte_carlo", "-o"], None, "bad_mode"),
     (["verify", "taylor-bound", "--config"], json.dumps({"mode": "monte_carlo"}), "bad_mode"),
     (["verify", "ensemble-collision", "--mode", "exact", "--trials", "100", "--target"], json.dumps({"rows": [[0.5, 0.5]] * 30}), "enum_budget"),
+    (["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 2, "alphabet": 1, "members": [[0, 0]]}), "bad_parameter"),
+    (["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 0, "alphabet": 2, "members": [[]]}), "bad_parameter"),
+    (["analyze", "cond-entropy", "--cells", "0", "--mode", "monte_carlo", "--trials", "10", "--forest"], json.dumps(GATE_FOREST), "bad_trials"),
+    (["couple", "--forest"], json.dumps({**GATE_FOREST, "trees": GATE_FOREST["trees"] * 2}), "bad_forest"),
+    (["verify", "coupling", "--forest"], json.dumps({**GATE_FOREST, "trees": GATE_FOREST["trees"] * 2}), "bad_forest"),
 ]
 
 

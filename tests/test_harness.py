@@ -2,6 +2,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -45,9 +46,14 @@ from forestlab import (
     verify_taylor_bound,
 )
 from forestlab.cli import _report_exit
-from forestlab.corpus import restriction_instances
-from forestlab.forest import query_counts_on_cube
-from forestlab.harness import bucketed_dichotomy_experiment, default_restriction_sampler, depth_reduction_step
+from forestlab.corpus import coupling_instances, restriction_instances
+from forestlab.forest import _leaf_mass, query_counts_on_cube
+from forestlab.harness import (
+    _optimal_symbol_coupling,
+    bucketed_dichotomy_experiment,
+    default_restriction_sampler,
+    depth_reduction_step,
+)
 
 import numpy as np
 
@@ -359,19 +365,25 @@ def test_memoized_conditioning_counts_every_draw_like_a_plain_loop():
 # couplings
 
 
+def one_tree(root, cells: int = 1, lam: int = 2) -> DecisionForest:
+    return DecisionForest(InputSpace(cells, lam), OutputSpace(1, 2), (DecisionTree(root),))
+
+
+GATE = one_tree(Internal(0, (Leaf(0), Leaf(1))))
+
+
 def test_coupling_with_an_all_accepting_tree_is_the_identity():
-    tree = DecisionTree(Leaf(1))
-    report = couple_accepting(tree, BIT_SPACE, mode="exact_report")
+    forest = one_tree(Leaf(1))
+    report = couple_accepting(forest, mode="exact_report")
     assert report.measured == 0.0
     assert report.details["marginal_tv"] == 0.0
-    sample = couple_accepting(tree, BIT_SPACE, mode="sample", seed=9)
+    sample = couple_accepting(forest, mode="sample", seed=9)
     assert sample.y == sample.x
     assert sample.dist == 0
 
 
 def test_coupling_through_a_single_gate():
-    tree = DecisionTree(Internal(0, (Leaf(0), Leaf(1))))
-    report = couple_accepting(tree, BIT_SPACE, mode="exact_report")
+    report = couple_accepting(GATE, mode="exact_report")
     assert report.measured == pytest.approx(0.5, abs=1e-12)
     assert report.bound == pytest.approx(2 * math.sqrt(math.log(2)), abs=1e-12)
     assert report.details["marginal_tv"] <= 1e-9
@@ -380,27 +392,22 @@ def test_coupling_through_a_single_gate():
 
 
 def test_coupling_samples_always_land_in_the_accepting_region():
-    tree = DecisionTree(Internal(0, (Leaf(0), Leaf(1))))
     for seed in range(64):
-        sample = couple_accepting(tree, BIT_SPACE, mode="sample", seed=seed)
+        sample = couple_accepting(GATE, mode="sample", seed=seed)
         assert sample.y == (1,)
         assert sample.dist == (0 if sample.x == (1,) else 1)
 
 
 def test_coupling_sample_mean_matches_the_exact_distance():
-    tree = DecisionTree(Internal(0, (Leaf(0), Leaf(1))))
-    mean, dists = sample_coupling_distance(tree, BIT_SPACE, trials=2000, seed=1)
+    mean, dists = sample_coupling_distance(GATE, trials=2000, seed=1)
     assert len(dists) == 2000
     assert mean == pytest.approx(0.489, abs=1e-12)
     assert abs(mean - 0.5) < 0.05
 
 
 def test_coupling_marginal_is_uniform_on_a_two_cell_acceptor():
-    space = InputSpace(2, 2)
-    tree = DecisionTree(
-        Internal(0, (Leaf(0), Internal(1, (Leaf(1), Leaf(0)))))
-    )
-    report = couple_accepting(tree, space, mode="exact_report")
+    forest = one_tree(Internal(0, (Leaf(0), Internal(1, (Leaf(1), Leaf(0))))), cells=2)
+    report = couple_accepting(forest, mode="exact_report")
     assert report.details["acceptance"] == pytest.approx(0.25)
     assert report.details["marginal_tv"] <= 1e-9
     assert report.passed
@@ -408,16 +415,125 @@ def test_coupling_marginal_is_uniform_on_a_two_cell_acceptor():
 
 def test_coupling_guards():
     with pytest.raises(UsageError) as err:
-        couple_accepting(DecisionTree(Leaf(0)), BIT_SPACE, mode="exact_report")
+        couple_accepting(one_tree(Leaf(0)), mode="exact_report")
     assert err.value.reason == "zero_acceptance"
     with pytest.raises(UsageError) as err:
-        couple_accepting(DecisionTree(Leaf(1)), BIT_SPACE, mode="sideways")
+        couple_accepting(one_tree(Leaf(1)), mode="sideways")
     assert err.value.reason == "bad_mode"
+    three = DecisionForest(BIT_SPACE, OutputSpace(1, 3), (DecisionTree(Internal(0, (Leaf(1), Leaf(2)))),))
+    with pytest.raises(UsageError) as err:
+        couple_accepting(three, mode="exact_report")
+    assert err.value.reason == "bad_leaf"
+
+
+def test_coupling_rejects_a_two_tree_forest():
+    two = DecisionForest(BIT_SPACE, OutputSpace(2, 2), GATE.trees * 2)
+    for couple in (
+        lambda: couple_accepting(two, mode="sample"),
+        lambda: couple_accepting(two, mode="exact_report"),
+        lambda: sample_coupling_distance(two, trials=3, seed=0),
+    ):
+        with pytest.raises(UsageError) as err:
+            couple()
+        assert err.value.reason == "bad_forest"
+
+
+def annotate_acceptance(node, depth: int, cells: int, lam: int) -> tuple:
+    """(node, accepting completions below it, annotated children), built recursively."""
+    if isinstance(node, Leaf):
+        return (node, node.value * lam ** (cells - depth), ())
+    kids = tuple(annotate_acceptance(c, depth + 1, cells, lam) for c in node.children)
+    return (node, sum(k[1] for k in kids), kids)
+
+
+def reference_sample(root: tuple, lam: int, cells: int, seed: int) -> tuple:
+    """One coupled (x, y, dist), rebuilding the coupling table at every probe it walks through."""
+    rng = random.Random(seed)
+    x = tuple(rng.randrange(lam) for _ in range(cells))
+    y = list(x)
+    node, count, kids = root
+    while not isinstance(node, Leaf):
+        row = _optimal_symbol_coupling(lam, [k[1] for k in kids], count)[x[node.query]]
+        support = [b for b in range(lam) if row[b] > 0]
+        r = rng.random() / lam
+        b = support[-1]
+        acc = 0.0
+        for cand in support:
+            acc += float(row[cand])
+            if r < acc:
+                b = cand
+                break
+        y[node.query] = b
+        node, count, kids = kids[b]
+    return x, tuple(y), sum(1 for i in range(cells) if x[i] != y[i])
+
+
+def reference_exact(root: tuple, lam: int, cells: int) -> tuple:
+    """(expected changes, marginal TV, acceptance) by a recursive walk over the reached nodes."""
+    total = root[1]
+    changes = gap = Fraction(0)
+
+    def walk(annotated, reach: Fraction):
+        nonlocal changes, gap
+        node, count, kids = annotated
+        if isinstance(node, Leaf):
+            gap += abs(reach - Fraction(count, total))
+            return
+        table = _optimal_symbol_coupling(lam, [k[1] for k in kids], count)
+        changes += reach * (1 - sum(table[a][a] for a in range(lam)))
+        for b in range(lam):
+            mass = sum(table[a][b] for a in range(lam))
+            if mass:
+                walk(kids[b], reach * mass)
+
+    walk(root, Fraction(1))
+    return float(changes), 0.5 * float(gap), float(Fraction(total, lam ** cells))
+
+
+def ternary_acceptors(count: int, seed: int):
+    """Seeded 3-ary one-tree forests with 0/1 leaves that accept something."""
+    rng = random.Random(seed)
+
+    def build(level: int, used: frozenset, cells: int, depth: int):
+        free = [c for c in range(cells) if c not in used]
+        if level >= depth or not free or (level > 0 and rng.random() < 0.3):
+            return Leaf(int(rng.random() < 0.6))
+        cell = rng.choice(free)
+        return Internal(cell, tuple(build(level + 1, used | {cell}, cells, depth) for _ in range(3)))
+
+    while count:
+        cells = rng.randint(2, 6)
+        forest = one_tree(build(0, frozenset(), cells, rng.randint(1, min(4, cells))), cells, lam=3)
+        if _leaf_mass(forest, 1) > 0:
+            count -= 1
+            yield forest
+
+
+def test_table_coupling_matches_the_recursive_reference():
+    forests = [forest for _, forest in coupling_instances()] + list(ternary_acceptors(40, seed=5))
+    zero_children = 0
+    for forest in forests:
+        lam, cells = forest.input_space.alphabet, forest.input_space.cells
+        root = annotate_acceptance(forest.trees[0].root, 0, cells, lam)
+        report = couple_accepting(forest, mode="exact_report")
+        measured, tv, acceptance = reference_exact(root, lam, cells)
+        assert (report.measured, report.details["marginal_tv"], report.details["acceptance"]) == (measured, tv, acceptance)
+        assert report.bound == 2.0 * math.sqrt(forest.depth * math.log(1.0 / acceptance))
+        for seed in range(10):
+            sample = couple_accepting(forest, mode="sample", seed=seed)
+            assert (sample.x, sample.y, sample.dist) == reference_sample(root, lam, cells, seed)
+        _, dists = sample_coupling_distance(forest, trials=20, seed=3)
+        assert dists == [reference_sample(root, lam, cells, derive_seed(3, t))[2] for t in range(20)]
+        stack = [root]
+        while stack:
+            node, _, kids = stack.pop()
+            zero_children += sum(1 for k in kids if k[1] == 0)
+            stack.extend(kids)
+    assert zero_children > 0
 
 
 def test_coupling_calibration_rescales_the_bound():
-    tree = DecisionTree(Internal(0, (Leaf(0), Leaf(1))))
-    report = couple_accepting(tree, BIT_SPACE, mode="exact_report", calibration=0.01)
+    report = couple_accepting(GATE, mode="exact_report", calibration=0.01)
     assert report.bound == pytest.approx(0.01 * math.sqrt(math.log(2)))
     assert not report.passed
 
@@ -614,6 +730,8 @@ def test_depth_reduction_on_the_three_round_shuffle_is_frozen():
     report = depth_reduction_step(f, 0.5, seed=2)
     assert report.selected_cells == (10, 11)
     assert report.tree_indices == (4, 5, 6, 7)
+    selected = DecisionForest(f.input_space, OutputSpace(4, 8), tuple(f.trees[i] for i in report.tree_indices))
+    assert report.subforest._table == selected._table
     assert report.h_selected == pytest.approx(8.0)
     assert report.h_pruned == pytest.approx(8.0)
     assert report.expected_extra_queries == 0.0
