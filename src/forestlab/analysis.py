@@ -21,7 +21,6 @@ from .forest import (
     UsageError,
     _check_enum_budget,
     _digits,
-    _input_symbols,
     _leaf_values,
     _uniform_inputs,
     cube_order,
@@ -129,25 +128,28 @@ class OutcomeSet:
 # forest output laws
 
 
+def _cube_law(forest: DecisionForest, budget: int) -> tuple:
+    """(distinct output rows, number of cube points giving each) over the probed cells.
+
+    Rows come from the packed keys, or from the output matrix when the keys
+    would not fit a signed 64-bit integer.
+    """
+    order = cube_order(forest)
+    packed = packed_outputs_on_cube(forest, order, budget)
+    if packed is None:
+        return np.unique(eval_forest_on_cube(forest, order, budget), axis=0, return_counts=True)
+    keys, counts = np.unique(packed, return_counts=True)
+    base, m = forest.output_space.alphabet + 1, forest.output_space.cells
+    return keys[:, None] // base ** np.arange(m - 1, -1, -1, dtype=np.int64) % base, counts
+
+
 def output_distribution(
     forest: DecisionForest, budget: int = DEFAULT_STATE_BUDGET
 ) -> Distribution:
     """Exact law of the output tuple under a uniform input."""
-    order = cube_order(forest)
-    n = _check_enum_budget(forest.input_space.alphabet, len(order), budget)
-    base = forest.output_space.alphabet + 1
-    m = forest.output_space.cells
-    packed = packed_outputs_on_cube(forest, order, budget)
-    if packed is not None:
-        keys, counts = np.unique(packed, return_counts=True)
-        digits = keys[:, None] // base ** np.arange(m - 1, -1, -1, dtype=np.int64) % base
-        probs = dict(zip(map(tuple, digits.tolist()), (counts / n).tolist()))
-    else:
-        probs = {}
-        rows = eval_forest_on_cube(forest, order, budget)
-        for row in map(tuple, rows.tolist()):
-            probs[row] = probs.get(row, 0.0) + 1.0 / n
-    return Distribution(probs, arity=m, bot=forest.output_space.bot)
+    rows, counts = _cube_law(forest, budget)
+    probs = dict(zip(map(tuple, rows.tolist()), (counts / counts.sum()).tolist()))
+    return Distribution(probs, arity=forest.output_space.cells, bot=forest.output_space.bot)
 
 
 def sample_forest_outputs(
@@ -162,10 +164,8 @@ def eval_forest_on_inputs(forest: DecisionForest, inputs: np.ndarray) -> np.ndar
     width = forest.output_space.alphabet + 1
     dtype = np.uint8 if width <= 255 else np.int32
     out = np.empty((inputs.shape[0], forest.output_space.cells), dtype=dtype)
-    rows = np.arange(inputs.shape[0], dtype=np.int64)
-    symbol = _input_symbols(inputs)
     for tree in range(forest.output_space.cells):
-        _leaf_values(forest, tree, rows, symbol, out[:, tree])
+        _leaf_values(forest, tree, inputs, out[:, tree])
     return out
 
 
@@ -287,7 +287,7 @@ def monte_carlo_conditional_entropy(
         per,
         mode="monte_carlo",
         biased="low",
-        trials=trials,
+        trials=assignments * inner,
         seed=seed,
     )
 
@@ -300,10 +300,9 @@ def tv_distance(a: Distribution, b: Distribution) -> float:
     """Total variation distance, half the l1 gap over the joint support."""
     if a.arity != b.arity:
         raise UsageError("mismatched_spaces", f"arity {a.arity} vs {b.arity}")
-    acc = 0.0
-    for outcome in set(a.probs) | set(b.probs):
-        acc += abs(a.probs.get(outcome, 0.0) - b.probs.get(outcome, 0.0))
-    return 0.5 * acc
+    terms = [abs(p - b.probs.get(outcome, 0.0)) for outcome, p in a.probs.items()]
+    terms += [abs(q) for outcome, q in b.probs.items() if outcome not in a.probs]
+    return 0.5 * math.fsum(terms)
 
 
 def _rows_have_collision(rows: np.ndarray, bot: int | None, count_bot: bool) -> np.ndarray:
@@ -321,15 +320,19 @@ def _rows_have_collision(rows: np.ndarray, bot: int | None, count_bot: bool) -> 
     return hit
 
 
-def _forest_rows(
-    forest: DecisionForest, mode: str, trials: int, seed: int, budget: int
-) -> np.ndarray:
-    """Output rows: every cube point when exact, seeded uniform draws otherwise."""
+def _collision_share(
+    forest: DecisionForest, mode: str, trials: int, seed: int, budget: int, count_bot: bool
+) -> float:
+    """Share of the outputs with a collision: over the exact law, or over seeded uniform draws."""
     if mode == "exact":
-        return eval_forest_on_cube(forest, budget=budget)
-    if mode == "monte_carlo":
-        return sample_forest_outputs(forest, trials, seed)
-    raise UsageError("bad_mode", f"unknown mode {mode!r}")
+        rows, counts = _cube_law(forest, budget)
+    elif mode == "monte_carlo":
+        rows = sample_forest_outputs(forest, trials, seed)
+        counts = np.ones(rows.shape[0], dtype=np.int64)
+    else:
+        raise UsageError("bad_mode", f"unknown mode {mode!r}")
+    hit = _rows_have_collision(rows, forest.output_space.bot, count_bot)
+    return float(counts[hit].sum() / counts.sum())
 
 
 def tv_lower_bound_via_collision(
@@ -347,8 +350,7 @@ def tv_lower_bound_via_collision(
     """
     if forest.output_space.alphabet > forest.output_space.cells:
         raise UsageError("mismatched_spaces", "output alphabet exceeds the deck size")
-    rows = _forest_rows(forest, mode, trials, seed, budget)
-    return float(_rows_have_collision(rows, forest.output_space.bot, count_bot=True).mean())
+    return _collision_share(forest, mode, trials, seed, budget, count_bot=True)
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +467,7 @@ def collision_probability(
         raise UsageError("bad_mode", f"unknown mode {mode!r}")
     if not isinstance(source, DecisionForest):
         raise UsageError("bad_source", f"cannot compute collisions for {type(source).__name__}")
-    rows = _forest_rows(source, mode, trials, seed, budget)
-    return float(_rows_have_collision(rows, source.output_space.bot, count_bot=False).mean())
+    return _collision_share(source, mode, trials, seed, budget, count_bot=False)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .analysis import (
     derive_seed,
     entropy,
     hoeffding_halfwidth,
+    monte_carlo_conditional_entropy,
     neighborhood,
     output_distribution,
     parse_distribution,
@@ -421,27 +422,28 @@ def _output_law(cfg: RunConfig, forest) -> Distribution:
     return Distribution(probs, forest.output_space.cells, bot=forest.output_space.bot)
 
 
-def _analyze_tv(cfg: RunConfig) -> float:
+def _analyze_tv(cfg: RunConfig) -> tuple:
     _need(cfg, "forest", "target")
     forest = _load_forest(cfg)
     target = _target_distribution(cfg, forest)
-    return tv_distance(_output_law(cfg, forest), target)
+    return tv_distance(_output_law(cfg, forest), target), cfg.trials
 
 
-def _analyze_entropy(cfg: RunConfig) -> float:
-    return entropy(_output_law(cfg, _load_forest(cfg)))
+def _analyze_entropy(cfg: RunConfig) -> tuple:
+    return entropy(_output_law(cfg, _load_forest(cfg))), cfg.trials
 
 
-def _analyze_cond_entropy(cfg: RunConfig) -> float:
+def _analyze_cond_entropy(cfg: RunConfig) -> tuple:
     _need(cfg, "forest", "cells")
     forest = _load_forest(cfg)
     cells = [int(v) for v in _parse_symbols(cfg.cells)]
-    return conditional_entropy(
-        forest, cells, mode=cfg.mode, trials=cfg.trials, seed=cfg.seed, budget=cfg.budget_states
-    )
+    if cfg.mode == "exact":
+        return conditional_entropy(forest, cells, budget=cfg.budget_states), None
+    detail = monte_carlo_conditional_entropy(forest, cells, cfg.trials, cfg.seed)
+    return detail.value, detail.trials
 
 
-def _analyze_collision(cfg: RunConfig) -> float:
+def _analyze_collision(cfg: RunConfig) -> tuple:
     if cfg.forest:
         source = _load_forest(cfg)
     elif cfg.target:
@@ -450,10 +452,10 @@ def _analyze_collision(cfg: RunConfig) -> float:
         raise UsageError("missing_argument", "collision needs --forest or --target")
     return collision_probability(
         source, mode=cfg.mode, trials=cfg.trials, seed=cfg.seed, budget=cfg.budget_states
-    )
+    ), cfg.trials
 
 
-def _analyze_lipschitz(cfg: RunConfig) -> float:
+def _analyze_lipschitz(cfg: RunConfig) -> tuple:
     _need(cfg, "forest", "mu")
     forest = _load_forest(cfg)
     profile = query_profile(
@@ -470,19 +472,20 @@ def _analyze_lipschitz(cfg: RunConfig) -> float:
             f"average_ok={report.average_ok} tail_ok={report.tail_ok}"
             f" worst_cell={report.worst_cell}"
         )
-    return max(profile.tail) if profile.tail else 0.0
+    return (max(profile.tail) if profile.tail else 0.0), cfg.trials
 
 
-def _analyze_neighborhood(cfg: RunConfig) -> float:
+def _analyze_neighborhood(cfg: RunConfig) -> tuple:
     _need(cfg, "set_spec", "k")
     outcome_set = _load_outcome_set(cfg)
     grown = neighborhood(outcome_set, _integer_k(cfg), budget=cfg.budget_set)
     if cfg.out:
         _atomic_write(cfg.out, _dump_outcome_set(grown))
-    return float(len(grown))
+    return float(len(grown)), None
 
 
 # Each analysis, verifier and command with the modes its code reads, default first.
+# An analysis returns its value and the number of samples drawn for it.
 _EXACT = ("exact",)
 _EXACT_OR_SAMPLED = ("exact", "monte_carlo")
 _ANALYZERS = {
@@ -498,14 +501,14 @@ _QUANTITIES = {"lipschitz": "lipschitz-worst-tail", "neighborhood": "neighborhoo
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:
-    value = _ANALYZERS[cfg.analysis][0](cfg)
+    value, drawn = _ANALYZERS[cfg.analysis][0](cfg)
     sampled = cfg.mode == "monte_carlo"
     # Hoeffding's interval holds for a mean of 0/1 events, which collision is; plug-in
     # tv and entropies are biased, and lipschitz is a max over cells with no union bound.
     measurement = Measurement(
         _QUANTITIES.get(cfg.analysis, cfg.analysis), cfg.mode, value,
-        ci_halfwidth=hoeffding_halfwidth(cfg.trials) if sampled and cfg.analysis == "collision" else None,
-        seed=cfg.seed if sampled else None, trials=cfg.trials if sampled else None,
+        ci_halfwidth=hoeffding_halfwidth(drawn) if sampled and cfg.analysis == "collision" else None,
+        seed=cfg.seed if sampled else None, trials=drawn if sampled else None,
     )
     _emit_measurement(measurement)
     report = ExperimentReport(

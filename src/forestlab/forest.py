@@ -368,22 +368,21 @@ def cube_order(forest: DecisionForest, extra_cells: Iterable[int] = ()) -> list:
     return sorted(set(forest.mentioned_cells()) | set(extra_cells))
 
 
-def _route(forest: DecisionForest, tree: int, rows: np.ndarray, symbol):
-    """Split `rows` down one tree, yielding (query, value, rows reaching it) per node.
+def _route(forest: DecisionForest, tree: int, inputs: np.ndarray):
+    """Split the input rows down one tree, yielding (query, value, ids of rows reaching it) per node.
 
-    Nodes come in preorder.  `symbol(rows, cell)` gives the symbol each row
-    holds at `cell`: a cube digit or an entry of an input row.  A node's
-    rows are split with one mask per symbol and dropped once split.
+    Nodes come in preorder.  A node's rows are split with one mask per
+    symbol of its cell and dropped once split.
     """
     table = forest._table.rows
     top = forest.input_space.alphabet - 1
-    stack = [(forest._table.roots[tree], rows)]
+    stack = [(forest._table.roots[tree], np.arange(inputs.shape[0], dtype=np.int64))]
     while stack:
         node, rows = stack.pop()
         cell, value, _, kids = table[node]
         yield cell, value, rows
         if cell >= 0:
-            sym = symbol(rows, cell)
+            sym = inputs[rows, cell]
             for v in range(top, -1, -1):
                 reached = rows[sym == v]
                 if reached.size:
@@ -391,25 +390,32 @@ def _route(forest: DecisionForest, tree: int, rows: np.ndarray, symbol):
             del sym, reached
 
 
-def _leaf_values(forest: DecisionForest, tree: int, rows: np.ndarray, symbol, out: np.ndarray):
-    """Set out[r] to the leaf value one tree gives row r, for every r in rows."""
-    for cell, value, reached in _route(forest, tree, rows, symbol):
+def _leaf_values(forest: DecisionForest, tree: int, inputs: np.ndarray, out: np.ndarray):
+    """Set out[r] to the leaf value one tree gives input row r."""
+    for cell, value, reached in _route(forest, tree, inputs):
         if cell < 0:
             out[reached] = value
 
 
-def _count_probes(forest: DecisionForest, rows: np.ndarray, symbol, counts: np.ndarray, column):
-    """Add one to counts[r, column[cell]] for each probe any tree makes on row r."""
-    for tree in range(forest.output_space.cells):
-        for cell, _, reached in _route(forest, tree, rows, symbol):
-            if cell >= 0:
-                counts[reached, column[cell]] += 1
+def _blocks(forest: DecisionForest, tree: int, rank_of: dict):
+    """Walk one tree in preorder, yielding (query, value, index) per node.
 
-
-def _cube_symbols(cells_order: list, lam: int):
-    """Symbols of cube points: the cell at position rank is digit rank of the index."""
-    rank_of = {c: r for r, c in enumerate(cells_order)}
-    return lambda rows, cell: _digits(rows, rank_of[cell], lam)
+    The cube is C-order over (lam,)*K with K = len(rank_of), so the cell at
+    rank r sits on axis K-1-r.  `index` is a basic index that fixes the
+    symbol of each cell on the node's path and spans every other axis:
+    cube[index] is the block of points that reach the node.
+    """
+    table = forest._table.rows
+    k = len(rank_of)
+    stack = [(forest._table.roots[tree], (slice(None),) * k)]
+    while stack:
+        node, index = stack.pop()
+        cell, value, _, kids = table[node]
+        yield cell, value, index
+        if cell >= 0:
+            axis = k - 1 - rank_of[cell]
+            for v in range(len(kids) - 1, -1, -1):
+                stack.append((kids[v], index[:axis] + (v,) + index[axis + 1 :]))
 
 
 def _uniform_inputs(space: InputSpace, trials: int, seed: int) -> np.ndarray:
@@ -423,27 +429,22 @@ def _uniform_inputs(space: InputSpace, trials: int, seed: int) -> np.ndarray:
     return rng.integers(0, space.alphabet, size=(trials, space.cells), dtype=dtype)
 
 
-def _input_symbols(inputs: np.ndarray):
-    """Symbols of explicit input rows: row r holds inputs[r, cell] at cell."""
-    return lambda rows, cell: inputs[rows, cell]
-
-
 def _tree_on_cube(forest: DecisionForest, tree: int, rank_of: dict, dtype) -> np.ndarray:
     """One tree's leaf values over the cube, shaped to broadcast over it.
 
-    The tree is routed over the cube of its own cells only, ordered by
-    rank.  The full cube is C-order over (lam,)*K, so the cell at rank r
-    sits on axis K-1-r: the table has size lam on its cells' axes and size
-    1 on every other axis.
+    The table has size lam on the axes of the tree's own cells and size 1
+    on every other axis; each leaf's value fills its block.
     """
-    lam, k = forest.input_space.alphabet, len(rank_of)
-    cells = sorted({row[0] for row in forest._table.tree_rows(tree)} - {-1}, key=rank_of.__getitem__)
-    table = np.empty(lam ** len(cells), dtype=dtype)
-    _leaf_values(forest, tree, np.arange(table.size, dtype=np.int64), _cube_symbols(cells, lam), table)
+    k = len(rank_of)
     shape = [1] * k
-    for cell in cells:
-        shape[k - 1 - rank_of[cell]] = lam
-    return table.reshape(shape)
+    for cell, _, _, _ in forest._table.tree_rows(tree):
+        if cell >= 0:
+            shape[k - 1 - rank_of[cell]] = forest.input_space.alphabet
+    table = np.empty(shape, dtype=dtype)
+    for cell, value, index in _blocks(forest, tree, rank_of):
+        if cell < 0:
+            table[index] = value
+    return table
 
 
 def eval_forest_on_cube(
@@ -519,8 +520,11 @@ def query_counts_on_cube(
         raise BudgetError("enum_budget", "probe-count table would exceed the state budget")
     rank_of = {c: r for r, c in enumerate(cells_order)}
     counts = np.zeros((n, len(cells_order)), dtype=np.uint16)
-    symbol = _cube_symbols(cells_order, lam)
-    _count_probes(forest, np.arange(n, dtype=np.int64), symbol, counts, rank_of)
+    view = counts.reshape((lam,) * len(cells_order) + (len(cells_order),))
+    for tree in range(forest.output_space.cells):
+        for cell, _, index in _blocks(forest, tree, rank_of):
+            if cell >= 0:
+                view[index + (rank_of[cell],)] += 1
     return counts, cells_order
 
 
@@ -631,7 +635,10 @@ def query_profile(
         raise UsageError("bad_mode", f"unknown profile mode {mode!r}")
     inputs = _uniform_inputs(forest.input_space, trials, seed)
     counts = np.zeros((trials, s), dtype=np.uint16)
-    _count_probes(forest, np.arange(trials, dtype=np.int64), _input_symbols(inputs), counts, range(s))
+    for tree in range(forest.output_space.cells):
+        for cell, _, reached in _route(forest, tree, inputs):
+            if cell >= 0:
+                counts[reached, cell] += 1
     return QueryProfile(
         tuple(counts.mean(axis=0)),
         tuple((counts > mu).mean(axis=0)),

@@ -554,6 +554,8 @@ def couple_accepting(
 
 def sample_coupling_distance(forest: DecisionForest, trials: int, seed: int) -> tuple:
     """Mean changed-coordinate count over seeded coupling samples; the coupling tables are built once."""
+    if trials > 1 << 20:  # derive_seed numbers at most 2**20 steps
+        raise UsageError("bad_trials", f"coupling sampling draws at most 2**20 trials, got {trials}")
     _, tables = _coupling_tables(forest)
     dists = [_coupled_sample(forest, tables, derive_seed(seed, t)).dist for t in range(trials)]
     return float(np.mean(dists)), dists

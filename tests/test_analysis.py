@@ -1,5 +1,8 @@
 """Entropy, distance, collision, and neighborhood calculations."""
+import collections
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,6 +46,7 @@ from forestlab import (
     uniform_ensemble,
     uniform_perm_distribution,
 )
+from forestlab.samplers import thorp_network_permutation
 
 
 def identity_forest(s: int, lam: int = 2) -> DecisionForest:
@@ -159,6 +163,9 @@ def test_monte_carlo_conditional_entropy_needs_two_samples_per_assignment():
     assert err.value.reason == "bad_trials"
     detail = monte_carlo_conditional_entropy(f, (0,), trials=128, seed=0)
     assert (detail.trials, detail.value) == (128, 0.890625)
+    # 64 assignments take 191 // 64 = 2 samples each: the same 128 draws, reported as such
+    detail = monte_carlo_conditional_entropy(f, (0,), trials=191, seed=0)
+    assert (detail.trials, detail.value) == (128, 0.890625)
 
 
 def test_collision_stat_counts_repeats_beyond_the_first():
@@ -214,6 +221,20 @@ def test_collision_probability_of_a_forest():
     assert collision_probability(f, mode="exact") == pytest.approx(0.5, abs=1e-12)
     sampled = collision_probability(f, mode="monte_carlo", trials=50_000, seed=2)
     assert abs(sampled - 0.5) < 0.01
+
+
+def test_exact_tv_of_the_8_card_shuffle_is_the_correctly_rounded_fraction():
+    uniform = uniform_perm_distribution(8)
+    for rounds in (1, 2, 3, 4):
+        spec = ThorpSpec(3, rounds)
+        n = 2**spec.coins
+        law = collections.Counter(
+            thorp_network_permutation(spec, coins) for coins in itertools.product((0, 1), repeat=spec.coins)
+        )
+        gaps = sum(abs(Fraction(c, n) - Fraction(1, 40320)) for c in law.values())
+        exact = (gaps + Fraction(40320 - len(law), 40320)) / 2
+        assert tv_distance(output_distribution(thorp_forest(spec)), uniform) == float(exact)
+    assert tv_distance(output_distribution(thorp_forest(ThorpSpec(3, 1))), uniform) == 2519 / 2520
 
 
 def test_collision_lower_bound_stays_below_the_true_distance():

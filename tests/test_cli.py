@@ -344,6 +344,17 @@ def test_analyze_entropy_and_lipschitz_smoke(tmp_path, capsys):
     assert "lipschitz" in capsys.readouterr().out
 
 
+def test_analyze_cond_entropy_reports_the_trials_it_drew(tmp_path, capsys):
+    forest_path = tmp_path / "f.json"
+    main(["gen-thorp", "--log2n", "2", "--rounds", "2", "-o", str(forest_path)])
+    capsys.readouterr()
+    for trials in ("128", "191"):
+        sampled = ["--mode", "monte_carlo", "--trials", trials, "--seed", "0"]
+        assert main(["analyze", "cond-entropy", "--forest", str(forest_path), "--cells", "0"] + sampled) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["value"], payload["trials"], payload["seed"]) == (0.890625, 128, 0)
+
+
 def test_analyze_neighborhood_writes_the_grown_set(tmp_path, capsys):
     set_path = tmp_path / "seed-set.json"
     set_path.write_text(
@@ -452,6 +463,7 @@ MALFORMED_FILES = [
     (["analyze", "cond-entropy", "--cells", "0", "--mode", "monte_carlo", "--trials", "10", "--forest"], json.dumps(GATE_FOREST), "bad_trials"),
     (["couple", "--forest"], json.dumps({**GATE_FOREST, "trees": GATE_FOREST["trees"] * 2}), "bad_forest"),
     (["verify", "coupling", "--forest"], json.dumps({**GATE_FOREST, "trees": GATE_FOREST["trees"] * 2}), "bad_forest"),
+    (["couple", "--mode", "sample", "--trials", "1048577", "--forest"], json.dumps(GATE_FOREST), "bad_trials"),
 ]
 
 

@@ -32,7 +32,14 @@ from forestlab import (
     random_forest,
     restrict,
 )
-from forestlab.analysis import eval_forest_on_inputs, output_distribution, sample_forest_outputs
+from forestlab.analysis import (
+    collision_probability,
+    collision_stat,
+    eval_forest_on_inputs,
+    output_distribution,
+    sample_forest_outputs,
+    tv_lower_bound_via_collision,
+)
 from forestlab.corpus import enforcement_instances, restriction_instances
 from forestlab.forest import (
     _uniform_inputs,
@@ -464,6 +471,36 @@ def test_cube_outputs_match_pointwise_evaluation():
             sum(c in cells for cells in tree_cells) for c in range(f.input_space.cells)
         )
         assert f.depth == max(len(t.steps) for point in points for t in point)
+
+
+def wide_output_forest() -> DecisionForest:
+    """16 trees over 16 symbols plus blank: 17**16 packed keys overflow int64."""
+    bot = 16
+    trees = [
+        Internal(0, (Leaf(0), Leaf(1))),
+        Internal(1, (Leaf(1), Leaf(bot))),
+        Internal(2, (Leaf(2), Internal(0, (Leaf(3), Leaf(2))))),
+    ]
+    trees += [Leaf(v) for v in range(3, 16)]
+    out = OutputSpace(16, 16, bot_allowed=True)
+    return DecisionForest(InputSpace(3, 2), out, tuple(map(DecisionTree, trees)))
+
+
+def test_exact_collision_shares_match_pointwise_counts():
+    wide = wide_output_forest()
+    assert packed_outputs_on_cube(wide) is None
+    for f in differential_corpus() + [wide]:
+        inputs = cube_inputs(f, sorted(set(f.mentioned_cells())))
+        bot = f.output_space.bot
+        outputs = [eval_forest(f, u) for u in inputs]
+        repeats = [collision_stat(z, bot) > 0 for z in outputs]
+        assert collision_probability(f, mode="exact") == sum(repeats) / len(inputs)
+        if f.output_space.alphabet <= f.output_space.cells:
+            events = [hit or bot in z for hit, z in zip(repeats, outputs)]
+            assert tv_lower_bound_via_collision(f) == sum(events) / len(inputs)
+    law = collections.Counter(eval_forest(wide, u) for u in cube_inputs(wide, [0, 1, 2]))
+    assert output_distribution(wide).probs == {row: c / 8 for row, c in law.items()}
+    assert 0 < collision_probability(wide) < tv_lower_bound_via_collision(wide) < 1
 
 
 def test_sampled_outputs_and_profiles_match_transcripts_on_the_same_rows():
