@@ -20,13 +20,11 @@ from .forest import (
     DecisionForest,
     UsageError,
     _check_enum_budget,
-    _digits,
     _leaf_values,
     _uniform_inputs,
     cube_order,
     eval_forest_on_cube,
     packed_outputs_on_cube,
-    restrict,
 )
 
 SUM_TOLERANCE = 1e-9
@@ -128,26 +126,42 @@ class OutcomeSet:
 # forest output laws
 
 
-def _cube_law(forest: DecisionForest, budget: int) -> tuple:
-    """(distinct output rows, number of cube points giving each) over the probed cells.
+def _cube_law(forest: DecisionForest, budget: int, cells: tuple = ()) -> tuple:
+    """(distinct output rows, cube points giving each, assignment index b of `cells` behind each).
 
-    Rows come from the packed keys, or from the output matrix when the keys
-    would not fit a signed 64-bit integer.
+    The cube spans the probed cells and `cells`, which come sorted; b encodes
+    symbol (b // alphabet**rank) % alphabet for the cell at position rank.
+    Rows come in (b, row) order, decoded from the keys b * (sigma+1)**m +
+    packed outputs, or from the output matrix led by b when keys overflow int64.
     """
-    order = cube_order(forest)
-    packed = packed_outputs_on_cube(forest, order, budget)
-    if packed is None:
-        return np.unique(eval_forest_on_cube(forest, order, budget), axis=0, return_counts=True)
-    keys, counts = np.unique(packed, return_counts=True)
+    order = cube_order(forest, cells)
+    lam, k = forest.input_space.alphabet, len(order)
     base, m = forest.output_space.alphabet + 1, forest.output_space.cells
-    return keys[:, None] // base ** np.arange(m - 1, -1, -1, dtype=np.int64) % base, counts
+    span = base ** m
+    # one arange per named cell on that cell's axis; the cell at rank r sits on axis k-1-r
+    group = sum(
+        np.arange(lam, dtype=np.int64).reshape([lam if a == k - 1 - order.index(c) else 1 for a in range(k)]) * lam**r
+        for r, c in enumerate(cells)
+    )
+    packed = packed_outputs_on_cube(forest, order, budget) if lam ** len(cells) * span < 1 << 62 else None
+    if packed is None:
+        table = eval_forest_on_cube(forest, order, budget)
+        # b in its narrowest type, so the matrix keeps its own type when b fits it
+        lead = np.asarray(group).astype(np.min_scalar_type(lam ** len(cells) - 1))
+        lead = np.broadcast_to(lead, (lam,) * k).reshape(-1, 1)
+        table, counts = np.unique(np.hstack([lead, table]), axis=0, return_counts=True)
+        return table[:, 1:], counts, table[:, 0].astype(np.int64)
+    keys, counts = np.unique(group * span + packed.reshape((lam,) * k) if cells else packed, return_counts=True)
+    rows = keys[:, None] // base ** np.arange(m - 1, -1, -1, dtype=np.int64) % base
+    # calloc'd zeros stay untouched; a computed b raised the shuffle's peak RSS by about 1 MiB
+    return rows, counts, keys // span if cells else np.zeros(len(keys), dtype=np.int64)
 
 
 def output_distribution(
     forest: DecisionForest, budget: int = DEFAULT_STATE_BUDGET
 ) -> Distribution:
     """Exact law of the output tuple under a uniform input."""
-    rows, counts = _cube_law(forest, budget)
+    rows, counts, _ = _cube_law(forest, budget)
     probs = dict(zip(map(tuple, rows.tolist()), (counts / counts.sum()).tolist()))
     return Distribution(probs, arity=forest.output_space.cells, bot=forest.output_space.bot)
 
@@ -193,6 +207,15 @@ class ConditionalEntropyDetail:
     seed: int | None = None
 
 
+def _checked_cells(forest: DecisionForest, cells: Iterable[int]) -> list:
+    """The named cells, sorted and deduplicated; any outside the input space raises bad_cells."""
+    cells = sorted(set(cells))
+    for c in cells:
+        if not 0 <= c < forest.input_space.cells:
+            raise UsageError("bad_cells", f"cell {c} outside the input space")
+    return cells
+
+
 def conditional_entropy_detail(
     forest: DecisionForest,
     cells: Iterable[int],
@@ -203,41 +226,13 @@ def conditional_entropy_detail(
     Assignment index b encodes symbol (b // alphabet**rank) % alphabet for
     the cell at position rank in sorted(cells).
     """
-    cells = sorted(set(cells))
-    for c in cells:
-        if not 0 <= c < forest.input_space.cells:
-            raise UsageError("bad_cells", f"cell {c} outside the input space")
-    lam = forest.input_space.alphabet
-    order = cube_order(forest, cells)
-    n = _check_enum_budget(lam, len(order), budget)
-    packed = packed_outputs_on_cube(forest, order, budget)
-    if packed is None:
-        rows = eval_forest_on_cube(forest, order, budget)
-        _, packed = np.unique(rows, axis=0, return_inverse=True)
-        packed = packed.astype(np.int64)
-    _, out_ids = np.unique(packed, return_inverse=True)
-    out_ids = out_ids.astype(np.int64)
-    distinct = int(out_ids.max()) + 1 if out_ids.size else 1
-
-    rank_of = {c: r for r, c in enumerate(order)}
-    idx = np.arange(n, dtype=np.int64)
-    group = np.zeros(n, dtype=np.int64)
-    for r, c in enumerate(cells):
-        group += _digits(idx, rank_of[c], lam) * (lam ** r)
-    del idx
-    groups = lam ** len(cells)
-    if groups * distinct > (1 << 62):
-        raise BudgetError("enum_budget", "conditional grouping key would overflow")
-
-    combined = group * distinct + out_ids
-    uniq, counts = np.unique(combined, return_counts=True)
-    gid = uniq // distinct
-    rows_per_group = n // groups
-    frac = counts / rows_per_group
+    cells = _checked_cells(forest, cells)
+    _, counts, group = _cube_law(forest, budget, tuple(cells))
+    groups = forest.input_space.alphabet ** len(cells)
+    frac = counts / (int(counts.sum()) // groups)
     terms = -frac * np.log2(frac, where=frac > 0, out=np.zeros_like(frac))
-    per_assignment = np.bincount(gid, weights=terms, minlength=groups)
-    value = float(per_assignment.mean()) if groups else 0.0
-    return ConditionalEntropyDetail(value, tuple(cells), per_assignment)
+    per_assignment = np.bincount(group, weights=terms, minlength=groups)
+    return ConditionalEntropyDetail(float(per_assignment.mean()), tuple(cells), per_assignment)
 
 
 def conditional_entropy(
@@ -250,9 +245,9 @@ def conditional_entropy(
 ) -> float:
     """H(output | named cells) in bits.
 
-    Monte-Carlo mode draws assignments of the cells and applies the plug-in
-    entropy estimate to each restricted forest, which biases the value low;
-    the detail record flags this.
+    Monte-Carlo mode fixes the cells' input columns to drawn assignments and
+    applies the plug-in entropy estimate to each batch of uniform inputs,
+    which biases the value low; the detail record flags this.
     """
     if mode == "exact":
         return conditional_entropy_detail(forest, cells, budget).value
@@ -268,17 +263,19 @@ def monte_carlo_conditional_entropy(
     seed: int = 0,
     assignments: int = 64,
 ) -> ConditionalEntropyDetail:
+    if assignments < 1:
+        raise UsageError("bad_parameter", f"assignments must be positive, got {assignments}")
     if trials < 2 * assignments:  # one sample per assignment has plug-in entropy 0 whatever the law
         raise UsageError("bad_trials", f"{assignments} assignments need {2 * assignments} trials, got {trials}")
-    cells = sorted(set(cells))
+    cells = _checked_cells(forest, cells)
     lam = forest.input_space.alphabet
     rng = np.random.Generator(np.random.Philox(seed))
-    inner = trials // max(1, assignments)
+    inner = trials // assignments
     per = np.zeros(assignments)
     for b in range(assignments):
-        beta = {c: int(v) for c, v in zip(cells, rng.integers(0, lam, size=len(cells)))}
-        rows = sample_forest_outputs(restrict(forest, beta), inner, derive_seed(seed, b))
-        _, counts = np.unique(rows, axis=0, return_counts=True)
+        inputs = _uniform_inputs(forest.input_space, inner, derive_seed(seed, b))
+        inputs[:, cells] = rng.integers(0, lam, size=len(cells))
+        _, counts = np.unique(eval_forest_on_inputs(forest, inputs), axis=0, return_counts=True)
         frac = counts / inner
         per[b] = float(-(frac * np.log2(frac)).sum())
     return ConditionalEntropyDetail(
@@ -325,7 +322,7 @@ def _collision_share(
 ) -> float:
     """Share of the outputs with a collision: over the exact law, or over seeded uniform draws."""
     if mode == "exact":
-        rows, counts = _cube_law(forest, budget)
+        rows, counts, _ = _cube_law(forest, budget)
     elif mode == "monte_carlo":
         rows = sample_forest_outputs(forest, trials, seed)
         counts = np.ones(rows.shape[0], dtype=np.int64)

@@ -347,12 +347,6 @@ def prune_on_query_set(
 # exhaustive cube evaluation (shared by the analysis layer)
 
 
-def _digits(idx: np.ndarray, rank: int, lam: int) -> np.ndarray:
-    if lam == 2:
-        return (idx >> rank) & 1
-    return (idx // (lam ** rank)) % lam
-
-
 def _check_enum_budget(lam: int, ncells: int, budget: int) -> int:
     states = lam ** ncells
     if states > budget:

@@ -20,6 +20,7 @@ from .analysis import (
     Distribution,
     IndependentEnsemble,
     OutcomeSet,
+    _cube_law,
     collision_probability,
     conditional_entropy_detail,
     cube_distances_to_set,
@@ -40,7 +41,6 @@ from .forest import (
     _deep_probe_mass,
     _leaf_labels,
     _leaf_mass,
-    eval_forest_on_cube,
     expected_query_counts,
     is_bucketed,
     prune_on_query_set,
@@ -188,6 +188,12 @@ def verify_entropy_deviation(forest: DecisionForest, cell: int) -> ExperimentRep
 # probe-count tails
 
 
+def _check_epsilons(epsilons: Sequence[float]) -> None:
+    for eps in epsilons:
+        if not 0.0 < eps < 1.0:
+            raise UsageError("bad_parameter", f"eps {eps} outside (0, 1)")
+
+
 def verify_second_moment_tail(
     forest: DecisionForest,
     epsilons: Sequence[float] = DEFAULT_EPSILONS,
@@ -203,18 +209,18 @@ def verify_second_moment_tail(
         raise UsageError("bad_leaf", "tail bound needs blank-free outputs")
     if _leaf_labels(forest) - {0, 1}:
         raise UsageError("bad_leaf", "tail bound needs 0/1 leaf values")
-    rows = eval_forest_on_cube(forest, budget=budget)
+    _check_epsilons(epsilons)
+    rows, counts, _ = _cube_law(forest, budget)
     totals = rows.sum(axis=1, dtype=np.int64)
-    kappa = float(totals.mean())
+    n = counts.sum()
+    kappa = float(totals @ counts / n)
     mu = float(expected_query_counts(forest).max())
     d = forest.depth
     cases = []
     worst = -math.inf
     for eps in epsilons:
-        if not 0.0 < eps < 1.0:
-            raise UsageError("bad_parameter", f"eps {eps} outside (0, 1)")
         threshold = 2.0 * (kappa + math.log2(1.0 / eps) * d * mu)
-        tail = float((totals > threshold).mean())
+        tail = float(counts[totals > threshold].sum() / n)
         cases.append({"eps": eps, "threshold": threshold, "tail": tail})
         worst = max(worst, tail - eps)
     return ExperimentReport(
@@ -239,12 +245,11 @@ def verify_avg_to_tail_lipschitz(
     ec = expected_query_counts(forest)
     mu = float(ec.max())
     d = forest.depth
+    _check_epsilons(epsilons)
     counts, order = query_counts_on_cube(forest, budget=budget)
     cases = []
     worst = -math.inf
     for eps in epsilons:
-        if not 0.0 < eps < 1.0:
-            raise UsageError("bad_parameter", f"eps {eps} outside (0, 1)")
         threshold = 3.0 * mu * d * d * math.log2(1.0 / eps)
         if counts.size:
             tail = float((counts > threshold).mean(axis=0).max())

@@ -132,9 +132,11 @@ def test_conditional_entropy_on_the_parity_forest():
 def test_conditional_entropy_on_a_passthrough_forest():
     f = identity_forest(3)
     assert conditional_entropy(f, (1,)) == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(UsageError) as err:
-        conditional_entropy(f, (9,))
-    assert err.value.reason == "bad_cells"
+    for mode in ("exact", "monte_carlo"):
+        for cells in ((9,), (-1,)):
+            with pytest.raises(UsageError) as err:
+                conditional_entropy(f, cells, mode=mode, trials=200)
+            assert err.value.reason == "bad_cells"
 
 
 @given(st.integers(0, 120))
@@ -166,6 +168,13 @@ def test_monte_carlo_conditional_entropy_needs_two_samples_per_assignment():
     # 64 assignments take 191 // 64 = 2 samples each: the same 128 draws, reported as such
     detail = monte_carlo_conditional_entropy(f, (0,), trials=191, seed=0)
     assert (detail.trials, detail.value) == (128, 0.890625)
+
+
+@pytest.mark.parametrize("assignments", [0, -3])
+def test_monte_carlo_conditional_entropy_needs_an_assignment(assignments):
+    with pytest.raises(UsageError) as err:
+        monte_carlo_conditional_entropy(xor_forest(), (0,), trials=100, assignments=assignments)
+    assert err.value.reason == "bad_parameter"
 
 
 def test_collision_stat_counts_repeats_beyond_the_first():

@@ -464,6 +464,7 @@ MALFORMED_FILES = [
     (["couple", "--forest"], json.dumps({**GATE_FOREST, "trees": GATE_FOREST["trees"] * 2}), "bad_forest"),
     (["verify", "coupling", "--forest"], json.dumps({**GATE_FOREST, "trees": GATE_FOREST["trees"] * 2}), "bad_forest"),
     (["couple", "--mode", "sample", "--trials", "1048577", "--forest"], json.dumps(GATE_FOREST), "bad_trials"),
+    (["analyze", "cond-entropy", "--mode", "monte_carlo", "--trials", "200", "--cells", "99", "--forest"], json.dumps(GATE_FOREST), "bad_cells"),
 ]
 
 

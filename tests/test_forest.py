@@ -35,6 +35,8 @@ from forestlab import (
 from forestlab.analysis import (
     collision_probability,
     collision_stat,
+    conditional_entropy_detail,
+    entropy,
     eval_forest_on_inputs,
     output_distribution,
     sample_forest_outputs,
@@ -501,6 +503,27 @@ def test_exact_collision_shares_match_pointwise_counts():
     law = collections.Counter(eval_forest(wide, u) for u in cube_inputs(wide, [0, 1, 2]))
     assert output_distribution(wide).probs == {row: c / 8 for row, c in law.items()}
     assert 0 < collision_probability(wide) < tv_lower_bound_via_collision(wide) < 1
+
+
+def test_conditional_entropy_per_assignment_matches_the_restricted_laws():
+    rng = random.Random(8)
+    wide = wide_output_forest()
+    assert packed_outputs_on_cube(wide) is None
+    for f in differential_corpus() + [wide]:
+        s, lam = f.input_space.cells, f.input_space.alphabet
+        probed = f.mentioned_cells()
+        unprobed = sorted(set(range(s)) - set(probed))
+        cell_sets = [rng.sample(probed, min(3, len(probed))), unprobed[:2] + probed[:1], rng.sample(range(s), min(2, s))]
+        for cells in cell_sets:
+            detail = conditional_entropy_detail(f, cells)
+            cells = sorted(set(cells))
+            assert detail.cells == tuple(cells)
+            want = [
+                entropy(output_distribution(restrict(f, {c: b // lam**r % lam for r, c in enumerate(cells)})))
+                for b in range(lam ** len(cells))
+            ]
+            assert np.abs(detail.per_assignment - want).max() <= 1e-12
+            assert detail.value == pytest.approx(sum(want) / len(want), abs=1e-12)
 
 
 def test_sampled_outputs_and_profiles_match_transcripts_on_the_same_rows():

@@ -12,6 +12,7 @@ from forestlab import (
     DecisionTree,
     Distribution,
     ExperimentReport,
+    ForestGenSpec,
     IndependentEnsemble,
     InputSpace,
     Internal,
@@ -27,6 +28,7 @@ from forestlab import (
     enforce_avg_lipschitz,
     eval_forest,
     expected_query_counts,
+    random_forest,
     restrict,
     sample_coupling_distance,
     thorp_bucket_structure,
@@ -46,8 +48,8 @@ from forestlab import (
     verify_taylor_bound,
 )
 from forestlab.cli import _report_exit
-from forestlab.corpus import coupling_instances, restriction_instances
-from forestlab.forest import _leaf_mass, query_counts_on_cube
+from forestlab.corpus import _random_forest_instance, coupling_instances, restriction_instances
+from forestlab.forest import _leaf_mass, eval_forest_on_cube, query_counts_on_cube
 from forestlab.harness import (
     _optimal_symbol_coupling,
     bucketed_dichotomy_experiment,
@@ -250,9 +252,43 @@ def test_second_moment_tail_needs_binary_blank_free_outputs():
     with pytest.raises(UsageError) as err:
         verify_second_moment_tail(wide)
     assert err.value.reason == "bad_leaf"
+
+
+@pytest.mark.parametrize("verify", [verify_second_moment_tail, verify_avg_to_tail_lipschitz])
+def test_tail_verifiers_reject_a_bad_eps_before_they_enumerate(verify):
+    # a budget of one cube point would raise enum_budget if the cube came first
     with pytest.raises(UsageError) as err:
-        verify_second_moment_tail(identity_forest(2), epsilons=(2.0,))
+        verify(identity_forest(2), epsilons=(0.5, 2.0), budget=1)
     assert err.value.reason == "bad_parameter"
+
+
+def reference_second_moment_tail(forest: DecisionForest, epsilons) -> dict:
+    """The tail report's details from the full output matrix, one row per cube point."""
+    totals = eval_forest_on_cube(forest).sum(axis=1, dtype=np.int64)
+    kappa = float(totals.mean())
+    mu = float(expected_query_counts(forest).max())
+    d = forest.depth
+    cases = []
+    for eps in epsilons:
+        threshold = 2.0 * (kappa + math.log2(1.0 / eps) * d * mu)
+        cases.append({"eps": eps, "threshold": threshold, "tail": float((totals > threshold).mean())})
+    return {"kappa": kappa, "mu": mu, "depth": d, "cases": cases}
+
+
+def test_second_moment_tail_matches_the_output_matrix():
+    rng = random.Random(23)
+    forests = [_random_forest_instance(rng, m_max=5, out_alphabet=2) for _ in range(40)]
+    # 3**40 packed keys overflow int64, so these two read the output matrix
+    forests.append(random_forest(ForestGenSpec(cells=6, alphabet=2, out_cells=40, out_alphabet=2, depth=3, seed=1)))
+    both = DecisionTree(Internal(0, (Leaf(0), Internal(1, (Leaf(0), Leaf(1))))))
+    forests.append(DecisionForest(InputSpace(2, 2), OutputSpace(40, 2), (both,) * 40))  # sums 0 or 40
+    epsilons = (0.999, 0.9, 0.5, 0.125, 0.01)  # eps near 1 puts the threshold near 2 kappa, where tails are nonzero
+    for f in forests:
+        report = verify_second_moment_tail(f, epsilons)
+        want = reference_second_moment_tail(f, epsilons)
+        assert report.details == want
+        assert report.measured == max(case["tail"] - case["eps"] for case in want["cases"])
+    assert report.details["cases"][0]["tail"] == 0.25
 
 
 def test_average_to_tail_promotion_on_fair_bits():
