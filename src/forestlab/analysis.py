@@ -80,10 +80,10 @@ class Distribution:
         for outcome, p in self.probs.items():
             if len(outcome) != self.arity:
                 raise UsageError("bad_outcome", f"outcome {outcome} has arity {len(outcome)}")
-            if p < -SUM_TOLERANCE:
-                raise UsageError("bad_probability", f"negative probability {p}")
+            if not p >= -SUM_TOLERANCE:  # written so that NaN fails too
+                raise UsageError("bad_probability", f"probability {p} is negative or not a number")
             total += p
-        if abs(total - 1.0) > SUM_TOLERANCE:
+        if not abs(total - 1.0) <= SUM_TOLERANCE:
             raise UsageError("bad_probability", f"probabilities sum to {total}")
 
     def support(self) -> list:
@@ -94,8 +94,9 @@ class Distribution:
 class OutcomeSet:
     """Finite set of tuples over a shared arity and alphabet.
 
-    `indices`, built on first use, holds the members' int64 cube indices
-    (rank r weighted by alphabet**r); past 2**63 points it raises enum_budget.
+    `indices` holds the members' int64 cube indices (rank r weighted by alphabet**r),
+    built on first use; past 2**63 points it raises enum_budget.  A set from
+    `_from_indices` holds only `indices` and rebuilds `members` on first read.
     """
 
     members: frozenset
@@ -111,8 +112,31 @@ class OutcomeSet:
                 if not 0 <= sym < self.alphabet:
                     raise UsageError("bad_outcome", f"symbol {sym} outside alphabet")
 
+    @classmethod
+    def _from_indices(cls, indices: np.ndarray, arity: int, alphabet: int, description: str = "") -> "OutcomeSet":
+        """The set of distinct cube indices `indices`, all in [0, alphabet**arity)."""
+        indices = np.asarray(indices)
+        valid = indices.ndim == 1 and indices.dtype.kind in "iu" and np.can_cast(indices.dtype, np.int64)
+        valid = valid and ((0 <= indices) & (indices < alphabet**arity)).all()
+        if not (valid and np.unique(indices).size == indices.size):
+            raise UsageError("bad_outcome", f"cube indices must be distinct integers in [0, {alphabet}^{arity})")
+        outcome_set = object.__new__(cls)
+        vars(outcome_set).update(
+            indices=indices.astype(np.int64), arity=arity, alphabet=alphabet, description=description
+        )
+        return outcome_set
+
+    def __getattr__(self, name: str):
+        # only `members` of a set from _from_indices is ever missing; it is rebuilt once
+        if name != "members":
+            raise AttributeError(name)
+        digits = self.indices[:, None] // self.alphabet ** np.arange(self.arity, dtype=np.int64) % self.alphabet
+        object.__setattr__(self, "members", frozenset(map(tuple, digits.tolist())))
+        return self.members
+
     def __len__(self) -> int:
-        return len(self.members)
+        members = vars(self).get("members")
+        return len(self.indices if members is None else members)
 
     @functools.cached_property
     def indices(self) -> np.ndarray:
@@ -189,8 +213,12 @@ def eval_forest_on_inputs(forest: DecisionForest, inputs: np.ndarray) -> np.ndar
 
 def entropy(dist: Distribution) -> float:
     """Shannon entropy in bits."""
+    return _entropy_bits(dist.probs.values())
+
+
+def _entropy_bits(probs: Iterable[float]) -> float:
     acc = 0.0
-    for p in dist.probs.values():
+    for p in probs:
         if p > 0.0:
             acc -= p * math.log2(p)
     return acc
@@ -377,10 +405,10 @@ class IndependentEnsemble:
         rows = np.asarray(self.rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] < 2:
             raise UsageError("bad_ensemble", "rows must form a 2d table with n+1 columns")
-        if (rows < -SUM_TOLERANCE).any():
-            raise UsageError("bad_probability", "negative mass in an ensemble row")
+        if not (rows >= -SUM_TOLERANCE).all():  # written so that NaN fails too
+            raise UsageError("bad_probability", "negative or NaN mass in an ensemble row")
         gaps = np.abs(rows.sum(axis=1) - 1.0)
-        if gaps.max() > SUM_TOLERANCE:
+        if not gaps.max() <= SUM_TOLERANCE:
             raise UsageError("bad_probability", f"row sums off by up to {gaps.max()}")
         object.__setattr__(self, "rows", rows)
 
@@ -535,7 +563,7 @@ def cube_distances_to_set(
     coordinate's line plus 1, because Hamming distance is a sum of
     per-coordinate 0/1 distances.
     """
-    if not outcome_set.members:
+    if not len(outcome_set):
         raise UsageError("empty_set", "cannot measure distances to an empty set")
     lam = outcome_set.alphabet
     s = outcome_set.arity
@@ -571,19 +599,18 @@ def parse_distribution(text: str, bot: int | None = None) -> Distribution:
         line = line.strip()
         if not line:
             continue
-        rendered, prob = line.split("\t")
-        syms = []
-        for tok in rendered.split(","):
-            if tok == "_":
-                if bot is None:
-                    raise UsageError("bad_outcome", "blank symbol in dump but no blank value given")
-                syms.append(bot)
-            else:
-                syms.append(int(tok))
-        outcome = tuple(syms)
+        rendered, _, prob = line.partition("\t")
+        tokens = rendered.split(",")
+        if "_" in tokens and bot is None:
+            raise UsageError("bad_outcome", "blank symbol in dump but no blank value given")
+        try:
+            outcome = tuple(bot if tok == "_" else int(tok) for tok in tokens)
+            p = float(prob)
+        except ValueError:
+            raise UsageError("bad_file", f"dump line {line!r} is not comma-joined symbols, a tab and a number")
         if arity is None:
             arity = len(outcome)
-        probs[outcome] = probs.get(outcome, 0.0) + float(prob)
+        probs[outcome] = probs.get(outcome, 0.0) + p
     if arity is None:
         raise UsageError("empty_distribution", "no outcomes in dump")
     return Distribution(probs, arity=arity, bot=bot)

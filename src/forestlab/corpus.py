@@ -34,6 +34,7 @@ from .forest import (
     _leaf_mass,
 )
 from .harness import (
+    _harper_reports,
     _max_tail,
     collision_ensemble_report,
     containment_set,
@@ -44,7 +45,6 @@ from .harness import (
     verify_chain_bound,
     verify_collision_tv,
     verify_entropy_deviation,
-    verify_harper,
     verify_light_mass,
     verify_lipschitz_after_conditioning,
     verify_mixture_bound,
@@ -218,11 +218,11 @@ def harper_family(count: int = 100, seed: int = 31, radii: tuple = (1, 2, 3, 4, 
     n = lam ** s
     for i in range(count):
         size = rng.randint(n // 8, (9 * n) // 10)
+        # pick bit r is the symbol at rank r, so each pick is its own cube index
         picks = np.array(rng.sample(range(n), size))
-        members = frozenset(map(tuple, ((picks[:, None] >> np.arange(s)) & 1).tolist()))
-        outcome_set = OutcomeSet(members, s, lam, description=f"draw {i}")
-        for k in radii:
-            yield f"harper-{i:04d}-k{k}", verify_harper(outcome_set, k)
+        outcome_set = OutcomeSet._from_indices(picks, s, lam, description=f"draw {i}")
+        for k, report in zip(radii, _harper_reports(outcome_set, radii)):
+            yield f"harper-{i:04d}-k{k}", report
 
 
 def at_least_two_family(count: int = 200, seed: int = 37) -> Iterator[tuple]:

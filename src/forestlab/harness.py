@@ -21,6 +21,7 @@ from .analysis import (
     IndependentEnsemble,
     OutcomeSet,
     _cube_law,
+    _entropy_bits,
     collision_probability,
     conditional_entropy_detail,
     cube_distances_to_set,
@@ -167,12 +168,15 @@ def verify_entropy_deviation(forest: DecisionForest, cell: int) -> ExperimentRep
     m = forest.output_space.cells
     sigma = forest.output_space.alphabet
     h = entropy(output_distribution(forest))
-    deviation = 0.0
-    per_value = []
-    for v in range(lam):
-        hv = entropy(output_distribution(restrict(forest, {cell: v})))
-        per_value.append(hv)
-        deviation = max(deviation, abs(hv - h))
+    if cell in forest.mentioned_cells():
+        # one law grouped by the cell's value; group v holds n / lam cube points
+        _, counts, group = _cube_law(forest, DEFAULT_STATE_BUDGET, (cell,))
+        probs = (counts / (int(counts.sum()) // lam)).tolist()
+        ends = np.bincount(group, minlength=lam).cumsum().tolist()
+        per_value = [_entropy_bits(probs[a:b]) for a, b in zip([0] + ends, ends)]
+    else:  # every restriction is the forest itself
+        per_value = [h] * lam
+    deviation = max(abs(hv - h) for hv in per_value)
     ec = float(expected_query_counts(forest)[cell])
     bound = math.log2(m + 1) + ec * math.log2(m * sigma)
     return ExperimentReport(
@@ -607,7 +611,7 @@ def verify_light_mass(p: Sequence[float], c: float) -> ExperimentReport:
     """
     p = np.asarray(list(p), dtype=np.float64)
     n = p.size
-    if n < 1 or (p < -1e-12).any() or abs(p.sum() - 1.0) > 1e-9:
+    if n < 1 or not (p >= -1e-12).all() or not abs(p.sum() - 1.0) <= 1e-9:  # NaN fails too
         raise UsageError("bad_probability", "p must be a probability table")
     h = float(-(p[p > 0] * np.log2(p[p > 0])).sum())
     precondition = c > 4.0 / n and h >= c * math.log2(n) - TOL
@@ -632,25 +636,32 @@ def verify_harper(
     Both sides are computed exactly on the cube; the exponent uses base-2
     logs to match the bits convention used everywhere else.
     """
-    if not outcome_set.members:
+    return _harper_reports(outcome_set, (k,), budget)[0]
+
+
+def _harper_reports(outcome_set: OutcomeSet, radii: Sequence[int], budget: int = DEFAULT_STATE_BUDGET) -> list:
+    """verify_harper at each radius, from one distance array."""
+    if not len(outcome_set):
         raise UsageError("empty_set", "cannot verify on an empty set")
-    if k < 0:
-        raise UsageError("bad_radius", "negative radius")
-    if outcome_set.arity < 1 or outcome_set.alphabet < 2:
+    if not all(k >= 0 for k in radii):
+        raise UsageError("bad_radius", "negative or NaN radius")
+    s = outcome_set.arity
+    if s < 1 or outcome_set.alphabet < 2:
         raise UsageError("bad_parameter", "the harper bound needs arity >= 1 and alphabet >= 2")
     dist = cube_distances_to_set(outcome_set, budget=budget)
     n = dist.size
+    within = np.bincount(dist, minlength=s + 1).cumsum().tolist()
     p_set = len(outcome_set) / n
-    measured = float((dist <= k).mean())
-    exponent = -(k * k) / (2.0 * outcome_set.arity * math.log2(outcome_set.alphabet))
-    bound = 1.0 - math.exp(exponent) / p_set
-    return ExperimentReport(
-        lemma_id="harper",
-        bound=bound,
-        measured=measured,
-        direction="ge",
-        details={"set_mass": p_set, "k": k, "arity": outcome_set.arity},
-    )
+    return [
+        ExperimentReport(
+            lemma_id="harper",
+            bound=1.0 - math.exp(-(k * k) / (2.0 * s * math.log2(outcome_set.alphabet))) / p_set,
+            measured=within[int(min(k, s))] / n,
+            direction="ge",
+            details={"set_mass": p_set, "k": k, "arity": s},
+        )
+        for k in radii
+    ]
 
 
 def collision_ensemble_report(

@@ -46,6 +46,7 @@ from forestlab import (
     uniform_ensemble,
     uniform_perm_distribution,
 )
+from forestlab.cli import _dump_outcome_set
 from forestlab.samplers import thorp_network_permutation
 
 
@@ -331,6 +332,49 @@ def test_sets_past_int64_indices_keep_the_member_paths():
         with pytest.raises(BudgetError) as err:
             cube_distances_to_set(s, budget=budget)
         assert err.value.reason == "enum_budget"
+
+
+def _tuple_built(picks, arity: int, lam: int) -> OutcomeSet:
+    """The set of cube indices `picks`, built from tuples in pick order."""
+    return OutcomeSet(frozenset(tuple(int(i) // lam**r % lam for r in range(arity)) for i in picks), arity, lam, "d")
+
+
+@pytest.mark.parametrize("lam, arity", [(2, 1), (2, 12), (3, 4), (5, 3)])
+def test_index_built_sets_match_tuple_built_sets(lam, arity):
+    rng = np.random.default_rng(lam * 100 + arity)
+    n = lam**arity
+    for picks in _distance_sets(rng, lam, arity):
+        picks = rng.permutation(np.asarray(picks, dtype=np.int64))
+        built = OutcomeSet._from_indices(picks, arity, lam, "d")
+        reference = _tuple_built(picks, arity, lam)
+        assert len(built) == len(reference)
+        assert (cube_distances_to_set(built) == cube_distances_to_set(reference)).all()
+        assert "members" not in vars(built)  # neither len nor the distances build them
+        assert built.members == reference.members
+        assert set(built.indices.tolist()) == set(reference.indices.tolist()) == set(picks.tolist())
+        assert built == reference and hash(built) == hash(reference) and repr(built) == repr(reference)
+        assert _dump_outcome_set(built) == _dump_outcome_set(reference)
+        for i in rng.choice(n, size=min(n, 50), replace=False):
+            point = tuple(int(i) // lam**r % lam for r in range(arity))
+            assert hamming_dist_to_set(point, built) == hamming_dist_to_set(point, reference)
+
+
+@pytest.mark.parametrize(
+    "indices, arity",
+    [
+        (np.array([0, 1, 1]), 3),
+        (np.array([-1, 2]), 3),
+        (np.array([0, 8]), 3),
+        (np.array([0.0, 1.0]), 3),
+        (np.array([True]), 3),
+        (np.zeros((1, 1), int), 3),
+        (np.array([2**63], dtype=np.uint64), 64),
+    ],
+)
+def test_index_built_sets_reject_bad_indices(indices, arity):
+    with pytest.raises(UsageError) as err:
+        OutcomeSet._from_indices(indices, arity, 2)
+    assert err.value.reason == "bad_outcome"
 
 
 def test_distribution_dump_round_trips_with_blanks():

@@ -465,6 +465,12 @@ MALFORMED_FILES = [
     (["verify", "coupling", "--forest"], json.dumps({**GATE_FOREST, "trees": GATE_FOREST["trees"] * 2}), "bad_forest"),
     (["couple", "--mode", "sample", "--trials", "1048577", "--forest"], json.dumps(GATE_FOREST), "bad_trials"),
     (["analyze", "cond-entropy", "--mode", "monte_carlo", "--trials", "200", "--cells", "99", "--forest"], json.dumps(GATE_FOREST), "bad_cells"),
+    (["verify", "containment", "--k", "1", "--target"], "0,1\tnan\n1,0\t1.0\n", "bad_probability"),
+    (["verify", "ensemble-collision", "--target"], '{"rows": [[NaN, 0.5, 0.0], [0.5, 0.5, 0.0]]}', "bad_probability"),
+    (["verify", "containment", "--k", "1", "--target"], "0,1 0.5\n", "bad_file"),
+    (["verify", "containment", "--k", "1", "--target"], "0,x\t0.5\n", "bad_file"),
+    (["verify", "containment", "--k", "1", "--target"], "0,1\tabc\n", "bad_file"),
+    (["verify", "light-mass", "--c", "1", "--target"], "nan 0.5 0.5", "bad_probability"),
 ]
 
 

@@ -24,10 +24,13 @@ from forestlab import (
     collision_ensemble_report,
     containment_set,
     couple_accepting,
+    cube_distances_to_set,
     derive_seed,
     enforce_avg_lipschitz,
+    entropy,
     eval_forest,
     expected_query_counts,
+    output_distribution,
     random_forest,
     restrict,
     sample_coupling_distance,
@@ -48,9 +51,10 @@ from forestlab import (
     verify_taylor_bound,
 )
 from forestlab.cli import _report_exit
-from forestlab.corpus import _random_forest_instance, coupling_instances, restriction_instances
+from forestlab.corpus import _random_forest_instance, coupling_instances, harper_family, restriction_instances
 from forestlab.forest import _leaf_mass, eval_forest_on_cube, query_counts_on_cube
 from forestlab.harness import (
+    _harper_reports,
     _optimal_symbol_coupling,
     bucketed_dichotomy_experiment,
     default_restriction_sampler,
@@ -219,6 +223,33 @@ def test_entropy_deviation_of_a_passthrough_cell():
     assert report.measured == pytest.approx(1.0, abs=1e-12)
     assert report.bound == pytest.approx(math.log2(3) + math.log2(4), abs=1e-12)
     assert report.passed
+
+
+def _entropy_deviation_by_restriction(forest: DecisionForest, cell: int) -> ExperimentReport:
+    """verify_entropy_deviation as one restricted law per value of the cell: the slow reference."""
+    lam, m, sigma = forest.input_space.alphabet, forest.output_space.cells, forest.output_space.alphabet
+    h = entropy(output_distribution(forest))
+    deviation = 0.0
+    per_value = []
+    for v in range(lam):
+        hv = entropy(output_distribution(restrict(forest, {cell: v})))
+        per_value.append(hv)
+        deviation = max(deviation, abs(hv - h))
+    ec = float(expected_query_counts(forest)[cell])
+    bound = math.log2(m + 1) + ec * math.log2(m * sigma)
+    details = {"entropy": h, "per_value": per_value, "expected_probes": ec, "cell": cell}
+    return ExperimentReport("entropy-deviation", bound, deviation, "le", details=details)
+
+
+def test_entropy_deviation_matches_the_restricted_laws():
+    rng = random.Random(19)  # the entropy-deviation family's forests
+    forests = [_random_forest_instance(rng) for _ in range(200)]
+    forests += [identity_forest(2), identity_forest(3, lam=3), passthrough_forest(), thorp_forest(ThorpSpec(2, 2))]
+    for forest in forests:
+        for cell in range(forest.input_space.cells):
+            got, want = verify_entropy_deviation(forest, cell), _entropy_deviation_by_restriction(forest, cell)
+            assert repr(got) == repr(want), (forest, cell)
+            assert all(type(hv) is float for hv in got.details["per_value"])
 
 
 def test_entropy_deviation_rejects_cells_outside_the_space():
@@ -659,6 +690,53 @@ def test_harper_guards():
     with pytest.raises(UsageError) as err:
         verify_harper(OutcomeSet(frozenset({(0, 0, 0)}), 3, 2), -1)
     assert err.value.reason == "bad_radius"
+    with pytest.raises(UsageError) as err:
+        verify_harper(OutcomeSet(frozenset({(0, 0, 0)}), 3, 2), math.nan)
+    assert err.value.reason == "bad_radius"
+
+
+def _harper_by_radius(outcome_set: OutcomeSet, k: int) -> ExperimentReport:
+    """verify_harper as one pass over the distance array per radius: the slow reference."""
+    dist = cube_distances_to_set(outcome_set)
+    p_set = len(outcome_set) / dist.size
+    exponent = -(k * k) / (2.0 * outcome_set.arity * math.log2(outcome_set.alphabet))
+    details = {"set_mass": p_set, "k": k, "arity": outcome_set.arity}
+    return ExperimentReport("harper", 1.0 - math.exp(exponent) / p_set, float((dist <= k).mean()), "ge", details=details)
+
+
+def _harper_family_sets(count: int):
+    """The harper family's first sets, built from tuples as the family once did."""
+    rng = random.Random(31)
+    for _ in range(count):
+        picks = np.array(rng.sample(range(4096), rng.randint(512, 3686)))
+        yield picks, OutcomeSet(frozenset(map(tuple, ((picks[:, None] >> np.arange(12)) & 1).tolist())), 12, 2)
+
+
+def test_harper_reports_at_many_radii_match_one_radius_at_a_time():
+    radii = (0, 1, 2, 2.5, 3, 6, 12, 13, 40, math.inf)
+    sets = [OutcomeSet._from_indices(picks, 12, 2) for picks, _ in _harper_family_sets(3)]
+    sets += [OutcomeSet(frozenset({(1, 0, 1)}), 3, 2), OutcomeSet(frozenset(itertools.product(range(3), repeat=3)), 3, 3)]
+    for outcome_set in sets:
+        reports = _harper_reports(outcome_set, radii)
+        assert [repr(r) for r in reports] == [repr(verify_harper(outcome_set, k)) for k in radii]
+        assert [repr(r) for r in reports] == [repr(_harper_by_radius(outcome_set, k)) for k in radii]
+    assert _harper_reports(sets[-1], (5,))[0].measured == 1.0
+
+
+def test_the_harper_family_builds_no_tuples(monkeypatch):
+    def no_members(self, name):
+        assert name != "members", "the harper family built the member tuples"
+        raise AttributeError(name)
+
+    monkeypatch.setattr(OutcomeSet, "__getattr__", no_members)
+    rows = list(harper_family(count=3))
+    monkeypatch.undo()
+    want = [
+        (f"harper-{i:04d}-k{k}", _harper_by_radius(outcome_set, k))
+        for i, (_, outcome_set) in enumerate(_harper_family_sets(3))
+        for k in (1, 2, 3, 4, 5, 6)
+    ]
+    assert [(i, repr(r)) for i, r in rows] == [(i, repr(r)) for i, r in want]
 
 
 # ---------------------------------------------------------------------------
