@@ -7,6 +7,7 @@ counter-based generator, so trial t depends only on (seed, t).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Iterable
@@ -21,13 +22,14 @@ from .forest import (
     UsageError,
     _check_enum_budget,
     _leaf_values,
+    _tree_on_cube,
     _uniform_inputs,
     cube_order,
-    eval_forest_on_cube,
-    packed_outputs_on_cube,
 )
 
 SUM_TOLERANCE = 1e-9
+# cube points an exact law fills and sorts at once
+CUBE_SLAB = 1 << 20
 
 
 def derive_seed(seed: int, step: int) -> int:
@@ -157,28 +159,65 @@ def _cube_law(forest: DecisionForest, budget: int, cells: tuple = ()) -> tuple:
     symbol (b // alphabet**rank) % alphabet for the cell at position rank.
     Rows come in (b, row) order, decoded from the keys b * (sigma+1)**m +
     packed outputs, or from the output matrix led by b when keys overflow int64.
+    The cube is walked in slabs of at most CUBE_SLAB points that fix the
+    leading axes, so memory is one slab plus the distinct rows.
     """
     order = cube_order(forest, cells)
     lam, k = forest.input_space.alphabet, len(order)
     base, m = forest.output_space.alphabet + 1, forest.output_space.cells
     span = base ** m
+    _check_enum_budget(lam, k, budget)
+    rank_of = {c: r for r, c in enumerate(order)}
     # one arange per named cell on that cell's axis; the cell at rank r sits on axis k-1-r
     group = sum(
-        np.arange(lam, dtype=np.int64).reshape([lam if a == k - 1 - order.index(c) else 1 for a in range(k)]) * lam**r
-        for r, c in enumerate(cells)
-    )
-    packed = packed_outputs_on_cube(forest, order, budget) if lam ** len(cells) * span < 1 << 62 else None
-    if packed is None:
-        table = eval_forest_on_cube(forest, order, budget)
-        # b in its narrowest type, so the matrix keeps its own type when b fits it
-        lead = np.asarray(group).astype(np.min_scalar_type(lam ** len(cells) - 1))
-        lead = np.broadcast_to(lead, (lam,) * k).reshape(-1, 1)
-        table, counts = np.unique(np.hstack([lead, table]), axis=0, return_counts=True)
-        return table[:, 1:], counts, table[:, 0].astype(np.int64)
-    keys, counts = np.unique(group * span + packed.reshape((lam,) * k) if cells else packed, return_counts=True)
+        (np.arange(lam, dtype=np.int64).reshape([lam if a == k - 1 - rank_of[c] else 1 for a in range(k)]) * lam**r
+         for r, c in enumerate(cells)),
+        np.zeros((1,) * k, dtype=np.int64),
+    ).astype(np.min_scalar_type(lam ** len(cells) - 1))
+    dtype = np.uint8 if base <= 255 else np.int32
+    tables = [group] + [_tree_on_cube(forest, tree, rank_of, dtype) for tree in range(m)]
+    wide = lam ** len(cells) * span >= 1 << 62
+    inner = next(t for t in range(k, -1, -1) if lam**t <= CUBE_SLAB)
+    if wide:  # b in its narrowest type, so the matrix keeps the outputs' type when b fits it
+        slab = np.empty((lam,) * inner + (m + 1,), dtype=np.result_type(group.dtype, dtype))
+    else:
+        slab = np.empty((lam,) * inner, dtype=np.int64 if cells or span >= 1 << 31 else np.int32)
+    parts, merged, waiting = [], 0, 0
+    for lead in itertools.product(range(lam), repeat=k - inner):
+        # restriction as indexing: each table at the slab's symbols, or at 0 on axes it spans once
+        cut = [table[tuple(v if n > 1 else 0 for v, n in zip(lead, table.shape))] for table in tables] if lead else tables
+        if wide:
+            for column, values in enumerate(cut):
+                slab[..., column] = values
+            parts.append(np.unique(slab.reshape(-1, m + 1), axis=0, return_counts=True))
+        else:
+            slab[...] = cut[0]
+            for values in cut[1:]:
+                slab *= base
+                slab += values
+            keys = slab.reshape(-1)
+            keys.sort()
+            edges = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
+            parts.append((keys[edges[:-1]], edges[1:] - edges[:-1]))
+        waiting += len(parts[-1][0])
+        if waiting >= max(CUBE_SLAB, merged):  # so each row is merged O(log) times
+            parts = [_merge(parts)]
+            merged, waiting = len(parts[0][0]), 0
+    keys, counts = _merge(parts) if len(parts) > 1 else parts[0]
+    if wide:
+        return keys[:, 1:], counts, keys[:, 0].astype(np.int64)
     rows = keys[:, None] // base ** np.arange(m - 1, -1, -1, dtype=np.int64) % base
     # calloc'd zeros stay untouched; a computed b raised the shuffle's peak RSS by about 1 MiB
     return rows, counts, keys // span if cells else np.zeros(len(keys), dtype=np.int64)
+
+
+def _merge(parts: list) -> tuple:
+    """Distinct keys (or rows) of the (keys, counts) parts, sorted, with their summed int64 counts."""
+    keys = np.concatenate([p[0] for p in parts])
+    keys, inverse = np.unique(keys, axis=0 if keys.ndim > 1 else None, return_inverse=True)
+    counts = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(counts, inverse.reshape(-1), np.concatenate([p[1] for p in parts]))
+    return keys, counts
 
 
 def output_distribution(

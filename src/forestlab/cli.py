@@ -167,6 +167,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             merged[key] = value
     cfg = RunConfig(**merged)
+    for name, kind in _CONFIG_TYPES.items():
+        if "float" in kind and getattr(cfg, name) != getattr(cfg, name):  # only NaN is unequal to itself
+            raise UsageError("bad_parameter", f"{_flag(name)} must be a number, got nan")
     if cfg.mode not in (None, *_MODES):
         raise UsageError("bad_config", f"mode must be one of {', '.join(_MODES)}, got {cfg.mode!r}")
     if cfg.seed < 0:

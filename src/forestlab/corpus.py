@@ -34,6 +34,7 @@ from .forest import (
     _leaf_mass,
 )
 from .harness import (
+    _entropy_deviation_reports,
     _harper_reports,
     _max_tail,
     collision_ensemble_report,
@@ -44,7 +45,6 @@ from .harness import (
     verify_avg_to_tail_lipschitz,
     verify_chain_bound,
     verify_collision_tv,
-    verify_entropy_deviation,
     verify_light_mass,
     verify_lipschitz_after_conditioning,
     verify_mixture_bound,
@@ -194,8 +194,9 @@ def entropy_deviation_family(count: int = 200, seed: int = 19) -> Iterator[tuple
     rng = random.Random(seed)
     for i in range(count):
         forest = _random_forest_instance(rng)
-        for cell in range(forest.input_space.cells):
-            yield f"entropy-deviation-{i:04d}-c{cell}", verify_entropy_deviation(forest, cell)
+        cells = range(forest.input_space.cells)
+        for cell, report in zip(cells, _entropy_deviation_reports(forest, cells)):
+            yield f"entropy-deviation-{i:04d}-c{cell}", report
 
 
 def second_moment_family(count: int = 100, seed: int = 23) -> Iterator[tuple]:

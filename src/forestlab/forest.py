@@ -10,7 +10,6 @@ allows it.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Union
 
@@ -439,61 +438,6 @@ def _tree_on_cube(forest: DecisionForest, tree: int, rank_of: dict, dtype) -> np
         if cell < 0:
             table[index] = value
     return table
-
-
-def eval_forest_on_cube(
-    forest: DecisionForest,
-    cells_order: list | None = None,
-    budget: int = DEFAULT_STATE_BUDGET,
-) -> np.ndarray:
-    """All outputs over the cube, as an (assignments, trees) matrix.
-
-    Assignment index i encodes symbol (i // lam**rank) % lam for the cell at
-    position rank in cells_order.  Cells outside cells_order must not be
-    probed by the forest.
-    """
-    if cells_order is None:
-        cells_order = cube_order(forest)
-    lam = forest.input_space.alphabet
-    n = _check_enum_budget(lam, len(cells_order), budget)
-    width = forest.output_space.alphabet + 1
-    dtype = np.uint8 if width <= 255 else np.int32
-    m = forest.output_space.cells
-    out = np.empty((n, m), dtype=dtype)
-    cube = out.reshape((lam,) * len(cells_order) + (m,))
-    rank_of = {c: r for r, c in enumerate(cells_order)}
-    for tree in range(m):
-        cube[..., tree] = _tree_on_cube(forest, tree, rank_of, dtype)
-    return out
-
-
-def packed_outputs_on_cube(
-    forest: DecisionForest,
-    cells_order: list | None = None,
-    budget: int = DEFAULT_STATE_BUDGET,
-) -> np.ndarray | None:
-    """Outputs over the cube packed into one integer key per assignment.
-
-    Keys are big-endian base (alphabet+1) over tree outputs, int32 when
-    base**trees fits and int64 otherwise.  Returns None when the packed
-    range does not fit a signed 64-bit integer; callers then fall back to
-    tuple-keyed dictionaries.
-    """
-    if cells_order is None:
-        cells_order = cube_order(forest)
-    base = forest.output_space.alphabet + 1
-    m = forest.output_space.cells
-    if m * math.log2(base) > 62:
-        return None
-    lam = forest.input_space.alphabet
-    _check_enum_budget(lam, len(cells_order), budget)
-    dtype = np.int32 if base ** m < 2 ** 31 else np.int64
-    packed = np.zeros((lam,) * len(cells_order), dtype=dtype)
-    rank_of = {c: r for r, c in enumerate(cells_order)}
-    for tree in range(m):
-        packed *= base
-        packed += _tree_on_cube(forest, tree, rank_of, dtype)
-    return packed.reshape(-1)
 
 
 def query_counts_on_cube(

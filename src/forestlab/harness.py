@@ -162,30 +162,39 @@ def verify_entropy_deviation(forest: DecisionForest, cell: int) -> ExperimentRep
     The cap combines the blank-mixture bound with the expected number of
     probes the forest sends to the fixed cell.
     """
-    if not 0 <= cell < forest.input_space.cells:
-        raise UsageError("bad_cells", f"cell {cell} outside the input space")
+    return _entropy_deviation_reports(forest, (cell,))[0]
+
+
+def _entropy_deviation_reports(forest: DecisionForest, cells: Sequence[int]) -> list:
+    """verify_entropy_deviation at each of `cells`, from one unconditional law."""
+    for cell in cells:
+        if not 0 <= cell < forest.input_space.cells:
+            raise UsageError("bad_cells", f"cell {cell} outside the input space")
     lam = forest.input_space.alphabet
     m = forest.output_space.cells
     sigma = forest.output_space.alphabet
     h = entropy(output_distribution(forest))
-    if cell in forest.mentioned_cells():
-        # one law grouped by the cell's value; group v holds n / lam cube points
-        _, counts, group = _cube_law(forest, DEFAULT_STATE_BUDGET, (cell,))
-        probs = (counts / (int(counts.sum()) // lam)).tolist()
-        ends = np.bincount(group, minlength=lam).cumsum().tolist()
-        per_value = [_entropy_bits(probs[a:b]) for a, b in zip([0] + ends, ends)]
-    else:  # every restriction is the forest itself
-        per_value = [h] * lam
-    deviation = max(abs(hv - h) for hv in per_value)
-    ec = float(expected_query_counts(forest)[cell])
-    bound = math.log2(m + 1) + ec * math.log2(m * sigma)
-    return ExperimentReport(
-        lemma_id="entropy-deviation",
-        bound=bound,
-        measured=deviation,
-        direction="le",
-        details={"entropy": h, "per_value": per_value, "expected_probes": ec, "cell": cell},
-    )
+    probed = set(forest.mentioned_cells())
+    expected = expected_query_counts(forest)
+    reports = []
+    for cell in cells:
+        if cell in probed:
+            # one law grouped by the cell's value; group v holds n / lam cube points
+            _, counts, group = _cube_law(forest, DEFAULT_STATE_BUDGET, (cell,))
+            probs = (counts / (int(counts.sum()) // lam)).tolist()
+            ends = np.bincount(group, minlength=lam).cumsum().tolist()
+            per_value = [_entropy_bits(probs[a:b]) for a, b in zip([0] + ends, ends)]
+        else:  # every restriction is the forest itself
+            per_value = [h] * lam
+        ec = float(expected[cell])
+        reports.append(ExperimentReport(
+            lemma_id="entropy-deviation",
+            bound=math.log2(m + 1) + ec * math.log2(m * sigma),
+            measured=max(abs(hv - h) for hv in per_value),
+            direction="le",
+            details={"entropy": h, "per_value": per_value, "expected_probes": ec, "cell": cell},
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -904,7 +913,7 @@ def verify_sum_ratio_bound(a: Sequence[float], b: Sequence[float]) -> Experiment
     b = np.asarray(list(b), dtype=np.float64)
     if a.shape != b.shape or a.size == 0:
         raise UsageError("bad_parameter", "need equal-length nonempty vectors")
-    if (a < 0).any() or (b <= 0).any():
+    if not (a >= 0).all() or not (b > 0).all():  # written so that NaN fails too
         raise UsageError("bad_parameter", "need nonnegative a and positive b")
     measured = float((a / b).sum())
     weighted = float((a * b).sum())

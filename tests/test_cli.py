@@ -471,6 +471,11 @@ MALFORMED_FILES = [
     (["verify", "containment", "--k", "1", "--target"], "0,x\t0.5\n", "bad_file"),
     (["verify", "containment", "--k", "1", "--target"], "0,1\tabc\n", "bad_file"),
     (["verify", "light-mass", "--c", "1", "--target"], "nan 0.5 0.5", "bad_probability"),
+    (["enforce-lipschitz", "--mu", "nan", "--eps", "0.5", "--forest"], json.dumps(GATE_FOREST), "bad_parameter"),
+    (["verify", "lipschitz-restriction", "--mu", "nan", "--delta", "0.5", "--trials", "50", "--forest"], json.dumps(GATE_FOREST), "bad_parameter"),
+    (["verify", "at-least-two", "--alpha", "nan", "--q", "0.1,0.1", "--config"], "{}", "bad_parameter"),
+    (["verify", "at-least-two", "--config"], '{"alpha": NaN, "q": "0.1,0.1"}', "bad_parameter"),
+    (["verify", "sum-ratio", "--target"], "1 2 nan\n1 2 3\n", "bad_parameter"),
 ]
 
 

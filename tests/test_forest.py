@@ -3,6 +3,7 @@ import collections
 import itertools
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,15 +44,12 @@ from forestlab.analysis import (
     tv_lower_bound_via_collision,
 )
 from forestlab.corpus import enforcement_instances, restriction_instances
-from forestlab.forest import (
-    _uniform_inputs,
-    eval_forest_on_cube,
-    packed_outputs_on_cube,
-    query_counts_on_cube,
-)
-from forestlab import harness
+from forestlab.forest import _uniform_inputs, query_counts_on_cube
+from forestlab import analysis, harness
 from forestlab.harness import _expected_blanks, enforce_avg_lipschitz
 from forestlab.samplers import ThorpSpec, thorp_forest
+
+from cube_reference import eval_forest_on_cube, packed_outputs_on_cube, whole_cube_law
 
 
 def identity_forest(s: int, lam: int = 2) -> DecisionForest:
@@ -486,6 +484,37 @@ def wide_output_forest() -> DecisionForest:
     trees += [Leaf(v) for v in range(3, 16)]
     out = OutputSpace(16, 16, bot_allowed=True)
     return DecisionForest(InputSpace(3, 2), out, tuple(map(DecisionTree, trees)))
+
+
+def _same_law(got: tuple, want: tuple) -> bool:
+    return all(a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_slab_walk_matches_the_whole_cube_law(monkeypatch):
+    monkeypatch.setattr(analysis, "CUBE_SLAB", 4)
+    wide = wide_output_forest()
+    for f in differential_corpus() + [wide]:
+        probed = f.mentioned_cells()
+        unprobed = sorted(set(range(f.input_space.cells)) - set(probed))
+        for cells in [(), tuple(probed[:1]), tuple(unprobed[:1])]:
+            assert _same_law(analysis._cube_law(f, 1 << 26, cells), whole_cube_law(f, 1 << 26, cells)), (f, cells)
+    monkeypatch.setattr(analysis, "CUBE_SLAB", 1 << 12)
+    for rounds in range(1, 6):
+        f = thorp_forest(ThorpSpec(3, rounds))
+        for cells in [(), tuple(f.mentioned_cells()[-3:])]:
+            assert _same_law(analysis._cube_law(f, 1 << 26, cells), whole_cube_law(f, 1 << 26, cells)), (rounds, cells)
+
+
+def test_the_round6_shuffle_law_stays_under_80_mib():
+    f = thorp_forest(ThorpSpec(3, 6))
+    tracemalloc.start()
+    try:
+        rows, counts, _ = analysis._cube_law(f, 1 << 26)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(counts.sum()) == 1 << 24 and rows.shape[1] == 8
+    assert peak < 80 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_exact_collision_shares_match_pointwise_counts():

@@ -51,8 +51,15 @@ from forestlab import (
     verify_taylor_bound,
 )
 from forestlab.cli import _report_exit
-from forestlab.corpus import _random_forest_instance, coupling_instances, harper_family, restriction_instances
-from forestlab.forest import _leaf_mass, eval_forest_on_cube, query_counts_on_cube
+from forestlab import harness
+from forestlab.corpus import (
+    _random_forest_instance,
+    coupling_instances,
+    entropy_deviation_family,
+    harper_family,
+    restriction_instances,
+)
+from forestlab.forest import _leaf_mass, query_counts_on_cube
 from forestlab.harness import (
     _harper_reports,
     _optimal_symbol_coupling,
@@ -62,6 +69,8 @@ from forestlab.harness import (
 )
 
 import numpy as np
+
+from cube_reference import eval_forest_on_cube
 
 
 def identity_forest(s: int, lam: int = 2) -> DecisionForest:
@@ -250,6 +259,22 @@ def test_entropy_deviation_matches_the_restricted_laws():
             got, want = verify_entropy_deviation(forest, cell), _entropy_deviation_by_restriction(forest, cell)
             assert repr(got) == repr(want), (forest, cell)
             assert all(type(hv) is float for hv in got.details["per_value"])
+
+
+def test_the_entropy_deviation_family_computes_one_unconditional_law_per_forest(monkeypatch):
+    laws = []
+    monkeypatch.setattr(harness, "output_distribution", lambda forest: laws.append(forest) or output_distribution(forest))
+    rows = list(entropy_deviation_family(count=5))
+    monkeypatch.undo()
+    rng = random.Random(19)
+    forests = [_random_forest_instance(rng) for _ in range(5)]
+    assert laws == forests
+    want = [
+        (f"entropy-deviation-{i:04d}-c{cell}", verify_entropy_deviation(forest, cell))
+        for i, forest in enumerate(forests)
+        for cell in range(forest.input_space.cells)
+    ]
+    assert [(name, repr(report)) for name, report in rows] == [(name, repr(report)) for name, report in want]
 
 
 def test_entropy_deviation_rejects_cells_outside_the_space():
@@ -810,6 +835,10 @@ def test_sum_ratio_bound_examples():
         verify_sum_ratio_bound((1.0,), (1.0, 2.0))
     with pytest.raises(UsageError):
         verify_sum_ratio_bound((1.0,), (0.0,))
+    for a, b in [((1.0, 2.0, math.nan), (1.0, 2.0, 3.0)), ((1.0, 2.0), (math.nan, 1.0))]:
+        with pytest.raises(UsageError) as err:
+            verify_sum_ratio_bound(a, b)
+        assert err.value.reason == "bad_parameter"
 
 
 # ---------------------------------------------------------------------------
