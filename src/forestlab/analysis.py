@@ -21,9 +21,9 @@ from .forest import (
     DecisionForest,
     UsageError,
     _check_enum_budget,
-    _leaf_values,
     _tree_on_cube,
     _uniform_inputs,
+    _walk,
     cube_order,
 )
 
@@ -229,20 +229,18 @@ def output_distribution(
     return Distribution(probs, arity=forest.output_space.cells, bot=forest.output_space.bot)
 
 
-def sample_forest_outputs(
-    forest: DecisionForest, trials: int, seed: int
-) -> np.ndarray:
+def sample_forest_outputs(forest: DecisionForest, trials: int, seed: int) -> np.ndarray:
     """Outputs on `trials` uniform inputs, one row per trial."""
     return eval_forest_on_inputs(forest, _uniform_inputs(forest.input_space, trials, seed))
 
 
 def eval_forest_on_inputs(forest: DecisionForest, inputs: np.ndarray) -> np.ndarray:
     """Vectorized forest evaluation on explicit input rows."""
-    width = forest.output_space.alphabet + 1
-    dtype = np.uint8 if width <= 255 else np.int32
+    dtype = np.uint8 if forest.output_space.alphabet + 1 <= 255 else np.int32
     out = np.empty((inputs.shape[0], forest.output_space.cells), dtype=dtype)
+    value = forest._flat[1]
     for tree in range(forest.output_space.cells):
-        _leaf_values(forest, tree, inputs, out[:, tree])
+        out[:, tree] = value[_walk(forest, tree, inputs)]
     return out
 
 

@@ -133,9 +133,10 @@ _POSITIONAL = ("command", "analysis", "lemma", "corpus_config")
 # flag names, and config keys, that differ from the field name
 _SPELLINGS = {"lam": "lambda", "set_spec": "set"}
 _FIELD_OF_KEY = {key: name for name, key in _SPELLINGS.items()}
-# JSON values a config file may give for each type named in an annotation
+# JSON values a config file may give for each type named in an annotation; a tuple's items are numbers
 _JSON_TYPES = {
-    "int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "None": (type(None),)
+    "int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "None": (type(None),),
+    "tuple": (list,),
 }
 
 
@@ -143,11 +144,18 @@ def _flag(name: str) -> str:
     return "--" + _SPELLINGS.get(name, name).replace("_", "-")
 
 
-def _check_config_value(key: str, name: str, value) -> None:
-    annotation = _CONFIG_TYPES[name]
+def _json_fits(annotation: str, value) -> bool:
+    """Whether a JSON value has one of the types an annotation names."""
     kinds = sum((_JSON_TYPES[t] for t in annotation.split(" | ")), ())
     if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-        raise UsageError("bad_config", f"config field {key!r} must be {annotation}, got {value!r}")
+        return False
+    return not isinstance(value, list) or all(_json_fits("float", item) for item in value)
+
+
+def _check_json_value(what: str, annotation: str, value) -> None:
+    if not _json_fits(annotation, value):
+        kind = "a list of numbers" if annotation == "tuple" else annotation
+        raise UsageError("bad_config", f"{what} must be {kind}, got {value!r}")
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -161,7 +169,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             name = _FIELD_OF_KEY.get(name, name)
             if name not in _CONFIG_TYPES:
                 raise UsageError("bad_config", f"unknown config field {key!r}")
-            _check_config_value(key, name, value)
+            _check_json_value(f"config field {key!r}", _CONFIG_TYPES[name], value)
             merged[name] = value
     for key, value in raw.items():
         if value is not None:
@@ -220,15 +228,16 @@ def _read_text(path: str) -> str:
 def _read_json(path: str, reason: str, build=lambda doc: doc):
     """Parse a JSON file and build an object from the document.
 
-    Text that does not parse, and a KeyError, TypeError or ValueError
-    raised while building, become UsageError(reason); a UsageError raised
-    while building keeps its own reason.
+    Text that does not parse or nests past Python's recursion limit, and a
+    KeyError, TypeError or ValueError raised while building, become
+    UsageError(reason); a UsageError raised while building keeps its own
+    reason.
     """
     try:
         return build(json.loads(_read_text(path)))
     except UsageError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise UsageError(reason, f"cannot read {path}: {exc!r}")
 
 
@@ -373,7 +382,9 @@ def _cmd_gen_thorp(cfg: RunConfig) -> int:
 
 def _cmd_gen_random(cfg: RunConfig) -> int:
     _need(cfg, "out", "s", "lam", "m", "sigma", "depth")
-    count = cfg.count or 1
+    count = 1 if cfg.count is None else cfg.count
+    if count < 1:
+        raise UsageError("bad_parameter", f"--count must be at least 1, got {count}")
     base, _ = os.path.splitext(cfg.out)
     lines = []
     for i in range(count):
@@ -730,6 +741,10 @@ def _cmd_sweep(cfg: RunConfig) -> int:
                     family_signature.bind_partial(**_json_object(values))
                 except TypeError as exc:
                     raise UsageError("bad_config", f"overrides for family {family!r}: {exc}")
+                for name, value in values.items():
+                    parameter = family_signature.parameters.get(name)
+                    if parameter is not None:  # None: a wrapper's **kwargs took the name, with no type
+                        _check_json_value(f"override {name!r} of family {family!r}", parameter.annotation, value)
             return tuple(doc.get("families", corpus_mod.FAMILIES)), overrides
 
         names, overrides = _read_json(cfg.corpus_config, "bad_config", plan)

@@ -9,6 +9,7 @@ allows it.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Union
@@ -205,6 +206,14 @@ class DecisionForest:
         object.__setattr__(self, "trees", trees)
         return trees
 
+    @functools.cached_property
+    def _flat(self) -> tuple:
+        """The node table as the arrays (cell, value, kids, offset) that `_walk` reads, built on first use."""
+        cell, value, _, children = zip(*self._table.rows)
+        sizes = np.array([len(c) for c in children], dtype=np.intp)
+        kids = np.array([kid for c in children for kid in c], dtype=np.intp)
+        return np.array(cell, dtype=np.intp), np.array(value, dtype=np.intp), kids, np.cumsum(sizes) - sizes
+
     @property
     def depth(self) -> int:
         """Length of the longest root-to-leaf path."""
@@ -361,33 +370,28 @@ def cube_order(forest: DecisionForest, extra_cells: Iterable[int] = ()) -> list:
     return sorted(set(forest.mentioned_cells()) | set(extra_cells))
 
 
-def _route(forest: DecisionForest, tree: int, inputs: np.ndarray):
-    """Split the input rows down one tree, yielding (query, value, ids of rows reaching it) per node.
+def _walk(forest: DecisionForest, tree: int, inputs: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
+    """The node-table row of the leaf one tree reaches on each input row.
 
-    Nodes come in preorder.  A node's rows are split with one mask per
-    symbol of its cell and dropped once split.
+    All rows move down together, a level at a time: node n probes cell[n]
+    (-1 at a leaf) and its children are kids[offset[n]:], so a row at a
+    probe moves to kids[offset[n] + its symbol].  With `counts`, each probe
+    of cell c on row r also adds 1 to counts[r, c].
     """
-    table = forest._table.rows
-    top = forest.input_space.alphabet - 1
-    stack = [(forest._table.roots[tree], np.arange(inputs.shape[0], dtype=np.int64))]
-    while stack:
-        node, rows = stack.pop()
-        cell, value, _, kids = table[node]
-        yield cell, value, rows
-        if cell >= 0:
-            sym = inputs[rows, cell]
-            for v in range(top, -1, -1):
-                reached = rows[sym == v]
-                if reached.size:
-                    stack.append((kids[v], reached))
-            del sym, reached
-
-
-def _leaf_values(forest: DecisionForest, tree: int, inputs: np.ndarray, out: np.ndarray):
-    """Set out[r] to the leaf value one tree gives input row r."""
-    for cell, value, reached in _route(forest, tree, inputs):
-        if cell < 0:
-            out[reached] = value
+    cell, _, kids, offset = forest._flat
+    node = np.full(inputs.shape[0], forest._table.roots[tree], dtype=np.intp)
+    ids, at = np.arange(node.size), node
+    while ids.size:
+        probed = cell[at]
+        going = probed >= 0
+        if not going.all():
+            ids, at, probed = ids[going], at[going], probed[going]
+        if counts is not None:
+            counts[ids, probed] += 1
+        at = offset[at]  # in place from here on: one array fewer alive at a time
+        at += inputs[ids, probed]
+        node[ids] = at = kids[at]
+    return node
 
 
 def _blocks(forest: DecisionForest, tree: int, rank_of: dict):
@@ -574,9 +578,7 @@ def query_profile(
     inputs = _uniform_inputs(forest.input_space, trials, seed)
     counts = np.zeros((trials, s), dtype=np.uint16)
     for tree in range(forest.output_space.cells):
-        for cell, _, reached in _route(forest, tree, inputs):
-            if cell >= 0:
-                counts[reached, cell] += 1
+        _walk(forest, tree, inputs, counts)
     return QueryProfile(
         tuple(counts.mean(axis=0)),
         tuple((counts > mu).mean(axis=0)),

@@ -295,6 +295,16 @@ def test_sweep_counts_failures_and_violations_per_family(tmp_path, capsys, isola
     assert statuses.count("precondition_violation") == 2
 
 
+def test_sweep_overrides_reach_a_family_behind_a_kwargs_wrapper(tmp_path, capsys, isolated_ledger, monkeypatch):
+    # a tracer wraps each family as f(*args, **kwargs): its overrides have no annotation to check
+    family = corpus.FAMILIES["at-least-two"]
+    monkeypatch.setitem(corpus.FAMILIES, "at-least-two", lambda *args, **kwargs: family(*args, **kwargs))
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"families": ["at-least-two"], "overrides": {"at-least-two": {"count": 3}}}))
+    assert main(["sweep", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("at-least-two: 3 instances, ")
+
+
 def test_family_seeds_are_the_default_seeds_of_the_families():
     assert sorted(corpus.FAMILY_SEEDS) == sorted(corpus.FAMILIES)
     for name, family in corpus.FAMILIES.items():
@@ -397,6 +407,13 @@ def _without(doc: dict, key: str) -> dict:
     return {k: v for k, v in doc.items() if k != key}
 
 
+def _deep_forest_text(levels: int) -> str:
+    """A one-tree forest probing cell i at level i, as text: json.dumps of it would recurse too deep."""
+    tree = "".join(f'{{"query": {cell}, "children": [{{"leaf": 1}}, ' for cell in range(levels))
+    tree += '{"leaf": 0}' + "]}" * levels
+    return json.dumps({**GATE_FOREST, "input_arity": levels, "trees": ["TREE"]}).replace('"TREE"', tree)
+
+
 # (arguments before the file path, file text or None for no file, expected
 # reason); GATE stands for the path of a valid one-tree forest.  The last rows
 # give a valid forest file and put the bad value in a flag.
@@ -476,6 +493,15 @@ MALFORMED_FILES = [
     (["verify", "at-least-two", "--alpha", "nan", "--q", "0.1,0.1", "--config"], "{}", "bad_parameter"),
     (["verify", "at-least-two", "--config"], '{"alpha": NaN, "q": "0.1,0.1"}', "bad_parameter"),
     (["verify", "sum-ratio", "--target"], "1 2 nan\n1 2 3\n", "bad_parameter"),
+    # deep documents get short ids, not their text
+    pytest.param(["eval", "--input", "0", "--forest"], _deep_forest_text(700), "bad_file", id="eval-deep-forest"),
+    pytest.param(["analyze", "entropy", "--forest"], _deep_forest_text(700), "bad_file", id="entropy-deep-forest"),
+    pytest.param(["verify", "taylor-bound", "--config"], '{"a": ' + "[" * 3000 + "]" * 3000 + "}", "bad_config", id="deep-config"),
+    (["sweep"], json.dumps({"families": ["taylor-bound", "harper"], "overrides": {"harper": {"count": "3"}}}), "bad_config"),
+    (["sweep"], json.dumps({"families": ["sum-ratio"], "overrides": {"sum-ratio": {"count": 2.5}}}), "bad_config"),
+    (["sweep"], json.dumps({"families": ["harper"], "overrides": {"harper": {"radii": ["a"]}}}), "bad_config"),
+    (["gen-random", "--s", "4", "--lambda", "2", "--m", "2", "--sigma", "2", "--depth", "2", "--count", "0", "-o"], None, "bad_parameter"),
+    (["gen-random", "--s", "4", "--lambda", "2", "--m", "2", "--sigma", "2", "--depth", "2", "--count", "-2", "-o"], None, "bad_parameter"),
 ]
 
 

@@ -556,38 +556,53 @@ def test_conditional_entropy_per_assignment_matches_the_restricted_laws():
 
 
 def test_sampled_outputs_and_profiles_match_transcripts_on_the_same_rows():
-    trials, seed = 300, 11
-    for f in differential_corpus():
+    seed = 11
+    # 300 output symbols and a blank leaf take the int32 output path
+    wide = DecisionForest(InputSpace(2, 3), OutputSpace(2, 300, bot_allowed=True), (
+        DecisionTree(Internal(0, (Leaf(299), Internal(1, (Leaf(0), Leaf(300), Leaf(257))), Leaf(7)))),
+        DecisionTree(Leaf(298)),
+    ))
+    for f in differential_corpus() + [wide]:
         s, lam = f.input_space.cells, f.input_space.alphabet
-        inputs = np.random.Generator(np.random.Philox(seed)).integers(
-            0, lam, size=(trials, s), dtype=np.uint8
-        )
-        points = [[eval_tree(t, row) for t in f.trees] for row in inputs.tolist()]
-        values = [[t.value for t in point] for point in points]
-        assert sample_forest_outputs(f, trials, seed).tolist() == values
-        assert eval_forest_on_inputs(f, inputs).tolist() == values
-        counts = np.array([transcript_counts(point, range(s)) for point in points])
-        profile = query_profile(f, mu=1.0, mode="monte_carlo", trials=trials, seed=seed)
-        assert profile.expected == tuple(counts.mean(axis=0))
-        assert profile.tail == tuple((counts > 1.0).mean(axis=0))
+        for trials in (0, 1, 300):
+            inputs = np.random.Generator(np.random.Philox(seed)).integers(
+                0, lam, size=(trials, s), dtype=np.uint8
+            )
+            points = [[eval_tree(t, row) for t in f.trees] for row in inputs.tolist()]
+            values = [[t.value for t in point] for point in points]
+            outputs = sample_forest_outputs(f, trials, seed)
+            assert outputs.shape == (trials, len(f.trees))
+            assert outputs.dtype == (np.int32 if f is wide else np.uint8)
+            assert outputs.tolist() == values
+            assert eval_forest_on_inputs(f, inputs).tolist() == values
+            if trials:  # the mean of no rows is undefined
+                counts = np.array([transcript_counts(point, range(s)) for point in points])
+                profile = query_profile(f, mu=1.0, mode="monte_carlo", trials=trials, seed=seed)
+                assert profile.expected == tuple(counts.mean(axis=0))
+                assert profile.tail == tuple((counts > 1.0).mean(axis=0))
 
 
 def test_wide_alphabets_sample_and_profile_on_the_drawn_rows():
-    lam, trials, seed = 300, 500, 4
-    wide = Internal(2, tuple(Leaf(v % 7) for v in range(lam)))
-    trees = (
-        DecisionTree(Internal(0, tuple(Leaf(v % 7) for v in range(lam)))),
-        DecisionTree(Internal(1, tuple(wide if v >= 256 else Leaf(v % 5) for v in range(lam)))),
-    )
-    f = DecisionForest(InputSpace(3, lam), OutputSpace(2, 7), trees)
-    inputs = _uniform_inputs(f.input_space, trials, seed)
-    assert inputs.max() >= 256
-    outputs = sample_forest_outputs(f, trials, seed)
-    assert [tuple(row) for row in outputs.tolist()] == [eval_forest(f, u) for u in inputs.tolist()]
-    points = [[eval_tree(t, u) for t in f.trees] for u in inputs.tolist()]
-    counts = np.array([transcript_counts(point, range(3)) for point in points])
-    profile = query_profile(f, mu=1.0, mode="monte_carlo", trials=trials, seed=seed)
-    assert profile.expected == tuple(counts.mean(axis=0))
+    lam, seed = 300, 4
+    for sigma in (7, 300):  # 300 output symbols come back as int32
+        wide = Internal(2, tuple(Leaf(v % sigma) for v in range(lam)))
+        trees = (
+            DecisionTree(Internal(0, tuple(Leaf(v % sigma) for v in range(lam)))),
+            DecisionTree(Internal(1, tuple(wide if v >= 256 else Leaf(v % 5) for v in range(lam)))),
+        )
+        f = DecisionForest(InputSpace(3, lam), OutputSpace(2, sigma), trees)
+        for trials in (0, 1, 500):
+            inputs = _uniform_inputs(f.input_space, trials, seed)
+            assert trials < 500 or inputs.max() >= 256
+            outputs = sample_forest_outputs(f, trials, seed)
+            assert outputs.shape == (trials, 2)
+            assert outputs.dtype == (np.uint8 if sigma == 7 else np.int32)
+            assert [tuple(row) for row in outputs.tolist()] == [eval_forest(f, u) for u in inputs.tolist()]
+            if trials:  # the mean of no rows is undefined
+                points = [[eval_tree(t, u) for t in f.trees] for u in inputs.tolist()]
+                counts = np.array([transcript_counts(point, range(3)) for point in points])
+                profile = query_profile(f, mu=1.0, mode="monte_carlo", trials=trials, seed=seed)
+                assert profile.expected == tuple(counts.mean(axis=0))
 
 
 def test_depth_property_tracks_the_longest_path():
