@@ -47,6 +47,8 @@ def derive_seed(seed: int, step: int) -> int:
 
 def hoeffding_halfwidth(trials: int) -> float:
     """99% two-sided half-width for a mean of [0,1] samples."""
+    if trials < 1:
+        raise UsageError("bad_trials", f"a mean needs at least 1 trial, got {trials}")
     return math.sqrt(math.log(2.0 / (1.0 - 0.99)) / (2.0 * trials))
 
 

@@ -158,6 +158,15 @@ def _check_json_value(what: str, annotation: str, value) -> None:
         raise UsageError("bad_config", f"{what} must be {kind}, got {value!r}")
 
 
+def _check_override(what: str, parameter: inspect.Parameter, value) -> None:
+    """A sweep override's value: of the parameter's type, no NaN (in a list neither), and a size of at least 1."""
+    _check_json_value(what, parameter.annotation, value)
+    if any(item != item for item in (value if isinstance(value, list) else [value])):  # only NaN is unequal to itself
+        raise UsageError("bad_config", f"{what} must not be nan")
+    if parameter.name in ("count", "trials", "runs") and value < 1:
+        raise UsageError("bad_config", f"{what} must be at least 1, got {value}")
+
+
 def _build_config(args: argparse.Namespace) -> RunConfig:
     raw = vars(args).copy()
     config_path = raw.pop("config", None)
@@ -744,7 +753,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
                 for name, value in values.items():
                     parameter = family_signature.parameters.get(name)
                     if parameter is not None:  # None: a wrapper's **kwargs took the name, with no type
-                        _check_json_value(f"override {name!r} of family {family!r}", parameter.annotation, value)
+                        _check_override(f"override {name!r} of family {family!r}", parameter, value)
             return tuple(doc.get("families", corpus_mod.FAMILIES)), overrides
 
         names, overrides = _read_json(cfg.corpus_config, "bad_config", plan)

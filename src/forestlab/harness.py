@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .forest import (
     OutputSpace,
     UsageError,
     _copy_table,
+    _cube_tails,
     _deep_probe_mass,
     _leaf_labels,
     _leaf_mass,
@@ -131,21 +132,18 @@ def verify_mixture_bound(
     )
 
 
-def _complement_cells(total: int, block: Iterable[int]) -> list:
-    block = set(block)
-    return [c for c in range(total) if c not in block]
+def _leave_one_block_out(forest: DecisionForest, buckets: BucketStructure) -> list:
+    """The output entropy given every cell outside each block, block by block."""
+    cells = range(forest.input_space.cells)
+    return [conditional_entropy_detail(forest, [c for c in cells if c not in b]).value for b in buckets.buckets]
 
 
 def verify_chain_bound(forest: DecisionForest, buckets: BucketStructure) -> ExperimentReport:
     """Output entropy against the sum of leave-one-block-out conditionals."""
-    s = forest.input_space.cells
-    if buckets.cells != s:
+    if buckets.cells != forest.input_space.cells:
         raise UsageError("bad_buckets", "partition does not cover the input cells")
     measured = entropy(output_distribution(forest))
-    terms = []
-    for block in buckets.buckets:
-        detail = conditional_entropy_detail(forest, _complement_cells(s, block))
-        terms.append(detail.value)
+    terms = _leave_one_block_out(forest, buckets)
     bound = float(sum(terms))
     return ExperimentReport(
         lemma_id="chain-bound",
@@ -207,6 +205,12 @@ def _check_epsilons(epsilons: Sequence[float]) -> None:
             raise UsageError("bad_parameter", f"eps {eps} outside (0, 1)")
 
 
+def _tail_cases(epsilons: Sequence[float], thresholds: list, tails: list) -> tuple:
+    """The report's cases, one per eps, and its measured value: the largest tail - eps."""
+    cases = [{"eps": eps, "threshold": t, "tail": tail} for eps, t, tail in zip(epsilons, thresholds, tails)]
+    return cases, max((case["tail"] - case["eps"] for case in cases), default=-math.inf)
+
+
 def verify_second_moment_tail(
     forest: DecisionForest,
     epsilons: Sequence[float] = DEFAULT_EPSILONS,
@@ -229,13 +233,8 @@ def verify_second_moment_tail(
     kappa = float(totals @ counts / n)
     mu = float(expected_query_counts(forest).max())
     d = forest.depth
-    cases = []
-    worst = -math.inf
-    for eps in epsilons:
-        threshold = 2.0 * (kappa + math.log2(1.0 / eps) * d * mu)
-        tail = float(counts[totals > threshold].sum() / n)
-        cases.append({"eps": eps, "threshold": threshold, "tail": tail})
-        worst = max(worst, tail - eps)
+    thresholds = [2.0 * (kappa + math.log2(1.0 / eps) * d * mu) for eps in epsilons]
+    cases, worst = _tail_cases(epsilons, thresholds, [float(counts[totals > t].sum() / n) for t in thresholds])
     return ExperimentReport(
         lemma_id="second-moment-tail",
         bound=0.0,
@@ -260,16 +259,9 @@ def verify_avg_to_tail_lipschitz(
     d = forest.depth
     _check_epsilons(epsilons)
     counts, order = query_counts_on_cube(forest, budget=budget)
-    cases = []
-    worst = -math.inf
-    for eps in epsilons:
-        threshold = 3.0 * mu * d * d * math.log2(1.0 / eps)
-        if counts.size:
-            tail = float((counts > threshold).mean(axis=0).max())
-        else:
-            tail = 0.0
-        cases.append({"eps": eps, "threshold": threshold, "tail": tail})
-        worst = max(worst, tail - eps)
+    thresholds = [3.0 * mu * d * d * math.log2(1.0 / eps) for eps in epsilons]
+    tails = [float(_cube_tails(forest, counts, order, t).max()) for t in thresholds]
+    cases, worst = _tail_cases(epsilons, thresholds, tails)
     return ExperimentReport(
         lemma_id="avg-to-tail-lipschitz",
         bound=0.0,
@@ -344,10 +336,7 @@ def enforce_avg_lipschitz(
 
 
 def _max_tail(forest: DecisionForest, mu: float, budget: int = DEFAULT_STATE_BUDGET) -> float:
-    counts, _ = query_counts_on_cube(forest, budget=budget)
-    if not counts.size:
-        return 0.0
-    return float((counts > mu).mean(axis=0).max())
+    return float(_cube_tails(forest, *query_counts_on_cube(forest, budget=budget), mu).max())
 
 
 def default_restriction_sampler(forest: DecisionForest, subset_size: int) -> Callable:
@@ -380,7 +369,11 @@ def verify_lipschitz_after_conditioning(
     """
     if not 0.0 <= delta <= 1.0:
         raise UsageError("bad_parameter", "delta must sit in [0, 1]")
-    base_tail = _max_tail(forest, mu, budget)
+    halfwidth = hoeffding_halfwidth(trials)
+    if trials > 1 << 20:  # derive_seed numbers at most 2**20 steps
+        raise UsageError("bad_trials", f"conditioning draws at most 2**20 trials, got {trials}")
+    counts, order = query_counts_on_cube(forest, budget=budget)
+    base_tail = float(_cube_tails(forest, counts, order, mu).max())
     if base_tail > delta + 1e-12:
         raise UsageError(
             "precondition",
@@ -389,15 +382,10 @@ def verify_lipschitz_after_conditioning(
     sqrt_delta = math.sqrt(delta)
     if sampler is None:
         sampler = default_restriction_sampler(forest, max(1, forest.input_space.cells // 2))
-    verdicts: dict = {}  # draws repeat: each distinct restriction is tested once per call
     failures = 0
     for t in range(trials):
         assignment = sampler(random.Random(derive_seed(seed, t)))
-        key = tuple(sorted(assignment.items()))
-        if key not in verdicts:
-            verdicts[key] = _max_tail(restrict(forest, assignment), mu, budget) > sqrt_delta + 1e-12
-        failures += verdicts[key]
-    halfwidth = hoeffding_halfwidth(trials)
+        failures += float(_cube_tails(forest, counts, order, mu, assignment).max()) > sqrt_delta + 1e-12
     measured = failures / trials
     bound = sqrt_delta + halfwidth
     return ExperimentReport(
@@ -838,18 +826,10 @@ def bucketed_dichotomy_experiment(
         container, inner = containment_set(dist, entropy_threshold)
         details = {**inner.details, "branch": "containment", "container_size": len(container)}
         return replace(inner, lemma_id="bucketed-dichotomy", seed=seed, details=details)
-    s = forest.input_space.cells
     lam = forest.input_space.alphabet
-    conditionals = []
-    for block in buckets.buckets:
-        detail = conditional_entropy_detail(forest, _complement_cells(s, block))
-        conditionals.append(detail.value)
-    best = 0
-    for i in range(1, len(conditionals)):
-        if conditionals[i] > conditionals[best]:
-            best = i
-    keep = set(buckets.buckets[best])
-    others = [c for c in range(s) if c not in keep]
+    conditionals = _leave_one_block_out(forest, buckets)
+    best = max(range(len(conditionals)), key=conditionals.__getitem__)
+    others = [c for c in range(forest.input_space.cells) if c not in buckets.buckets[best]]
     samples = []
     for b in range(betas):
         rng = random.Random(derive_seed(seed, b))

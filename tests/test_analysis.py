@@ -427,6 +427,13 @@ def test_hoeffding_halfwidth_formula():
     assert hoeffding_halfwidth(1000) > hoeffding_halfwidth(4000)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_hoeffding_halfwidth_needs_at_least_one_trial(trials):
+    with pytest.raises(UsageError) as err:
+        hoeffding_halfwidth(trials)
+    assert err.value.reason == "bad_trials"
+
+
 def test_output_distribution_sums_to_one():
     spec = ForestGenSpec(
         cells=4, alphabet=3, out_cells=2, out_alphabet=3, depth=2, seed=77

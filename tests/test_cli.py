@@ -305,6 +305,13 @@ def test_sweep_overrides_reach_a_family_behind_a_kwargs_wrapper(tmp_path, capsys
     assert capsys.readouterr().out.startswith("at-least-two: 3 instances, ")
 
 
+def test_sweep_runs_infinite_radii(tmp_path, capsys, isolated_ledger):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text('{"families": ["harper"], "overrides": {"harper": {"count": 2, "radii": [1, Infinity]}}}')
+    assert main(["sweep", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("harper: 4 instances, 0 failures, ")
+
+
 def test_family_seeds_are_the_default_seeds_of_the_families():
     assert sorted(corpus.FAMILY_SEEDS) == sorted(corpus.FAMILIES)
     for name, family in corpus.FAMILIES.items():
@@ -502,6 +509,12 @@ MALFORMED_FILES = [
     (["sweep"], json.dumps({"families": ["harper"], "overrides": {"harper": {"radii": ["a"]}}}), "bad_config"),
     (["gen-random", "--s", "4", "--lambda", "2", "--m", "2", "--sigma", "2", "--depth", "2", "--count", "0", "-o"], None, "bad_parameter"),
     (["gen-random", "--s", "4", "--lambda", "2", "--m", "2", "--sigma", "2", "--depth", "2", "--count", "-2", "-o"], None, "bad_parameter"),
+    (["sweep"], json.dumps({"families": ["containment"], "overrides": {"containment": {"count": -5}}}), "bad_config"),
+    (["sweep"], '{"families": ["coupling"], "overrides": {"coupling": {"calibration": NaN}}}', "bad_config"),
+    (["sweep"], '{"families": ["taylor-bound", "harper"], "overrides": {"harper": {"radii": [1, NaN]}}}', "bad_config"),
+    (["sweep"], json.dumps({"families": ["enforce-lipschitz"], "overrides": {"enforce-lipschitz": {"runs": 0}}}), "bad_config"),
+    (["sweep"], json.dumps({"families": ["lipschitz-restriction"], "overrides": {"lipschitz-restriction": {"trials": 0}}}), "bad_config"),
+    (["verify", "lipschitz-restriction", "--mu", "1", "--delta", "0.5", "--trials", "1048577", "--forest"], json.dumps(GATE_FOREST), "bad_trials"),
 ]
 
 

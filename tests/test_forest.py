@@ -342,6 +342,13 @@ def test_monte_carlo_profile_tracks_the_exact_one():
         assert abs(a - b) < 0.03
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_monte_carlo_profile_needs_at_least_one_trial(trials):
+    with pytest.raises(UsageError) as err:
+        query_profile(identity_forest(2), mu=1.0, mode="monte_carlo", trials=trials)
+    assert err.value.reason == "bad_trials"
+
+
 def test_lipschitz_check_flags_the_worst_cell():
     f = DecisionForest(
         InputSpace(2, 2),

@@ -55,13 +55,15 @@ from forestlab import harness
 from forestlab.corpus import (
     _random_forest_instance,
     coupling_instances,
+    enforcement_instances,
     entropy_deviation_family,
     harper_family,
     restriction_instances,
 )
-from forestlab.forest import _leaf_mass, query_counts_on_cube
+from forestlab.forest import _cube_tails, _leaf_mass, query_counts_on_cube
 from forestlab.harness import (
     _harper_reports,
+    _max_tail,
     _optimal_symbol_coupling,
     bucketed_dichotomy_experiment,
     default_restriction_sampler,
@@ -451,6 +453,58 @@ def test_memoized_conditioning_counts_every_draw_like_a_plain_loop():
             tail = float((counts > mu).mean(axis=0).max()) if counts.size else 0.0
             failures += tail > math.sqrt(delta) + 1e-12
         assert report.details["failures"] == failures, instance_id
+
+
+def restricted_tails(forest: DecisionForest, assignment: dict, mu: float) -> np.ndarray:
+    """Exact tails of restrict(forest, assignment) over its own cube: the reference for slicing."""
+    counts, order = query_counts_on_cube(restrict(forest, assignment))
+    tail = np.zeros(forest.input_space.cells)
+    tail[order] = (counts > mu).mean(axis=0)
+    return tail
+
+
+def test_sliced_tails_equal_the_tails_of_the_restricted_forest():
+    rng = random.Random(16)
+    cases = [(forest, mu, True) for _, forest, mu, _ in restriction_instances()]
+    cases += [(forest, mu, False) for _, forest, mu, _ in enforcement_instances() if forest.input_space.alphabet == 3]
+    assert len(cases) > 20
+    for forest, mu, every_draw in cases:
+        s, lam = forest.input_space.cells, forest.input_space.alphabet
+        unprobed = [c for c in range(s) if c not in forest.mentioned_cells()]
+        draws = [{}, dict.fromkeys(range(s), lam - 1), dict.fromkeys(unprobed, 0)]
+        if every_draw:  # every draw of the default sampler
+            k = max(1, s // 2)
+            draws += [
+                dict(zip(cells, values))
+                for cells in itertools.combinations(range(s), k)
+                for values in itertools.product(range(lam), repeat=k)
+            ]
+        for size in range(s + 1):
+            draws += [{c: rng.randrange(lam) for c in rng.sample(range(s), size)} for _ in range(4)]
+        counts, order = query_counts_on_cube(forest)
+        for assignment in draws:
+            got = _cube_tails(forest, counts, order, mu, assignment)
+            assert np.array_equal(got, restricted_tails(forest, assignment, mu)), assignment
+            assert float(got.max()) == _max_tail(restrict(forest, assignment), mu), assignment
+
+
+@pytest.mark.parametrize("draw", [{99: 0}, {-1: 0}, {0: 2}])
+def test_conditioning_rejects_a_sampled_cell_or_value_outside_the_space(draw):
+    with pytest.raises(UsageError) as err:
+        verify_lipschitz_after_conditioning(
+            identity_forest(3), mu=1.0, delta=0.0, trials=5, seed=0, sampler=lambda rng: draw
+        )
+    assert err.value.reason == "bad_assignment"
+
+
+@pytest.mark.parametrize("trials", [0, -3, (1 << 20) + 1])
+def test_conditioning_rejects_a_trial_count_before_any_draw(trials):
+    def sampler(rng):
+        raise AssertionError("drew a restriction")
+
+    with pytest.raises(UsageError) as err:
+        verify_lipschitz_after_conditioning(identity_forest(3), mu=1.0, delta=0.0, trials=trials, sampler=sampler)
+    assert err.value.reason == "bad_trials"
 
 
 # ---------------------------------------------------------------------------
