@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
-import itertools
 import json
 import os
 import sys
@@ -165,6 +164,8 @@ def _check_override(what: str, parameter: inspect.Parameter, value) -> None:
         raise UsageError("bad_config", f"{what} must not be nan")
     if parameter.name in ("count", "trials", "runs") and value < 1:
         raise UsageError("bad_config", f"{what} must be at least 1, got {value}")
+    if parameter.name in ("trials", "runs") and value > 1 << 20:  # derive_seed numbers at most 2**20 steps
+        raise UsageError("bad_config", f"{what} must be at most 2**20, got {value}")
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -583,7 +584,7 @@ def _cmd_couple(cfg: RunConfig) -> int:
 def _cmd_depth_reduce(cfg: RunConfig) -> int:
     _need(cfg, "forest", "alpha")
     forest = _load_forest(cfg)
-    step = depth_reduction_step(forest, cfg.alpha, cfg.seed)
+    step = depth_reduction_step(forest, cfg.alpha, cfg.seed, budget=cfg.budget_states)
     doc = {
         "alpha": step.alpha,
         "seed": step.seed,
@@ -610,7 +611,7 @@ def _cmd_dichotomy(cfg: RunConfig) -> int:
     else:
         raise UsageError("missing_argument", "dichotomy needs --buckets (or --log2n with --rounds)")
     report = bucketed_dichotomy_experiment(
-        forest, buckets, cfg.threshold, seed=cfg.seed, betas=cfg.betas
+        forest, buckets, cfg.threshold, seed=cfg.seed, betas=cfg.betas, budget=cfg.budget_states
     )
     return _publish(cfg, report)
 
@@ -640,14 +641,14 @@ def _verify_mixture(cfg: RunConfig):
 
 def _verify_chain(cfg: RunConfig):
     _need(cfg, "forest", "buckets")
-    return verify_chain_bound(_load_forest(cfg), _load_buckets(cfg))
+    return verify_chain_bound(_load_forest(cfg), _load_buckets(cfg), budget=cfg.budget_states)
 
 
 def _verify_entropy_deviation(cfg: RunConfig):
     cell = cfg.cell if cfg.cell is not None else (_integer_k(cfg) if cfg.k is not None else None)
     if cell is None:
         raise UsageError("missing_argument", "entropy-deviation needs --cell")
-    return verify_entropy_deviation(_load_forest(cfg), cell)
+    return verify_entropy_deviation(_load_forest(cfg), (cell,), budget=cfg.budget_states)[0]
 
 
 def _verify_second_moment(cfg: RunConfig):
@@ -686,7 +687,7 @@ def _verify_light_mass(cfg: RunConfig):
 
 def _verify_harper(cfg: RunConfig):
     _need(cfg, "set_spec", "k")
-    return verify_harper(_load_outcome_set(cfg), _integer_k(cfg), budget=cfg.budget_states)
+    return verify_harper(_load_outcome_set(cfg), (_integer_k(cfg),), budget=cfg.budget_states)[0]
 
 
 def _verify_ensemble(cfg: RunConfig):
@@ -736,7 +737,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
-    names = None
+    names = tuple(corpus_mod.FAMILIES)
     overrides: dict = {}
     if cfg.corpus_config:
 
@@ -764,8 +765,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     started = time.monotonic()
     fresh = cfg.fresh
     totals: Counter = Counter()
-    sweep = corpus_mod.standard_sweep(names, overrides)
-    for family, items in itertools.groupby(sweep, key=lambda item: item[0]):
+    for family in names:
         if time.monotonic() - started > cfg.time_limit:
             print(
                 f"warning: time_budget: sweep passed {cfg.time_limit:.0f}s before {family}",
@@ -773,7 +773,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
             )
         rows = []
         counts: Counter = Counter()
-        for _, instance_id, report in items:
+        for instance_id, report in corpus_mod.FAMILIES[family](**overrides.get(family, {})):
             counts[report.csv_status] += 1
             rows.append(ledger_row(report, instance_id))
         append_ledger(ledger_path, rows, fresh=fresh)

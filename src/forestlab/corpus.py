@@ -32,11 +32,9 @@ from .forest import (
     Leaf,
     OutputSpace,
     _leaf_mass,
+    query_profile,
 )
 from .harness import (
-    _entropy_deviation_reports,
-    _harper_reports,
-    _max_tail,
     collision_ensemble_report,
     containment_set,
     couple_accepting,
@@ -45,6 +43,8 @@ from .harness import (
     verify_avg_to_tail_lipschitz,
     verify_chain_bound,
     verify_collision_tv,
+    verify_entropy_deviation,
+    verify_harper,
     verify_light_mass,
     verify_lipschitz_after_conditioning,
     verify_mixture_bound,
@@ -195,7 +195,7 @@ def entropy_deviation_family(count: int = 200, seed: int = 19) -> Iterator[tuple
     for i in range(count):
         forest = _random_forest_instance(rng)
         cells = range(forest.input_space.cells)
-        for cell, report in zip(cells, _entropy_deviation_reports(forest, cells)):
+        for cell, report in zip(cells, verify_entropy_deviation(forest, cells)):
             yield f"entropy-deviation-{i:04d}-c{cell}", report
 
 
@@ -222,7 +222,7 @@ def harper_family(count: int = 100, seed: int = 31, radii: tuple = (1, 2, 3, 4, 
         # pick bit r is the symbol at rank r, so each pick is its own cube index
         picks = np.array(rng.sample(range(n), size))
         outcome_set = OutcomeSet._from_indices(picks, s, lam, description=f"draw {i}")
-        for k, report in zip(radii, _harper_reports(outcome_set, radii)):
+        for k, report in zip(radii, verify_harper(outcome_set, radii)):
             yield f"harper-{i:04d}-k{k}", report
 
 
@@ -356,7 +356,7 @@ def restriction_instances(seed: int = 61) -> Iterator[tuple]:
     while produced < 4:
         forest = _random_forest_instance(rng, s_max=6, m_max=6, depth_max=3)
         mu = rng.choice([1.0, 1.5])
-        delta = _max_tail(forest, mu)
+        delta = float(max(query_profile(forest, mu).tail))
         if not 0.005 <= delta <= 0.7:
             continue
         produced += 1
@@ -415,16 +415,3 @@ FAMILIES: dict = {
     "ensemble-collision": ensemble_family,
 }
 
-
-def run_family(name: str, **overrides) -> Iterator[tuple]:
-    return FAMILIES[name](**overrides)
-
-
-def standard_sweep(
-    names: tuple | None = None, overrides: dict | None = None
-) -> Iterator[tuple]:
-    """Yield (family, instance_id, report) across the standard families."""
-    overrides = overrides or {}
-    for name in names if names is not None else FAMILIES:
-        for instance_id, report in run_family(name, **overrides.get(name, {})):
-            yield name, instance_id, report

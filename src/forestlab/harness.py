@@ -1,8 +1,10 @@
 """Verifiers and experiments for the smoothness, entropy, and collision bounds.
 
 Every `verify_*` routine measures one inequality on a concrete instance and
-returns an ExperimentReport; claim preconditions that fail are reported with
-a distinct status rather than raised, so corpus sweeps can count guard hits.
+returns an ExperimentReport (`verify_harper` and `verify_entropy_deviation`
+return one per radius or cell of their batch); claim preconditions that fail
+are reported with a distinct status rather than raised, so corpus sweeps can
+count guard hits.
 Exact modes enumerate, Monte-Carlo modes record their trial count and seed.
 """
 from __future__ import annotations
@@ -74,7 +76,7 @@ def containment_set(dist: Distribution, k: float) -> tuple:
     members = [x for x, p in dist.probs.items() if p >= threshold]
     mass = sum(dist.probs[x] for x in members)
     h = entropy(dist)
-    size_bound = 2.0 ** (2.0 * k)
+    size_bound = 2.0 ** (2.0 * k) if k < 512 else math.inf  # 2.0 ** 1024 overflows
     entropy_applies = h <= k + TOL
     alphabet = 1 + max((max(x) for x in dist.probs if x), default=0)
     container = OutcomeSet(
@@ -132,18 +134,20 @@ def verify_mixture_bound(
     )
 
 
-def _leave_one_block_out(forest: DecisionForest, buckets: BucketStructure) -> list:
+def _leave_one_block_out(forest: DecisionForest, buckets: BucketStructure, budget: int) -> list:
     """The output entropy given every cell outside each block, block by block."""
     cells = range(forest.input_space.cells)
-    return [conditional_entropy_detail(forest, [c for c in cells if c not in b]).value for b in buckets.buckets]
+    return [conditional_entropy_detail(forest, [c for c in cells if c not in b], budget).value for b in buckets.buckets]
 
 
-def verify_chain_bound(forest: DecisionForest, buckets: BucketStructure) -> ExperimentReport:
+def verify_chain_bound(
+    forest: DecisionForest, buckets: BucketStructure, budget: int = DEFAULT_STATE_BUDGET
+) -> ExperimentReport:
     """Output entropy against the sum of leave-one-block-out conditionals."""
     if buckets.cells != forest.input_space.cells:
         raise UsageError("bad_buckets", "partition does not cover the input cells")
-    measured = entropy(output_distribution(forest))
-    terms = _leave_one_block_out(forest, buckets)
+    measured = entropy(output_distribution(forest, budget=budget))
+    terms = _leave_one_block_out(forest, buckets, budget)
     bound = float(sum(terms))
     return ExperimentReport(
         lemma_id="chain-bound",
@@ -154,31 +158,28 @@ def verify_chain_bound(forest: DecisionForest, buckets: BucketStructure) -> Expe
     )
 
 
-def verify_entropy_deviation(forest: DecisionForest, cell: int) -> ExperimentReport:
-    """How far fixing one cell can move the output entropy.
+def verify_entropy_deviation(
+    forest: DecisionForest, cells: Sequence[int], budget: int = DEFAULT_STATE_BUDGET
+) -> list:
+    """How far fixing each of `cells` can move the output entropy, one report per cell, from one law.
 
     The cap combines the blank-mixture bound with the expected number of
     probes the forest sends to the fixed cell.
     """
-    return _entropy_deviation_reports(forest, (cell,))[0]
-
-
-def _entropy_deviation_reports(forest: DecisionForest, cells: Sequence[int]) -> list:
-    """verify_entropy_deviation at each of `cells`, from one unconditional law."""
     for cell in cells:
         if not 0 <= cell < forest.input_space.cells:
             raise UsageError("bad_cells", f"cell {cell} outside the input space")
     lam = forest.input_space.alphabet
     m = forest.output_space.cells
     sigma = forest.output_space.alphabet
-    h = entropy(output_distribution(forest))
+    h = entropy(output_distribution(forest, budget=budget))
     probed = set(forest.mentioned_cells())
     expected = expected_query_counts(forest)
     reports = []
     for cell in cells:
         if cell in probed:
             # one law grouped by the cell's value; group v holds n / lam cube points
-            _, counts, group = _cube_law(forest, DEFAULT_STATE_BUDGET, (cell,))
+            _, counts, group = _cube_law(forest, budget, (cell,))
             probs = (counts / (int(counts.sum()) // lam)).tolist()
             ends = np.bincount(group, minlength=lam).cumsum().tolist()
             per_value = [_entropy_bits(probs[a:b]) for a, b in zip([0] + ends, ends)]
@@ -307,7 +308,10 @@ def enforce_avg_lipschitz(
         raise UsageError("bad_parameter", "eps must sit in (0, 1)")
     s = forest.input_space.cells
     d = forest.depth
-    budget = int(math.floor(2.0 * s * d / mu * math.log2(1.0 / eps)))
+    budget = 2.0 * s * d / mu * math.log2(1.0 / eps)
+    if not math.isfinite(budget):
+        raise UsageError("bad_parameter", f"mu {mu:g} and eps {eps:g} leave no finite step budget")
+    budget = int(math.floor(budget))
     rng = random.Random(seed)
     lam = forest.input_space.alphabet
     current = forest
@@ -333,10 +337,6 @@ def enforce_avg_lipschitz(
         eps=float(eps),
         seed=seed,
     )
-
-
-def _max_tail(forest: DecisionForest, mu: float, budget: int = DEFAULT_STATE_BUDGET) -> float:
-    return float(_cube_tails(forest, *query_counts_on_cube(forest, budget=budget), mu).max())
 
 
 def default_restriction_sampler(forest: DecisionForest, subset_size: int) -> Callable:
@@ -626,18 +626,13 @@ def verify_light_mass(p: Sequence[float], c: float) -> ExperimentReport:
 
 
 def verify_harper(
-    outcome_set: OutcomeSet, k: int, budget: int = DEFAULT_STATE_BUDGET
-) -> ExperimentReport:
-    """Mass within distance k of a set, against the concentration bound.
+    outcome_set: OutcomeSet, radii: Sequence[float], budget: int = DEFAULT_STATE_BUDGET
+) -> list:
+    """Mass within distance k of a set against the concentration bound, for each k of `radii`.
 
     Both sides are computed exactly on the cube; the exponent uses base-2
     logs to match the bits convention used everywhere else.
     """
-    return _harper_reports(outcome_set, (k,), budget)[0]
-
-
-def _harper_reports(outcome_set: OutcomeSet, radii: Sequence[int], budget: int = DEFAULT_STATE_BUDGET) -> list:
-    """verify_harper at each radius, from one distance array."""
     if not len(outcome_set):
         raise UsageError("empty_set", "cannot verify on an empty set")
     if not all(k >= 0 for k in radii):
@@ -652,7 +647,8 @@ def _harper_reports(outcome_set: OutcomeSet, radii: Sequence[int], budget: int =
     return [
         ExperimentReport(
             lemma_id="harper",
-            bound=1.0 - math.exp(-(k * k) / (2.0 * s * math.log2(outcome_set.alphabet))) / p_set,
+            # k as a float: a huge integer radius squares to inf, not to an integer no float holds
+            bound=1.0 - math.exp(-(float(k) * k) / (2.0 * s * math.log2(outcome_set.alphabet))) / p_set,
             measured=within[int(min(k, s))] / n,
             direction="ge",
             details={"set_mass": p_set, "k": k, "arity": s},
@@ -755,7 +751,7 @@ def _expected_blanks(forest: DecisionForest) -> float:
 
 
 def depth_reduction_step(
-    forest: DecisionForest, alpha: float, seed: int
+    forest: DecisionForest, alpha: float, seed: int, budget: int = DEFAULT_STATE_BUDGET
 ) -> DepthReductionReport:
     """Group trees by first probe, select groups, prune deeper re-probes."""
     if forest.depth < 2:
@@ -797,8 +793,8 @@ def depth_reduction_step(
         tree_indices=indices,
         subforest=subforest,
         pruned=pruned,
-        h_selected=entropy(output_distribution(subforest)),
-        h_pruned=entropy(output_distribution(pruned)),
+        h_selected=entropy(output_distribution(subforest, budget=budget)),
+        h_pruned=entropy(output_distribution(pruned, budget=budget)),
         expected_extra_queries=extra,
         expected_blank_outputs=_expected_blanks(pruned) - _expected_blanks(subforest),
     )
@@ -810,6 +806,7 @@ def bucketed_dichotomy_experiment(
     entropy_threshold: float,
     seed: int = 0,
     betas: int = 1,
+    budget: int = DEFAULT_STATE_BUDGET,
 ) -> ExperimentReport:
     """Either contain a low-entropy output law or isolate one probe level.
 
@@ -818,16 +815,20 @@ def bucketed_dichotomy_experiment(
     kept, every other level is fixed to sampled values, and the resulting
     depth-1 forests are summarized by entropy and collision chance.
     """
+    if betas < 0:
+        raise UsageError("bad_parameter", f"betas must be nonnegative, got {betas}")
+    if betas > 1 << 20:  # derive_seed numbers at most 2**20 steps
+        raise UsageError("bad_trials", f"the dichotomy draws at most 2**20 betas, got {betas}")
     if not is_bucketed(forest, buckets):
         raise UsageError("not_bucketed", "forest does not respect the bucket structure")
-    dist = output_distribution(forest)
+    dist = output_distribution(forest, budget=budget)
     h = entropy(dist)
     if h <= entropy_threshold + TOL:
         container, inner = containment_set(dist, entropy_threshold)
         details = {**inner.details, "branch": "containment", "container_size": len(container)}
         return replace(inner, lemma_id="bucketed-dichotomy", seed=seed, details=details)
     lam = forest.input_space.alphabet
-    conditionals = _leave_one_block_out(forest, buckets)
+    conditionals = _leave_one_block_out(forest, buckets, budget)
     best = max(range(len(conditionals)), key=conditionals.__getitem__)
     others = [c for c in range(forest.input_space.cells) if c not in buckets.buckets[best]]
     samples = []
@@ -838,8 +839,8 @@ def bucketed_dichotomy_experiment(
         samples.append(
             {
                 "assignment": [[c, assignment[c]] for c in others],
-                "entropy": entropy(output_distribution(restricted)),
-                "collision_probability": collision_probability(restricted, mode="exact"),
+                "entropy": entropy(output_distribution(restricted, budget=budget)),
+                "collision_probability": collision_probability(restricted, mode="exact", budget=budget),
             }
         )
     return ExperimentReport(

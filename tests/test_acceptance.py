@@ -26,6 +26,7 @@ from forestlab import (
     expected_query_counts,
     hoeffding_halfwidth,
     output_distribution,
+    query_profile,
     restrict,
     sample_forest_outputs,
     thorp_forest,
@@ -35,12 +36,12 @@ from forestlab import (
 )
 from forestlab.analysis import collision_stat
 from forestlab.corpus import (
+    FAMILIES,
     enforcement_instances,
     restriction_instances,
-    run_family,
 )
 from forestlab.report import ledger_row
-from forestlab.harness import _max_tail, verify_lipschitz_after_conditioning
+from forestlab.harness import verify_lipschitz_after_conditioning
 
 CRITERION_6_FAMILIES = (
     "entropy-deviation",
@@ -92,7 +93,7 @@ def test_criterion_02_birthday_oracle_exact_and_sampled():
 
 
 def test_criterion_03_collision_lower_bounds_tv_on_the_corpus():
-    reports = list(run_family("collision-tv"))
+    reports = list(FAMILIES["collision-tv"]())
     assert len(reports) == 100
     for instance_id, report in reports:
         assert report.status == "ok"
@@ -107,7 +108,7 @@ def test_criterion_03_collision_lower_bounds_tv_on_the_corpus():
 def test_criterion_04_containment_family_has_zero_failures():
     failures = 0
     total = 0
-    for instance_id, report in run_family("containment"):
+    for instance_id, report in FAMILIES["containment"]():
         total += 1
         if not report.passed:
             failures += 1
@@ -122,7 +123,7 @@ def test_criterion_04_containment_family_has_zero_failures():
 def test_criterion_05_coupling_family_is_exact_and_within_bound():
     started = time.monotonic()
     total = 0
-    for instance_id, report in run_family("coupling"):
+    for instance_id, report in FAMILIES["coupling"]():
         total += 1
         assert report.details["marginal_tv"] <= 1e-9, instance_id
         k = report.details["depth"]
@@ -143,7 +144,7 @@ def test_criterion_06_lemma_families_run_clean():
         failures = 0
         violations = 0
         total = 0
-        for instance_id, report in run_family(family):
+        for instance_id, report in FAMILIES[family]():
             total += 1
             if report.status != "ok":
                 violations += 1
@@ -203,7 +204,7 @@ def test_criterion_08_exact_failure_probabilities_are_pinned():
             for cells in itertools.combinations(range(s), k)
             for values in itertools.product(range(lam), repeat=k)
         ]
-        failures = sum(_max_tail(restrict(forest, a), mu) > math.sqrt(delta) + 1e-12 for a in draws)
+        failures = sum(max(query_profile(restrict(forest, a), mu).tail) > math.sqrt(delta) + 1e-12 for a in draws)
         assert Fraction(failures, len(draws)) == want, instance_id
         assert want <= math.sqrt(delta), instance_id
         sampled = verify_lipschitz_after_conditioning(forest, mu, delta, trials=1000, seed=61)
@@ -233,7 +234,7 @@ def test_criterion_10_report_rows_reproduce_byte_for_byte():
     def run_once():
         rows = []
         for family in families:
-            for instance_id, report in run_family(family):
+            for instance_id, report in FAMILIES[family]():
                 rows.append(ledger_row(report, instance_id))
         return rows
 

@@ -15,11 +15,13 @@ from forestlab import (
     Internal,
     Leaf,
     OutputSpace,
+    ThorpSpec,
     dumps_forest,
     entropy,
     loads_forest,
     prune_on_query_set,
     sample_forest_outputs,
+    thorp_bucket_structure,
     tv_distance,
     uniform_perm_distribution,
 )
@@ -264,6 +266,39 @@ def test_budget_violations_exit_two(tmp_path, capsys):
     assert "enum_budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify", "chain-bound", "--buckets", "BUCKETS"],
+        ["verify", "entropy-deviation", "--cell", "0"],
+        ["dichotomy", "--threshold", "0", "--log2n", "3", "--rounds", "3"],
+        ["depth-reduce", "--alpha", "1"],
+    ],
+    ids=lambda command: command[1] if command[0] == "verify" else command[0],
+)
+def test_the_state_budget_reaches_every_law_a_command_computes(tmp_path, capsys, command):
+    forest_path = tmp_path / "shuffle.json"
+    main(["gen-thorp", "--log2n", "3", "--rounds", "3", "-o", str(forest_path)])  # 2^12 cube points
+    buckets = tmp_path / "buckets.json"
+    buckets.write_text(json.dumps([list(b) for b in thorp_bucket_structure(ThorpSpec(3, 3)).buckets]))
+    capsys.readouterr()
+    argv = [str(buckets) if a == "BUCKETS" else a for a in command] + ["--forest", str(forest_path)]
+    assert main(argv + ["--budget-states", "16"]) == 2
+    assert capsys.readouterr().err.startswith("error: enum_budget: ")
+    assert main(argv + ["--budget-states", "4096"]) == 0
+
+
+def test_huge_entropy_budgets_and_radii_give_reports(tmp_path, capsys):
+    law = tmp_path / "law.txt"
+    law.write_text("0,1\t0.5\n1,0\t0.5\n")
+    assert main(["verify", "containment", "--k", "600", "--target", str(law)]) == 0
+    assert capsys.readouterr().out == "pass containment measured=1 bound=0.5\n"
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"arity": 2, "alphabet": 2, "members": [[0, 1]]}))
+    assert main(["verify", "harper", "--k", "1e300", "--set", str(points)]) == 0
+    assert capsys.readouterr().out == "pass harper measured=1 bound=1\n"
+
+
 def test_sweep_runs_selected_families_and_summarizes(tmp_path, capsys, isolated_ledger):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"families": ["taylor-bound", "sum-ratio"]}))
@@ -273,6 +308,20 @@ def test_sweep_runs_selected_families_and_summarizes(tmp_path, capsys, isolated_
     assert "taylor-bound: 1 instances, 0 failures, 0 precondition violations" in out
     assert "sum-ratio: 200 instances, 0 failures, 0 precondition violations" in out
     assert out.strip().endswith("sweep: 201 instances, 0 failures, 0 precondition violations")
+    assert len(ledger_lines(isolated_ledger)) == 202
+
+
+def test_a_failing_family_keeps_the_rows_of_the_families_before_it(tmp_path, capsys, isolated_ledger):
+    cfg = tmp_path / "sweep.json"
+    plan = {"families": ["taylor-bound", "sum-ratio", "harper"], "overrides": {"harper": {"count": 1, "radii": [-1]}}}
+    cfg.write_text(json.dumps(plan))
+    assert main(["sweep", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "taylor-bound: 1 instances, 0 failures, 0 precondition violations",
+        "sum-ratio: 200 instances, 0 failures, 0 precondition violations",
+    ]
+    assert err.startswith("error: bad_radius: ")
     assert len(ledger_lines(isolated_ledger)) == 202
 
 
@@ -515,6 +564,12 @@ MALFORMED_FILES = [
     (["sweep"], json.dumps({"families": ["enforce-lipschitz"], "overrides": {"enforce-lipschitz": {"runs": 0}}}), "bad_config"),
     (["sweep"], json.dumps({"families": ["lipschitz-restriction"], "overrides": {"lipschitz-restriction": {"trials": 0}}}), "bad_config"),
     (["verify", "lipschitz-restriction", "--mu", "1", "--delta", "0.5", "--trials", "1048577", "--forest"], json.dumps(GATE_FOREST), "bad_trials"),
+    (["enforce-lipschitz", "--mu", "1e-320", "--eps", "0.5", "--forest"], json.dumps(GATE_FOREST), "bad_parameter"),
+    (["enforce-lipschitz", "--mu", "1", "--eps", "1e-320", "--forest"], json.dumps(GATE_FOREST), "bad_parameter"),
+    (["sweep"], json.dumps({"families": ["lipschitz-restriction"], "overrides": {"lipschitz-restriction": {"trials": 1048577}}}), "bad_config"),
+    (["sweep"], json.dumps({"families": ["enforce-lipschitz"], "overrides": {"enforce-lipschitz": {"runs": 1048577}}}), "bad_config"),
+    (["dichotomy", "--threshold", "0", "--betas", "-3", "--forest", "GATE", "--buckets"], json.dumps([[0]]), "bad_parameter"),
+    (["dichotomy", "--threshold", "0", "--betas", "1048577", "--forest", "GATE", "--buckets"], json.dumps([[0]]), "bad_trials"),
 ]
 
 

@@ -60,10 +60,8 @@ from forestlab.corpus import (
     harper_family,
     restriction_instances,
 )
-from forestlab.forest import _cube_tails, _leaf_mass, query_counts_on_cube
+from forestlab.forest import _cube_tails, _leaf_mass, query_counts_on_cube, query_profile
 from forestlab.harness import (
-    _harper_reports,
-    _max_tail,
     _optimal_symbol_coupling,
     bucketed_dichotomy_experiment,
     default_restriction_sampler,
@@ -224,13 +222,13 @@ def test_chain_bound_rejects_partitions_of_the_wrong_width():
 
 
 def test_entropy_deviation_of_an_unqueried_cell_is_zero():
-    report = verify_entropy_deviation(passthrough_forest(), 1)
+    report = verify_entropy_deviation(passthrough_forest(), (1,))[0]
     assert report.measured == 0.0
     assert report.passed
 
 
 def test_entropy_deviation_of_a_passthrough_cell():
-    report = verify_entropy_deviation(identity_forest(2), 0)
+    report = verify_entropy_deviation(identity_forest(2), (0,))[0]
     assert report.measured == pytest.approx(1.0, abs=1e-12)
     assert report.bound == pytest.approx(math.log2(3) + math.log2(4), abs=1e-12)
     assert report.passed
@@ -257,22 +255,28 @@ def test_entropy_deviation_matches_the_restricted_laws():
     forests = [_random_forest_instance(rng) for _ in range(200)]
     forests += [identity_forest(2), identity_forest(3, lam=3), passthrough_forest(), thorp_forest(ThorpSpec(2, 2))]
     for forest in forests:
-        for cell in range(forest.input_space.cells):
-            got, want = verify_entropy_deviation(forest, cell), _entropy_deviation_by_restriction(forest, cell)
-            assert repr(got) == repr(want), (forest, cell)
+        cells = range(forest.input_space.cells)
+        batch = verify_entropy_deviation(forest, cells)
+        assert [repr(got) for got in batch] == [repr(verify_entropy_deviation(forest, (cell,))[0]) for cell in cells]
+        for cell, got in zip(cells, batch, strict=True):
+            assert repr(got) == repr(_entropy_deviation_by_restriction(forest, cell)), (forest, cell)
             assert all(type(hv) is float for hv in got.details["per_value"])
 
 
 def test_the_entropy_deviation_family_computes_one_unconditional_law_per_forest(monkeypatch):
     laws = []
-    monkeypatch.setattr(harness, "output_distribution", lambda forest: laws.append(forest) or output_distribution(forest))
+    def counted(forest, budget):
+        laws.append(forest)
+        return output_distribution(forest, budget)
+
+    monkeypatch.setattr(harness, "output_distribution", counted)
     rows = list(entropy_deviation_family(count=5))
     monkeypatch.undo()
     rng = random.Random(19)
     forests = [_random_forest_instance(rng) for _ in range(5)]
     assert laws == forests
     want = [
-        (f"entropy-deviation-{i:04d}-c{cell}", verify_entropy_deviation(forest, cell))
+        (f"entropy-deviation-{i:04d}-c{cell}", verify_entropy_deviation(forest, (cell,))[0])
         for i, forest in enumerate(forests)
         for cell in range(forest.input_space.cells)
     ]
@@ -281,7 +285,7 @@ def test_the_entropy_deviation_family_computes_one_unconditional_law_per_forest(
 
 def test_entropy_deviation_rejects_cells_outside_the_space():
     with pytest.raises(UsageError) as err:
-        verify_entropy_deviation(identity_forest(2), 5)
+        verify_entropy_deviation(identity_forest(2), (0, 5))
     assert err.value.reason == "bad_cells"
 
 
@@ -443,7 +447,7 @@ def test_conditioning_accepts_a_custom_restriction_sampler():
     assert report.trials == 50
 
 
-def test_memoized_conditioning_counts_every_draw_like_a_plain_loop():
+def test_sliced_conditioning_counts_every_draw_like_a_restrict_loop():
     for instance_id, forest, mu, delta in restriction_instances():
         report = verify_lipschitz_after_conditioning(forest, mu, delta, trials=300, seed=9)
         sampler = default_restriction_sampler(forest, max(1, forest.input_space.cells // 2))
@@ -485,7 +489,7 @@ def test_sliced_tails_equal_the_tails_of_the_restricted_forest():
         for assignment in draws:
             got = _cube_tails(forest, counts, order, mu, assignment)
             assert np.array_equal(got, restricted_tails(forest, assignment, mu)), assignment
-            assert float(got.max()) == _max_tail(restrict(forest, assignment), mu), assignment
+            assert float(got.max()) == max(query_profile(restrict(forest, assignment), mu).tail), assignment
 
 
 @pytest.mark.parametrize("draw", [{99: 0}, {-1: 0}, {0: 2}])
@@ -743,20 +747,20 @@ def test_light_mass_guards():
 
 def test_harper_on_the_full_cube():
     members = frozenset(itertools.product((0, 1), repeat=3))
-    report = verify_harper(OutcomeSet(members, 3, 2), 2)
+    report = verify_harper(OutcomeSet(members, 3, 2), (2,))[0]
     assert report.measured == 1.0
     assert report.passed
 
 
 def test_harper_with_a_zero_radius_is_a_sign_check():
-    report = verify_harper(OutcomeSet(frozenset({(0, 0, 0)}), 3, 2), 0)
+    report = verify_harper(OutcomeSet(frozenset({(0, 0, 0)}), 3, 2), (0,))[0]
     assert report.measured == pytest.approx(0.125)
     assert report.bound == pytest.approx(-7.0)
     assert report.passed
 
 
 def test_harper_measures_the_neighborhood_mass_exactly():
-    report = verify_harper(OutcomeSet(frozenset({(0, 0, 0, 0)}), 4, 2), 2)
+    report = verify_harper(OutcomeSet(frozenset({(0, 0, 0, 0)}), 4, 2), (2,))[0]
     assert report.measured == pytest.approx(11 / 16)
     assert report.bound == pytest.approx(-8.704490555402135, abs=1e-9)
     assert report.passed
@@ -764,13 +768,13 @@ def test_harper_measures_the_neighborhood_mass_exactly():
 
 def test_harper_guards():
     with pytest.raises(UsageError) as err:
-        verify_harper(OutcomeSet(frozenset(), 3, 2), 1)
+        verify_harper(OutcomeSet(frozenset(), 3, 2), (1,))
     assert err.value.reason == "empty_set"
     with pytest.raises(UsageError) as err:
-        verify_harper(OutcomeSet(frozenset({(0, 0, 0)}), 3, 2), -1)
+        verify_harper(OutcomeSet(frozenset({(0, 0, 0)}), 3, 2), (1, -1))
     assert err.value.reason == "bad_radius"
     with pytest.raises(UsageError) as err:
-        verify_harper(OutcomeSet(frozenset({(0, 0, 0)}), 3, 2), math.nan)
+        verify_harper(OutcomeSet(frozenset({(0, 0, 0)}), 3, 2), (math.nan,))
     assert err.value.reason == "bad_radius"
 
 
@@ -796,10 +800,10 @@ def test_harper_reports_at_many_radii_match_one_radius_at_a_time():
     sets = [OutcomeSet._from_indices(picks, 12, 2) for picks, _ in _harper_family_sets(3)]
     sets += [OutcomeSet(frozenset({(1, 0, 1)}), 3, 2), OutcomeSet(frozenset(itertools.product(range(3), repeat=3)), 3, 3)]
     for outcome_set in sets:
-        reports = _harper_reports(outcome_set, radii)
-        assert [repr(r) for r in reports] == [repr(verify_harper(outcome_set, k)) for k in radii]
+        reports = verify_harper(outcome_set, radii)
+        assert [repr(r) for r in reports] == [repr(verify_harper(outcome_set, (k,))[0]) for k in radii]
         assert [repr(r) for r in reports] == [repr(_harper_by_radius(outcome_set, k)) for k in radii]
-    assert _harper_reports(sets[-1], (5,))[0].measured == 1.0
+    assert verify_harper(sets[-1], (5,))[0].measured == 1.0
 
 
 def test_the_harper_family_builds_no_tuples(monkeypatch):
