@@ -30,6 +30,8 @@ from .forest import (
 SUM_TOLERANCE = 1e-9
 # cube points an exact law fills and sorts at once
 CUBE_SLAB = 1 << 20
+# steps derive_seed numbers per seed
+SEED_STEPS = 1 << 20
 
 
 def derive_seed(seed: int, step: int) -> int:
@@ -38,11 +40,17 @@ def derive_seed(seed: int, step: int) -> int:
     The step fills the low 20 bits, so it must sit in [0, 2**20) and the
     seed must be nonnegative for distinct pairs to give distinct seeds.
     """
-    if seed < 0 or not 0 <= step < 1 << 20:
+    if seed < 0 or not 0 <= step < SEED_STEPS:
         raise UsageError(
             "bad_seed", f"derived seeds need seed >= 0 and step in [0, 2**20), got {seed}, {step}"
         )
     return (seed << 20) ^ step
+
+
+def _check_seed_steps(steps: int, what: str, reason: str = "bad_trials") -> None:
+    """Refuse, before its first step, a loop that would take more steps than derive_seed numbers."""
+    if steps > SEED_STEPS:
+        raise UsageError(reason, f"{what} must be at most 2**20, got {steps}")
 
 
 def hoeffding_halfwidth(trials: int) -> float:
@@ -302,27 +310,6 @@ def conditional_entropy_detail(
     return ConditionalEntropyDetail(float(per_assignment.mean()), tuple(cells), per_assignment)
 
 
-def conditional_entropy(
-    forest: DecisionForest,
-    cells: Iterable[int],
-    mode: str = "exact",
-    trials: int = 100_000,
-    seed: int = 0,
-    budget: int = DEFAULT_STATE_BUDGET,
-) -> float:
-    """H(output | named cells) in bits.
-
-    Monte-Carlo mode fixes the cells' input columns to drawn assignments and
-    applies the plug-in entropy estimate to each batch of uniform inputs,
-    which biases the value low; the detail record flags this.
-    """
-    if mode == "exact":
-        return conditional_entropy_detail(forest, cells, budget).value
-    if mode != "monte_carlo":
-        raise UsageError("bad_mode", f"unknown mode {mode!r}")
-    return monte_carlo_conditional_entropy(forest, cells, trials, seed).value
-
-
 def monte_carlo_conditional_entropy(
     forest: DecisionForest,
     cells: Iterable[int],
@@ -330,8 +317,10 @@ def monte_carlo_conditional_entropy(
     seed: int = 0,
     assignments: int = 64,
 ) -> ConditionalEntropyDetail:
+    """H(output | named cells) in bits: the mean plug-in entropy, biased low, of batches with the cells fixed."""
     if assignments < 1:
         raise UsageError("bad_parameter", f"assignments must be positive, got {assignments}")
+    _check_seed_steps(assignments, "assignments", "bad_parameter")
     if trials < 2 * assignments:  # one sample per assignment has plug-in entropy 0 whatever the law
         raise UsageError("bad_trials", f"{assignments} assignments need {2 * assignments} trials, got {trials}")
     cells = _checked_cells(forest, cells)
@@ -384,28 +373,14 @@ def _rows_have_collision(rows: np.ndarray, bot: int | None, count_bot: bool) -> 
     return hit
 
 
-def _collision_share(
-    forest: DecisionForest, mode: str, trials: int, seed: int, budget: int, count_bot: bool
-) -> float:
-    """Share of the outputs with a collision: over the exact law, or over seeded uniform draws."""
-    if mode == "exact":
-        rows, counts, _ = _cube_law(forest, budget)
-    elif mode == "monte_carlo":
-        rows = sample_forest_outputs(forest, trials, seed)
-        counts = np.ones(rows.shape[0], dtype=np.int64)
-    else:
-        raise UsageError("bad_mode", f"unknown mode {mode!r}")
+def _collision_share(forest: DecisionForest, budget: int, count_bot: bool) -> float:
+    """Exact share of the outputs with a collision."""
+    rows, counts, _ = _cube_law(forest, budget)
     hit = _rows_have_collision(rows, forest.output_space.bot, count_bot)
     return float(counts[hit].sum() / counts.sum())
 
 
-def tv_lower_bound_via_collision(
-    forest: DecisionForest,
-    mode: str = "exact",
-    trials: int = 100_000,
-    seed: int = 0,
-    budget: int = DEFAULT_STATE_BUDGET,
-) -> float:
+def tv_lower_bound_via_collision(forest: DecisionForest, budget: int = DEFAULT_STATE_BUDGET) -> float:
     """Pr[some non-blank symbol repeats, or any blank appears].
 
     A uniform deck, one card per output cell, never triggers the event, so
@@ -414,7 +389,7 @@ def tv_lower_bound_via_collision(
     """
     if forest.output_space.alphabet > forest.output_space.cells:
         raise UsageError("mismatched_spaces", "output alphabet exceeds the deck size")
-    return _collision_share(forest, mode, trials, seed, budget, count_bot=True)
+    return _collision_share(forest, budget, count_bot=True)
 
 
 # ---------------------------------------------------------------------------
@@ -521,17 +496,19 @@ def collision_probability(
     seed: int = 0,
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> float:
-    """Pr[some non-blank symbol repeats] for a forest or an ensemble."""
-    if isinstance(source, IndependentEnsemble):
-        if mode == "exact":
-            return ensemble_collision_probability(source)
-        if mode == "monte_carlo":
-            rows = sample_ensemble(source, trials, seed)
-            return float(_rows_have_collision(rows, source.n, count_bot=False).mean())
-        raise UsageError("bad_mode", f"unknown mode {mode!r}")
-    if not isinstance(source, DecisionForest):
+    """Pr[some non-blank symbol repeats] for a forest or an ensemble: exact, or over seeded draws."""
+    ensemble = isinstance(source, IndependentEnsemble)
+    if not ensemble and not isinstance(source, DecisionForest):
         raise UsageError("bad_source", f"cannot compute collisions for {type(source).__name__}")
-    return _collision_share(source, mode, trials, seed, budget, count_bot=False)
+    if mode == "exact":
+        return ensemble_collision_probability(source) if ensemble else _collision_share(source, budget, count_bot=False)
+    if mode != "monte_carlo":
+        raise UsageError("bad_mode", f"unknown mode {mode!r}")
+    if ensemble:
+        rows, bot = sample_ensemble(source, trials, seed), source.n
+    else:
+        rows, bot = sample_forest_outputs(source, trials, seed), source.output_space.bot
+    return float(_rows_have_collision(rows, bot, count_bot=False).mean())
 
 
 # ---------------------------------------------------------------------------

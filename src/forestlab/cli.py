@@ -14,7 +14,6 @@ import inspect
 import json
 import os
 import sys
-import time
 from collections import Counter
 from dataclasses import dataclass
 
@@ -26,8 +25,10 @@ from .analysis import (
     IndependentEnsemble,
     Measurement,
     OutcomeSet,
+    SEED_STEPS,
+    _check_seed_steps,
     collision_probability,
-    conditional_entropy,
+    conditional_entropy_detail,
     derive_seed,
     entropy,
     hoeffding_halfwidth,
@@ -124,7 +125,6 @@ class RunConfig:
     budget_states: int = DEFAULT_STATE_BUDGET
     budget_set: int = DEFAULT_SET_BUDGET
     calib_coupling_c: float = 2.0
-    time_limit: float = 600.0
 
 
 _CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -164,7 +164,7 @@ def _check_override(what: str, parameter: inspect.Parameter, value) -> None:
         raise UsageError("bad_config", f"{what} must not be nan")
     if parameter.name in ("count", "trials", "runs") and value < 1:
         raise UsageError("bad_config", f"{what} must be at least 1, got {value}")
-    if parameter.name in ("trials", "runs") and value > 1 << 20:  # derive_seed numbers at most 2**20 steps
+    if parameter.name in ("trials", "runs") and value > SEED_STEPS:
         raise UsageError("bad_config", f"{what} must be at most 2**20, got {value}")
 
 
@@ -258,8 +258,8 @@ def _json_object(doc) -> dict:
 
 
 def _integer_k(cfg: RunConfig) -> int:
-    """--k where it names a cell or a radius: an integer, never truncated."""
-    if not float(cfg.k).is_integer():
+    """--k where it names a cell or a radius: an integer, never truncated; a --config integer is taken as it is."""
+    if isinstance(cfg.k, float) and not cfg.k.is_integer():
         raise UsageError("bad_parameter", f"--k must be an integer here, got {cfg.k!r}")
     return int(cfg.k)
 
@@ -395,6 +395,7 @@ def _cmd_gen_random(cfg: RunConfig) -> int:
     count = 1 if cfg.count is None else cfg.count
     if count < 1:
         raise UsageError("bad_parameter", f"--count must be at least 1, got {count}")
+    _check_seed_steps(count, "--count", "bad_parameter")
     base, _ = os.path.splitext(cfg.out)
     lines = []
     for i in range(count):
@@ -462,7 +463,7 @@ def _analyze_cond_entropy(cfg: RunConfig) -> tuple:
     forest = _load_forest(cfg)
     cells = [int(v) for v in _parse_symbols(cfg.cells)]
     if cfg.mode == "exact":
-        return conditional_entropy(forest, cells, budget=cfg.budget_states), None
+        return conditional_entropy_detail(forest, cells, cfg.budget_states).value, None
     detail = monte_carlo_conditional_entropy(forest, cells, cfg.trials, cfg.seed)
     return detail.value, detail.trials
 
@@ -491,7 +492,7 @@ def _analyze_lipschitz(cfg: RunConfig) -> tuple:
         budget=cfg.budget_states,
     )
     if cfg.delta is not None:
-        report = check_lipschitz(profile, cfg.mu, cfg.delta)
+        report = check_lipschitz(profile, cfg.delta)
         print(
             f"average_ok={report.average_ok} tail_ok={report.tail_ok}"
             f" worst_cell={report.worst_cell}"
@@ -762,15 +763,9 @@ def _cmd_sweep(cfg: RunConfig) -> int:
             if name not in corpus_mod.FAMILIES:
                 raise UsageError("unknown_family", f"no corpus family named {name!r}")
     ledger_path = _ledger_path(cfg)
-    started = time.monotonic()
     fresh = cfg.fresh
     totals: Counter = Counter()
     for family in names:
-        if time.monotonic() - started > cfg.time_limit:
-            print(
-                f"warning: time_budget: sweep passed {cfg.time_limit:.0f}s before {family}",
-                file=sys.stderr,
-            )
         rows = []
         counts: Counter = Counter()
         for instance_id, report in corpus_mod.FAMILIES[family](**overrides.get(family, {})):

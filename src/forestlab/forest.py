@@ -463,7 +463,10 @@ def query_counts_on_cube(
     lam = forest.input_space.alphabet
     n = _check_enum_budget(lam, len(cells_order), budget)
     if n * max(1, len(cells_order)) > (1 << 28):
-        raise BudgetError("enum_budget", "probe-count table would exceed the state budget")
+        raise BudgetError(
+            "enum_budget",
+            f"probe-count table of {n} points x {len(cells_order)} cells passes its fixed cap of 2**28 entries",
+        )
     rank_of = {c: r for r, c in enumerate(cells_order)}
     counts = np.zeros((n, len(cells_order)), dtype=np.uint16)
     view = counts.reshape((lam,) * len(cells_order) + (len(cells_order),))
@@ -611,13 +614,11 @@ def query_profile(
     )
 
 
-def check_lipschitz(profile: QueryProfile, mu: float, delta: float) -> LipschitzReport:
-    """Evaluate both smoothness readings of a profile at (mu, delta)."""
-    if profile.mu != mu:
-        raise UsageError("profile_mismatch", "profile was computed for a different mu")
+def check_lipschitz(profile: QueryProfile, delta: float) -> LipschitzReport:
+    """Evaluate both smoothness readings of a profile at (profile.mu, delta)."""
     expected = np.asarray(profile.expected)
     tail = np.asarray(profile.tail)
-    average_ok = bool(expected.max(initial=0.0) <= mu + 1e-12)
+    average_ok = bool(expected.max(initial=0.0) <= profile.mu + 1e-12)
     tail_ok = bool(tail.max(initial=0.0) <= delta + 1e-12)
     if not average_ok:
         worst = int(np.argmax(expected))
@@ -625,7 +626,7 @@ def check_lipschitz(profile: QueryProfile, mu: float, delta: float) -> Lipschitz
         worst = int(np.argmax(tail))
     else:
         worst = int(np.argmax(expected)) if expected.size else 0
-    return LipschitzReport(average_ok, tail_ok, worst, float(mu), float(delta))
+    return LipschitzReport(average_ok, tail_ok, worst, profile.mu, float(delta))
 
 
 def locality(forest: DecisionForest) -> LocalityReport:

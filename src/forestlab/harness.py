@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .analysis import (
     Distribution,
     IndependentEnsemble,
     OutcomeSet,
+    _check_seed_steps,
     _cube_law,
     _entropy_bits,
     collision_probability,
@@ -339,39 +341,26 @@ def enforce_avg_lipschitz(
     )
 
 
-def default_restriction_sampler(forest: DecisionForest, subset_size: int) -> Callable:
-    """Uniform values on a per-trial random subset of the cells."""
-    s = forest.input_space.cells
-    lam = forest.input_space.alphabet
-
-    def draw(rng: random.Random) -> dict:
-        cells = rng.sample(range(s), subset_size)
-        return {c: rng.randrange(lam) for c in sorted(cells)}
-
-    return draw
-
-
 def verify_lipschitz_after_conditioning(
     forest: DecisionForest,
     mu: float,
     delta: float,
     trials: int = 10_000,
     seed: int = 0,
-    sampler: Callable | None = None,
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> ExperimentReport:
     """Tail smoothness should survive conditioning, up to a square root.
 
     The forest must be (mu, delta)-tail-smooth exactly.  Random restrictions
-    are then drawn and each restricted forest is tested exactly against the
-    (mu, sqrt(delta)) tail; the failure fraction is compared with
+    are then drawn, each fixing a uniform half of the cells (at least one)
+    to uniform values, and each restricted forest is tested exactly against
+    the (mu, sqrt(delta)) tail; the failure fraction is compared with
     sqrt(delta) plus one Monte-Carlo half-width.
     """
     if not 0.0 <= delta <= 1.0:
         raise UsageError("bad_parameter", "delta must sit in [0, 1]")
     halfwidth = hoeffding_halfwidth(trials)
-    if trials > 1 << 20:  # derive_seed numbers at most 2**20 steps
-        raise UsageError("bad_trials", f"conditioning draws at most 2**20 trials, got {trials}")
+    _check_seed_steps(trials, "conditioning trials")
     counts, order = query_counts_on_cube(forest, budget=budget)
     base_tail = float(_cube_tails(forest, counts, order, mu).max())
     if base_tail > delta + 1e-12:
@@ -380,11 +369,12 @@ def verify_lipschitz_after_conditioning(
             f"forest tail {base_tail:.6g} exceeds delta {delta:.6g} before conditioning",
         )
     sqrt_delta = math.sqrt(delta)
-    if sampler is None:
-        sampler = default_restriction_sampler(forest, max(1, forest.input_space.cells // 2))
+    s = forest.input_space.cells
+    lam = forest.input_space.alphabet
     failures = 0
     for t in range(trials):
-        assignment = sampler(random.Random(derive_seed(seed, t)))
+        rng = random.Random(derive_seed(seed, t))
+        assignment = {c: rng.randrange(lam) for c in sorted(rng.sample(range(s), max(1, s // 2)))}
         failures += float(_cube_tails(forest, counts, order, mu, assignment).max()) > sqrt_delta + 1e-12
     measured = failures / trials
     bound = sqrt_delta + halfwidth
@@ -560,8 +550,7 @@ def couple_accepting(
 
 def sample_coupling_distance(forest: DecisionForest, trials: int, seed: int) -> tuple:
     """Mean changed-coordinate count over seeded coupling samples; the coupling tables are built once."""
-    if trials > 1 << 20:  # derive_seed numbers at most 2**20 steps
-        raise UsageError("bad_trials", f"coupling sampling draws at most 2**20 trials, got {trials}")
+    _check_seed_steps(trials, "coupling trials")
     _, tables = _coupling_tables(forest)
     dists = [_coupled_sample(forest, tables, derive_seed(seed, t)).dist for t in range(trials)]
     return float(np.mean(dists)), dists
@@ -644,16 +633,17 @@ def verify_harper(
     n = dist.size
     within = np.bincount(dist, minlength=s + 1).cumsum().tolist()
     p_set = len(outcome_set) / n
+    # each k as a float, capped at the largest: a radius past the float range squares to inf, so its bound is 1
+    floats = [float(min(k, sys.float_info.max)) for k in radii]
     return [
         ExperimentReport(
             lemma_id="harper",
-            # k as a float: a huge integer radius squares to inf, not to an integer no float holds
-            bound=1.0 - math.exp(-(float(k) * k) / (2.0 * s * math.log2(outcome_set.alphabet))) / p_set,
+            bound=1.0 - math.exp(-(r * r) / (2.0 * s * math.log2(outcome_set.alphabet))) / p_set,
             measured=within[int(min(k, s))] / n,
             direction="ge",
             details={"set_mass": p_set, "k": k, "arity": s},
         )
-        for k in radii
+        for k, r in zip(radii, floats)
     ]
 
 
@@ -817,8 +807,7 @@ def bucketed_dichotomy_experiment(
     """
     if betas < 0:
         raise UsageError("bad_parameter", f"betas must be nonnegative, got {betas}")
-    if betas > 1 << 20:  # derive_seed numbers at most 2**20 steps
-        raise UsageError("bad_trials", f"the dichotomy draws at most 2**20 betas, got {betas}")
+    _check_seed_steps(betas, "dichotomy betas")
     if not is_bucketed(forest, buckets):
         raise UsageError("not_bucketed", "forest does not respect the bucket structure")
     dist = output_distribution(forest, budget=budget)

@@ -25,7 +25,7 @@ from forestlab import (
     UsageError,
     collision_probability,
     collision_stat,
-    conditional_entropy,
+    conditional_entropy_detail,
     cube_distances_to_set,
     derive_seed,
     dump_distribution,
@@ -46,6 +46,7 @@ from forestlab import (
     uniform_ensemble,
     uniform_perm_distribution,
 )
+from forestlab import analysis
 from forestlab.cli import _dump_outcome_set
 from forestlab.samplers import thorp_network_permutation
 
@@ -125,19 +126,21 @@ def test_single_round_shuffle_distance_to_uniform():
 
 def test_conditional_entropy_on_the_parity_forest():
     f = xor_forest()
-    assert conditional_entropy(f, ()) == pytest.approx(1.0, abs=1e-12)
-    assert conditional_entropy(f, (0,)) == pytest.approx(1.0, abs=1e-12)
-    assert conditional_entropy(f, (0, 1)) == 0.0
+    assert conditional_entropy_detail(f, ()).value == pytest.approx(1.0, abs=1e-12)
+    assert conditional_entropy_detail(f, (0,)).value == pytest.approx(1.0, abs=1e-12)
+    assert conditional_entropy_detail(f, (0, 1)).value == 0.0
 
 
 def test_conditional_entropy_on_a_passthrough_forest():
     f = identity_forest(3)
-    assert conditional_entropy(f, (1,)) == pytest.approx(2.0, abs=1e-12)
-    for mode in ("exact", "monte_carlo"):
-        for cells in ((9,), (-1,)):
-            with pytest.raises(UsageError) as err:
-                conditional_entropy(f, cells, mode=mode, trials=200)
-            assert err.value.reason == "bad_cells"
+    assert conditional_entropy_detail(f, (1,)).value == pytest.approx(2.0, abs=1e-12)
+    for cells in ((9,), (-1,)):
+        with pytest.raises(UsageError) as err:
+            conditional_entropy_detail(f, cells)
+        assert err.value.reason == "bad_cells"
+        with pytest.raises(UsageError) as err:
+            monte_carlo_conditional_entropy(f, cells, trials=200)
+        assert err.value.reason == "bad_cells"
 
 
 @given(st.integers(0, 120))
@@ -147,8 +150,8 @@ def test_conditioning_never_raises_entropy(seed):
     )
     f = random_forest(spec)
     h = entropy(output_distribution(f))
-    assert conditional_entropy(f, (0,)) <= h + 1e-9
-    assert conditional_entropy(f, (0, 2)) <= conditional_entropy(f, (0,)) + 1e-9
+    assert conditional_entropy_detail(f, (0,)).value <= h + 1e-9
+    assert conditional_entropy_detail(f, (0, 2)).value <= conditional_entropy_detail(f, (0,)).value + 1e-9
 
 
 def test_monte_carlo_conditional_entropy_is_flagged_and_close():
@@ -175,6 +178,17 @@ def test_monte_carlo_conditional_entropy_needs_two_samples_per_assignment():
 def test_monte_carlo_conditional_entropy_needs_an_assignment(assignments):
     with pytest.raises(UsageError) as err:
         monte_carlo_conditional_entropy(xor_forest(), (0,), trials=100, assignments=assignments)
+    assert err.value.reason == "bad_parameter"
+
+
+def test_monte_carlo_conditional_entropy_refuses_more_assignments_than_seed_steps_before_any_batch(monkeypatch):
+    def inputs(*args):
+        raise AssertionError("drew a batch")
+
+    monkeypatch.setattr(analysis, "_uniform_inputs", inputs)
+    assignments = (1 << 20) + 1
+    with pytest.raises(UsageError) as err:
+        monte_carlo_conditional_entropy(xor_forest(), (0,), trials=2 * assignments, assignments=assignments)
     assert err.value.reason == "bad_parameter"
 
 
@@ -452,7 +466,4 @@ def test_uniform_ensemble_layout():
 def test_mode_guards_reject_unknown_modes():
     with pytest.raises(UsageError) as err:
         collision_probability(uniform_ensemble(2, 2), mode="psychic")
-    assert err.value.reason == "bad_mode"
-    with pytest.raises(UsageError) as err:
-        conditional_entropy(xor_forest(), (0,), mode="psychic")
     assert err.value.reason == "bad_mode"

@@ -22,10 +22,11 @@ from forestlab import (
     prune_on_query_set,
     sample_forest_outputs,
     thorp_bucket_structure,
+    thorp_forest,
     tv_distance,
     uniform_perm_distribution,
 )
-from forestlab import corpus
+from forestlab import cli, corpus
 from forestlab.analysis import hoeffding_halfwidth
 from forestlab.cli import _ANALYZERS, _COMMANDS, _MODES, _VERIFIERS, RunConfig, _build_config, build_parser, main
 from forestlab.forest import UsageError
@@ -299,6 +300,52 @@ def test_huge_entropy_budgets_and_radii_give_reports(tmp_path, capsys):
     assert capsys.readouterr().out == "pass harper measured=1 bound=1\n"
 
 
+# a config whose k is a JSON integer no float holds
+HUGE_K = '{"k": 1' + "0" * 400 + "}"
+
+
+def test_a_config_radius_past_the_float_range_covers_the_whole_cube(tmp_path, capsys):
+    huge = tmp_path / "k.json"
+    huge.write_text(HUGE_K)
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"arity": 3, "alphabet": 2, "members": [[0, 1, 0], [1, 1, 1]]}))
+    assert main(["verify", "harper", "--set", str(points), "--config", str(huge)]) == 0
+    assert capsys.readouterr().out == "pass harper measured=1 bound=1\n"
+    members = []
+    for name, k in (("huge", ["--config", str(huge)]), ("arity", ["--k", "3"]), ("past", ["--k", "7"])):
+        out = tmp_path / f"{name}.json"
+        assert main(["analyze", "neighborhood", "--set", str(points), *k, "-o", str(out)]) == 0
+        members.append(json.loads(out.read_text())["members"])
+    assert members[0] == members[1] == members[2]
+    assert len(members[0]) == 8
+    huge.write_text(json.dumps({"k": -(10**400)}))
+    assert main(["verify", "harper", "--set", str(points), "--config", str(huge)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad_radius: ")
+
+
+def test_gen_random_refuses_more_forests_than_seed_steps_before_writing_any(tmp_path, capsys, monkeypatch):
+    def generate(spec):
+        raise AssertionError("generated a forest")
+
+    monkeypatch.setattr(cli, "random_forest", generate)
+    out = tmp_path / "batch.jsonl"
+    argv = ["gen-random", "--s", "4", "--lambda", "2", "--m", "2", "--sigma", "2", "--depth", "2", "--count", "1048577"]
+    assert main(argv + ["-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad_parameter: ")
+    assert not list(tmp_path.glob("batch*"))
+
+
+def test_the_probe_count_cap_names_itself_not_the_state_budget(tmp_path, capsys):
+    shuffle = tmp_path / "shuffle.json"
+    shuffle.write_text(dumps_forest(thorp_forest(ThorpSpec(3, 6))))  # 24 coins: 2**24 points x 24 cells
+    argv = ["analyze", "lipschitz", "--forest", str(shuffle), "--mu", "2", "--budget-states", str(1 << 30)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: enum_budget: ")
+    assert "cap of 2**28 entries" in err
+    assert "state budget" not in err
+
+
 def test_sweep_runs_selected_families_and_summarizes(tmp_path, capsys, isolated_ledger):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"families": ["taylor-bound", "sum-ratio"]}))
@@ -570,6 +617,7 @@ MALFORMED_FILES = [
     (["sweep"], json.dumps({"families": ["enforce-lipschitz"], "overrides": {"enforce-lipschitz": {"runs": 1048577}}}), "bad_config"),
     (["dichotomy", "--threshold", "0", "--betas", "-3", "--forest", "GATE", "--buckets"], json.dumps([[0]]), "bad_parameter"),
     (["dichotomy", "--threshold", "0", "--betas", "1048577", "--forest", "GATE", "--buckets"], json.dumps([[0]]), "bad_trials"),
+    pytest.param(["verify", "entropy-deviation", "--forest", "GATE", "--config"], HUGE_K, "bad_cells", id="huge-k-cell"),
 ]
 
 

@@ -326,7 +326,7 @@ def test_identity_forest_profile_is_flat():
     profile = query_profile(f, mu=1.0)
     assert profile.expected == (1.0, 1.0, 1.0, 1.0)
     assert profile.tail == (0.0, 0.0, 0.0, 0.0)
-    report = check_lipschitz(profile, mu=1.0, delta=0.0)
+    report = check_lipschitz(profile, delta=0.0)
     assert report.average_ok and report.tail_ok
 
 
@@ -359,7 +359,7 @@ def test_lipschitz_check_flags_the_worst_cell():
             DecisionTree(Internal(0, (Leaf(0), Leaf(1)))),
         ),
     )
-    report = check_lipschitz(query_profile(f, mu=1.0), mu=1.0, delta=0.0)
+    report = check_lipschitz(query_profile(f, mu=1.0), delta=0.0)
     assert not report.average_ok
     assert report.worst_cell == 1
 

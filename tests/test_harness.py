@@ -64,7 +64,6 @@ from forestlab.forest import _cube_tails, _leaf_mass, query_counts_on_cube, quer
 from forestlab.harness import (
     _optimal_symbol_coupling,
     bucketed_dichotomy_experiment,
-    default_restriction_sampler,
     depth_reduction_step,
 )
 
@@ -434,26 +433,16 @@ def test_conditioning_precondition_is_checked_exactly():
     assert err.value.reason == "precondition"
 
 
-def test_conditioning_accepts_a_custom_restriction_sampler():
-    report = verify_lipschitz_after_conditioning(
-        identity_forest(3),
-        mu=1.0,
-        delta=0.0,
-        trials=50,
-        seed=1,
-        sampler=lambda rng: {},
-    )
-    assert report.measured == 0.0
-    assert report.trials == 50
-
-
 def test_sliced_conditioning_counts_every_draw_like_a_restrict_loop():
     for instance_id, forest, mu, delta in restriction_instances():
         report = verify_lipschitz_after_conditioning(forest, mu, delta, trials=300, seed=9)
-        sampler = default_restriction_sampler(forest, max(1, forest.input_space.cells // 2))
+        s, lam = forest.input_space.cells, forest.input_space.alphabet
         failures = 0
         for t in range(300):
-            counts, _ = query_counts_on_cube(restrict(forest, sampler(random.Random(derive_seed(9, t)))))
+            rng = random.Random(derive_seed(9, t))
+            cells = rng.sample(range(s), max(1, s // 2))  # a uniform half of the cells, then a uniform value each
+            assignment = {c: rng.randrange(lam) for c in sorted(cells)}
+            counts, _ = query_counts_on_cube(restrict(forest, assignment))
             tail = float((counts > mu).mean(axis=0).max()) if counts.size else 0.0
             failures += tail > math.sqrt(delta) + 1e-12
         assert report.details["failures"] == failures, instance_id
@@ -492,22 +481,14 @@ def test_sliced_tails_equal_the_tails_of_the_restricted_forest():
             assert float(got.max()) == max(query_profile(restrict(forest, assignment), mu).tail), assignment
 
 
-@pytest.mark.parametrize("draw", [{99: 0}, {-1: 0}, {0: 2}])
-def test_conditioning_rejects_a_sampled_cell_or_value_outside_the_space(draw):
-    with pytest.raises(UsageError) as err:
-        verify_lipschitz_after_conditioning(
-            identity_forest(3), mu=1.0, delta=0.0, trials=5, seed=0, sampler=lambda rng: draw
-        )
-    assert err.value.reason == "bad_assignment"
-
-
 @pytest.mark.parametrize("trials", [0, -3, (1 << 20) + 1])
-def test_conditioning_rejects_a_trial_count_before_any_draw(trials):
-    def sampler(rng):
-        raise AssertionError("drew a restriction")
+def test_conditioning_rejects_a_trial_count_before_any_draw(monkeypatch, trials):
+    def counts(*args, **kwargs):
+        raise AssertionError("built the probe-count table")
 
+    monkeypatch.setattr(harness, "query_counts_on_cube", counts)
     with pytest.raises(UsageError) as err:
-        verify_lipschitz_after_conditioning(identity_forest(3), mu=1.0, delta=0.0, trials=trials, sampler=sampler)
+        verify_lipschitz_after_conditioning(identity_forest(3), mu=1.0, delta=0.0, trials=trials)
     assert err.value.reason == "bad_trials"
 
 
