@@ -17,7 +17,6 @@ from .analysis import (
     conditional_entropy_detail,
     cube_distances_to_set,
     derive_seed,
-    dump_distribution,
     ensemble_collision_probability,
     entropy,
     hamming_dist_to_set,
@@ -43,7 +42,6 @@ from .forest import (
     Internal,
     Leaf,
     LipschitzReport,
-    LocalityReport,
     OutputSpace,
     QueryProfile,
     Transcript,
@@ -56,8 +54,6 @@ from .forest import (
     forest_from_json,
     forest_to_json,
     is_bucketed,
-    loads_forest,
-    locality,
     prune_on_query_set,
     query_profile,
     restrict,
@@ -97,7 +93,6 @@ from .samplers import (
     ForestGenSpec,
     ThorpSpec,
     coin_cell,
-    fisher_yates,
     random_forest,
     thorp_bucket_structure,
     thorp_forest,

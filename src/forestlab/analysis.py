@@ -75,31 +75,48 @@ class Measurement:
         return asdict(self)
 
 
-@dataclass
 class Distribution:
-    """Finite law over outcome tuples, stored as a support table.
+    """Finite law over outcome tuples: distinct `rows` with `weights` over a `total`.
 
-    The table maps outcome tuples to probabilities, sums to one within
-    1e-9, and optionally knows which integer encodes the blank symbol.
+    Row i has probability weights[i] / total.  A law built from a dict of
+    outcome tuples to probabilities is checked (each outcome has the arity and
+    int64 symbols, no probability is negative or NaN, and they sum to one
+    within 1e-9) and keeps the probabilities as weights over a total of 1.0.
+    Exact and sampled laws come from `_from_counts` with their integer counts.
+    `bot`, if set, is the integer that encodes the blank symbol.
     """
 
-    probs: dict
-    arity: int
-    bot: int | None = None
-
-    def __post_init__(self):
+    def __init__(self, probs: dict, arity: int, bot: int | None = None):
         total = 0.0
-        for outcome, p in self.probs.items():
-            if len(outcome) != self.arity:
+        for outcome, p in probs.items():
+            if len(outcome) != arity:
                 raise UsageError("bad_outcome", f"outcome {outcome} has arity {len(outcome)}")
             if not p >= -SUM_TOLERANCE:  # written so that NaN fails too
                 raise UsageError("bad_probability", f"probability {p} is negative or not a number")
             total += p
         if not abs(total - 1.0) <= SUM_TOLERANCE:
             raise UsageError("bad_probability", f"probabilities sum to {total}")
+        try:
+            rows = np.array(list(probs), dtype=np.int64).reshape(len(probs), arity)
+        except (OverflowError, TypeError, ValueError):
+            rows = None
+        if rows is None or list(map(tuple, rows.tolist())) != list(probs):  # a float symbol casts silently
+            raise UsageError("bad_outcome", "outcome symbols must be integers in [-2**63, 2**63)")
+        self.rows, self.weights, self.total = rows, np.array(list(probs.values()), dtype=np.float64), 1.0
+        self.arity, self.bot = arity, bot
 
-    def support(self) -> list:
-        return sorted(self.probs)
+    @classmethod
+    def _from_counts(cls, rows: np.ndarray, counts: np.ndarray, bot: int | None) -> "Distribution":
+        """The law of distinct `rows` seen `counts` times each; trusted, never checked."""
+        dist = object.__new__(cls)
+        dist.rows, dist.weights, dist.total = rows, counts, int(counts.sum())
+        dist.arity, dist.bot = rows.shape[1], bot
+        return dist
+
+    @property
+    def probs(self) -> dict:
+        """The law as a dict from outcome tuples to probabilities, rebuilt on every read."""
+        return dict(zip(map(tuple, self.rows.tolist()), (self.weights / self.total).tolist()))
 
 
 @dataclass(frozen=True)
@@ -235,8 +252,7 @@ def output_distribution(
 ) -> Distribution:
     """Exact law of the output tuple under a uniform input."""
     rows, counts, _ = _cube_law(forest, budget)
-    probs = dict(zip(map(tuple, rows.tolist()), (counts / counts.sum()).tolist()))
-    return Distribution(probs, arity=forest.output_space.cells, bot=forest.output_space.bot)
+    return Distribution._from_counts(rows, counts, forest.output_space.bot)
 
 
 def sample_forest_outputs(forest: DecisionForest, trials: int, seed: int) -> np.ndarray:
@@ -260,10 +276,11 @@ def eval_forest_on_inputs(forest: DecisionForest, inputs: np.ndarray) -> np.ndar
 
 def entropy(dist: Distribution) -> float:
     """Shannon entropy in bits."""
-    return _entropy_bits(dist.probs.values())
+    return _entropy_bits((dist.weights / dist.total).tolist())
 
 
 def _entropy_bits(probs: Iterable[float]) -> float:
+    # math.log2 summed left to right: numpy's log2 differs in the last bit on some inputs
     acc = 0.0
     for p in probs:
         if p > 0.0:
@@ -325,11 +342,12 @@ def monte_carlo_conditional_entropy(
         raise UsageError("bad_trials", f"{assignments} assignments need {2 * assignments} trials, got {trials}")
     cells = _checked_cells(forest, cells)
     lam = forest.input_space.alphabet
+    seeds = [derive_seed(seed, b) for b in range(assignments)]  # refuses a negative seed before Philox does
     rng = np.random.Generator(np.random.Philox(seed))
     inner = trials // assignments
     per = np.zeros(assignments)
-    for b in range(assignments):
-        inputs = _uniform_inputs(forest.input_space, inner, derive_seed(seed, b))
+    for b, batch_seed in enumerate(seeds):
+        inputs = _uniform_inputs(forest.input_space, inner, batch_seed)
         inputs[:, cells] = rng.integers(0, lam, size=len(cells))
         _, counts = np.unique(eval_forest_on_inputs(forest, inputs), axis=0, return_counts=True)
         frac = counts / inner
@@ -353,9 +371,32 @@ def tv_distance(a: Distribution, b: Distribution) -> float:
     """Total variation distance, half the l1 gap over the joint support."""
     if a.arity != b.arity:
         raise UsageError("mismatched_spaces", f"arity {a.arity} vs {b.arity}")
-    terms = [abs(p - b.probs.get(outcome, 0.0)) for outcome, p in a.probs.items()]
-    terms += [abs(q) for outcome, q in b.probs.items() if outcome not in a.probs]
-    return 0.5 * math.fsum(terms)
+    p, q = a.weights / a.total, b.weights / b.total
+    keys_a, keys_b = _row_keys(a.rows, b.rows)
+    _, in_a, in_b = np.intersect1d(keys_a, keys_b, assume_unique=True, return_indices=True)
+    terms = [np.abs(p[in_a] - q[in_b]), np.abs(np.delete(p, in_a)), np.abs(np.delete(q, in_b))]
+    return 0.5 * math.fsum(np.concatenate(terms).tolist())
+
+
+def _row_keys(a: np.ndarray, b: np.ndarray) -> tuple:
+    """int64 keys for the rows of a and of b, equal exactly when the rows are equal.
+
+    Each column, shifted to start at 0, is packed in one at a time; when
+    the packed keys would pass int64, the rows are numbered by np.unique.
+    """
+    lo = np.minimum(a.min(axis=0), b.min(axis=0)).tolist()
+    radix = [h - l + 1 for l, h in zip(lo, np.maximum(a.max(axis=0), b.max(axis=0)).tolist())]
+    if math.prod(radix) >= 1 << 63:
+        keys = np.unique(np.concatenate((a, b)), axis=0, return_inverse=True)[1].reshape(-1)
+        return keys[: len(a)], keys[len(a) :]
+    packed = []
+    for rows in (a, b):
+        keys = np.zeros(len(rows), dtype=np.int64)
+        for column, l, r in zip(rows.T, lo, radix):
+            keys *= r
+            keys += column.astype(np.int64) - l
+        packed.append(keys)
+    return tuple(packed)
 
 
 def _rows_have_collision(rows: np.ndarray, bot: int | None, count_bot: bool) -> np.ndarray:
@@ -373,23 +414,20 @@ def _rows_have_collision(rows: np.ndarray, bot: int | None, count_bot: bool) -> 
     return hit
 
 
-def _collision_share(forest: DecisionForest, budget: int, count_bot: bool) -> float:
-    """Exact share of the outputs with a collision."""
-    rows, counts, _ = _cube_law(forest, budget)
-    hit = _rows_have_collision(rows, forest.output_space.bot, count_bot)
-    return float(counts[hit].sum() / counts.sum())
+def _collision_mass(dist: Distribution, count_bot: bool) -> float:
+    """The law's mass on rows with a collision; integer counts are summed before the one division."""
+    hit = _rows_have_collision(dist.rows, dist.bot, count_bot)
+    return float(dist.weights[hit].sum() / dist.total)
 
 
-def tv_lower_bound_via_collision(forest: DecisionForest, budget: int = DEFAULT_STATE_BUDGET) -> float:
-    """Pr[some non-blank symbol repeats, or any blank appears].
+def tv_lower_bound_via_collision(dist: Distribution) -> float:
+    """Pr[some non-blank symbol repeats, or any blank appears] under the law.
 
     A uniform deck, one card per output cell, never triggers the event, so
     the probability lower bounds the total variation distance to the
     uniform permutation law.
     """
-    if forest.output_space.alphabet > forest.output_space.cells:
-        raise UsageError("mismatched_spaces", "output alphabet exceeds the deck size")
-    return _collision_share(forest, budget, count_bot=True)
+    return _collision_mass(dist, count_bot=True)
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +539,11 @@ def collision_probability(
     if not ensemble and not isinstance(source, DecisionForest):
         raise UsageError("bad_source", f"cannot compute collisions for {type(source).__name__}")
     if mode == "exact":
-        return ensemble_collision_probability(source) if ensemble else _collision_share(source, budget, count_bot=False)
+        return ensemble_collision_probability(source) if ensemble else _collision_mass(output_distribution(source, budget), False)
     if mode != "monte_carlo":
         raise UsageError("bad_mode", f"unknown mode {mode!r}")
+    if trials < 1:
+        raise UsageError("bad_trials", f"trials must be at least 1, got {trials}")
     if ensemble:
         rows, bot = sample_ensemble(source, trials, seed), source.n
     else:
@@ -595,17 +635,6 @@ def cube_distances_to_set(
 
 # ---------------------------------------------------------------------------
 # distribution dump format
-
-
-def dump_distribution(dist: Distribution) -> str:
-    """Line format: comma-joined outcome, tab, probability. Blank is `_`."""
-    lines = []
-    for outcome in dist.support():
-        rendered = ",".join(
-            "_" if dist.bot is not None and sym == dist.bot else str(sym) for sym in outcome
-        )
-        lines.append(f"{rendered}\t{dist.probs[outcome]:.17g}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_distribution(text: str, bot: int | None = None) -> Distribution:

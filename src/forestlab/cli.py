@@ -442,9 +442,7 @@ def _output_law(cfg: RunConfig, forest) -> Distribution:
     if cfg.mode == "exact":
         return output_distribution(forest, budget=cfg.budget_states)
     rows = sample_forest_outputs(forest, cfg.trials, cfg.seed)
-    keys, counts = np.unique(rows, axis=0, return_counts=True)
-    probs = dict(zip(map(tuple, keys.tolist()), (counts / len(rows)).tolist()))
-    return Distribution(probs, forest.output_space.cells, bot=forest.output_space.bot)
+    return Distribution._from_counts(*np.unique(rows, axis=0, return_counts=True), forest.output_space.bot)
 
 
 def _analyze_tv(cfg: RunConfig) -> tuple:

@@ -311,17 +311,13 @@ def _copy_table(forest: DecisionForest, out: OutputSpace, pick, trees: tuple | N
     return DecisionForest._from_table(forest.input_space, out, _NodeTable(table, roots))
 
 
-def _check_assignment(forest: DecisionForest, assignment: PartialAssignment) -> None:
+def restrict(forest: DecisionForest, assignment: PartialAssignment) -> DecisionForest:
+    """Hard-wire the assigned cells: a node-table copy that steps through their probes, never re-validated."""
     for cell, val in assignment.items():
         if not 0 <= cell < forest.input_space.cells:
             raise UsageError("bad_assignment", f"cell {cell} outside input space")
         if not 0 <= val < forest.input_space.alphabet:
             raise UsageError("bad_assignment", f"value {val} outside input alphabet")
-
-
-def restrict(forest: DecisionForest, assignment: PartialAssignment) -> DecisionForest:
-    """Hard-wire the assigned cells: a node-table copy that steps through their probes, never re-validated."""
-    _check_assignment(forest, assignment)
     table = forest._table.rows
 
     def pick(row: int, depth: int) -> tuple:
@@ -485,7 +481,6 @@ def _cube_tails(
     (counts, order) is query_counts_on_cube's table.  These are the exact tails of restrict(forest,
     assignment), which never probes an assigned cell and probes every other cell as the forest does there.
     """
-    _check_assignment(forest, assignment)
     index = tuple([assignment.get(cell, slice(None)) for cell in reversed(order)])  # rank r sits on axis K-1-r
     above = counts.reshape((forest.input_space.alphabet,) * len(order) + (len(order),))[index] > threshold
     points = math.prod(above.shape[:-1])
@@ -519,12 +514,6 @@ class LipschitzReport:
     worst_cell: int
     mu: float
     delta: float
-
-
-@dataclass(frozen=True)
-class LocalityReport:
-    max_tree_cells: int
-    influence: tuple  # trees touching each cell
 
 
 def expected_query_counts(forest: DecisionForest) -> np.ndarray:
@@ -629,18 +618,6 @@ def check_lipschitz(profile: QueryProfile, delta: float) -> LipschitzReport:
     return LipschitzReport(average_ok, tail_ok, worst, profile.mu, float(delta))
 
 
-def locality(forest: DecisionForest) -> LocalityReport:
-    """Probe footprint: cells per tree and trees per cell."""
-    influence = [0] * forest.input_space.cells
-    worst = 0
-    for tree in range(forest.output_space.cells):
-        cells = {row[0] for row in forest._table.tree_rows(tree)} - {-1}
-        worst = max(worst, len(cells))
-        for c in cells:
-            influence[c] += 1
-    return LocalityReport(worst, tuple(influence))
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -691,6 +668,3 @@ def forest_from_json(obj: dict) -> DecisionForest:
 def dumps_forest(forest: DecisionForest) -> str:
     return json.dumps(forest_to_json(forest), indent=1)
 
-
-def loads_forest(text: str) -> DecisionForest:
-    return forest_from_json(json.loads(text))

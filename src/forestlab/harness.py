@@ -24,6 +24,7 @@ from .analysis import (
     IndependentEnsemble,
     OutcomeSet,
     _check_seed_steps,
+    _collision_mass,
     _cube_law,
     _entropy_bits,
     collision_probability,
@@ -75,12 +76,14 @@ def containment_set(dist: Distribution, k: float) -> tuple:
     if k < 0:
         raise UsageError("bad_parameter", "entropy budget must be nonnegative")
     threshold = 2.0 ** (-2.0 * k)
-    members = [x for x, p in dist.probs.items() if p >= threshold]
-    mass = sum(dist.probs[x] for x in members)
+    probs = dist.weights / dist.total
+    kept = probs >= threshold
+    members = list(map(tuple, dist.rows[kept].tolist()))
+    mass = sum(probs[kept].tolist())
     h = entropy(dist)
     size_bound = 2.0 ** (2.0 * k) if k < 512 else math.inf  # 2.0 ** 1024 overflows
     entropy_applies = h <= k + TOL
-    alphabet = 1 + max((max(x) for x in dist.probs if x), default=0)
+    alphabet = 1 + (int(dist.rows.max()) if dist.rows.size else 0)
     container = OutcomeSet(
         frozenset(members),
         dist.arity,
@@ -121,10 +124,8 @@ def verify_mixture_bound(
     if bot is None:
         bot = dist.bot
     m = dist.arity
-    expected_filled = 0.0
-    for outcome, p in dist.probs.items():
-        filled = sum(1 for sym in outcome if bot is None or sym != bot)
-        expected_filled += p * filled
+    filled = m if bot is None else (dist.rows != bot).sum(axis=1)
+    expected_filled = sum((dist.weights / dist.total * filled).tolist(), 0.0)  # left to right, as a loop adds
     bound = math.log2(m + 1) + expected_filled * math.log2(m * sigma)
     measured = entropy(dist)
     return ExperimentReport(
@@ -699,8 +700,11 @@ def verify_collision_tv(forest: DecisionForest, budget: int = DEFAULT_STATE_BUDG
     variation distance to the uniform permutation law.
     """
     n = forest.output_space.cells
-    lower = tv_lower_bound_via_collision(forest, budget=budget)
-    measured = tv_distance(output_distribution(forest, budget=budget), uniform_perm_distribution(n))
+    if forest.output_space.alphabet > n:
+        raise UsageError("mismatched_spaces", "output alphabet exceeds the deck size")
+    law = output_distribution(forest, budget=budget)
+    lower = tv_lower_bound_via_collision(law)
+    measured = tv_distance(law, uniform_perm_distribution(n))
     return ExperimentReport(
         lemma_id="collision-tv",
         bound=lower,
@@ -820,16 +824,21 @@ def bucketed_dichotomy_experiment(
     conditionals = _leave_one_block_out(forest, buckets, budget)
     best = max(range(len(conditionals)), key=conditionals.__getitem__)
     others = [c for c in range(forest.input_space.cells) if c not in buckets.buckets[best]]
+    # one law grouped by the probed cells the restriction fixes; each restriction's law is one group
+    fixed = sorted(set(others) & set(forest.mentioned_cells()))
+    rows, counts, group = _cube_law(forest, budget, tuple(fixed))
     samples = []
     for b in range(betas):
         rng = random.Random(derive_seed(seed, b))
         assignment = {c: rng.randrange(lam) for c in others}
-        restricted = restrict(forest, assignment)
+        index = sum(assignment[c] * lam**rank for rank, c in enumerate(fixed))
+        start, stop = np.searchsorted(group, (index, index + 1))
+        restricted = Distribution._from_counts(rows[start:stop], counts[start:stop], dist.bot)
         samples.append(
             {
                 "assignment": [[c, assignment[c]] for c in others],
-                "entropy": entropy(output_distribution(restricted, budget=budget)),
-                "collision_probability": collision_probability(restricted, mode="exact", budget=budget),
+                "entropy": entropy(restricted),
+                "collision_probability": _collision_mass(restricted, count_bot=False),
             }
         )
     return ExperimentReport(

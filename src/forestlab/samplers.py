@@ -14,6 +14,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .analysis import Distribution
 from .forest import (
     BucketStructure,
@@ -121,25 +123,13 @@ def thorp_bucket_structure(spec: ThorpSpec) -> BucketStructure:
     return BucketStructure(tuple(buckets))
 
 
-def fisher_yates(n: int, seed_or_rng) -> tuple:
-    """Classic backward swap shuffle of the identity deck."""
-    if n < 1:
-        raise UsageError("bad_spec", "need at least one card")
-    rng = seed_or_rng if isinstance(seed_or_rng, random.Random) else random.Random(seed_or_rng)
-    perm = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = rng.randint(0, i)
-        perm[i], perm[j] = perm[j], perm[i]
-    return tuple(perm)
-
-
 def uniform_perm_distribution(n: int) -> Distribution:
     """Uniform law on all n! decks, materialized (n <= 8)."""
     if not 1 <= n <= 8:
         raise UsageError("bad_spec", "uniform permutation law is materialized only up to n=8")
     total = math.factorial(n)
-    probs = {perm: 1.0 / total for perm in itertools.permutations(range(n))}
-    return Distribution(probs, arity=n)
+    decks = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))), np.uint8, total * n)
+    return Distribution._from_counts(decks.reshape(total, n), np.ones(total, dtype=np.int64), None)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from forestlab import (
     conditional_entropy_detail,
     cube_distances_to_set,
     derive_seed,
-    dump_distribution,
     ensemble_collision_probability,
     entropy,
     hamming_dist_to_set,
@@ -264,8 +263,9 @@ def test_exact_tv_of_the_8_card_shuffle_is_the_correctly_rounded_fraction():
 def test_collision_lower_bound_stays_below_the_true_distance():
     for rounds in (1, 2, 3):
         f = thorp_forest(ThorpSpec(2, rounds))
-        tv = tv_distance(output_distribution(f), uniform_perm_distribution(4))
-        assert tv_lower_bound_via_collision(f) <= tv + 1e-9
+        law = output_distribution(f)
+        tv = tv_distance(law, uniform_perm_distribution(4))
+        assert tv_lower_bound_via_collision(law) <= tv + 1e-9
 
 
 def test_neighborhood_growth_around_a_single_point():
@@ -391,15 +391,37 @@ def test_index_built_sets_reject_bad_indices(indices, arity):
     assert err.value.reason == "bad_outcome"
 
 
-def test_distribution_dump_round_trips_with_blanks():
-    probs = {(0, 2): 0.5, (1, 2): 0.25, (0, 0): 0.25}
-    dist = Distribution(probs, 2, bot=2)
-    text = dump_distribution(dist)
-    assert "_" in text
-    back = parse_distribution(text, bot=2)
-    assert back.arity == 2
-    for key, p in probs.items():
-        assert back.probs[key] == pytest.approx(p, abs=1e-15)
+def test_distribution_dump_parses_blanks_and_sums_repeated_outcomes():
+    dist = parse_distribution("0,_\t0.5\n1,_\t0.125\n\n0,0\t0.25\n1,_\t0.125\n", bot=2)
+    assert dist.arity == 2 and dist.bot == 2
+    assert dist.probs == {(0, 2): 0.5, (1, 2): 0.25, (0, 0): 0.25}
+    assert dist.rows.tolist() == [[0, 2], [1, 2], [0, 0]] and dist.weights.tolist() == [0.5, 0.25, 0.25]
+
+
+@pytest.mark.parametrize(
+    "text", ["9223372036854775808,0\t1.0\n", "0,1\t0.5\n-9223372036854775809,0\t0.5\n"]
+)
+def test_a_dump_symbol_past_int64_is_a_bad_outcome(text):
+    with pytest.raises(UsageError) as err:
+        parse_distribution(text)
+    assert err.value.reason == "bad_outcome"
+
+
+def test_a_law_keeps_int64_symbols_and_refuses_float_ones():
+    edges = parse_distribution("-9223372036854775808,9223372036854775807\t0.5\n0,0\t0.5\n")
+    assert edges.probs == {(-(2**63), 2**63 - 1): 0.5, (0, 0): 0.5}
+    assert tv_distance(edges, parse_distribution("0,0\t1\n")) == 0.5
+    with pytest.raises(UsageError) as err:
+        Distribution({(0.5,): 1.0}, 1)
+    assert err.value.reason == "bad_outcome"
+
+
+def test_tv_numbers_rows_whose_packed_keys_would_pass_int64():
+    # every column spans 0..15, so packed keys would need 16**16 > 2**63 values
+    low, high, up, down = (0,) * 16, (15,) * 16, tuple(range(16)), tuple(range(15, -1, -1))
+    a = Distribution({low: 0.5, high: 0.25, up: 0.25}, 16)
+    b = Distribution({high: 0.75, low: 0.125, down: 0.125}, 16)
+    assert tv_distance(a, b) == tv_distance(b, a) == 0.5 * math.fsum([0.375, 0.5, 0.25, 0.125])
 
 
 def test_parsing_rejects_unexpected_blanks():
@@ -461,6 +483,24 @@ def test_uniform_ensemble_layout():
     assert ens.rows.shape == (3, 6)
     assert (ens.rows[:, -1] == 0.0).all()
     assert np.allclose(ens.rows.sum(axis=1), 1.0)
+
+
+@pytest.mark.parametrize("source", [uniform_ensemble(2, 2), identity_forest(2)], ids=["ensemble", "forest"])
+def test_sampled_collision_refuses_zero_trials_before_drawing(monkeypatch, source):
+    def no_draws(*args):
+        raise AssertionError("drew outputs")
+
+    monkeypatch.setattr(analysis, "sample_ensemble", no_draws)
+    monkeypatch.setattr(analysis, "sample_forest_outputs", no_draws)
+    with pytest.raises(UsageError) as err:
+        collision_probability(source, mode="monte_carlo", trials=0)
+    assert err.value.reason == "bad_trials"
+
+
+def test_sampled_conditional_entropy_refuses_a_negative_seed():
+    with pytest.raises(UsageError) as err:
+        monte_carlo_conditional_entropy(thorp_forest(ThorpSpec(2, 2)), (0,), trials=200, seed=-1)
+    assert err.value.reason == "bad_seed"
 
 
 def test_mode_guards_reject_unknown_modes():

@@ -18,7 +18,7 @@ from forestlab import (
     ThorpSpec,
     dumps_forest,
     entropy,
-    loads_forest,
+    forest_from_json,
     prune_on_query_set,
     sample_forest_outputs,
     thorp_bucket_structure,
@@ -167,7 +167,7 @@ def test_enforce_writes_a_trace_and_signals_failure(tmp_path, capsys):
     assert doc["success"] is False
     assert doc["budget"] == 0
     assert doc["steps"] == []
-    assert loads_forest(out_path.read_text()).input_space.cells == 1
+    assert forest_from_json(json.loads(out_path.read_text())).input_space.cells == 1
 
 
 def test_enforce_success_exits_zero(tmp_path, capsys):
@@ -239,7 +239,7 @@ def test_gen_random_writes_a_manifest_and_deterministic_forests(tmp_path, capsys
         assert row["spec"]["s"] == 4
         text = (tmp_path / row["path"]).read_text()
         blobs.append(text)
-        forest = loads_forest(text)
+        forest = forest_from_json(json.loads(text))
         assert forest.input_space.cells == 4
         assert forest.depth <= 2
     assert main(args) == 0
@@ -440,7 +440,7 @@ def test_analyze_entropy_and_lipschitz_smoke(tmp_path, capsys):
     assert main(["analyze", "entropy", "--forest", str(forest_path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"] == pytest.approx(2.0, abs=1e-12)
-    rows = sample_forest_outputs(loads_forest(forest_path.read_text()), 500, 9)
+    rows = sample_forest_outputs(forest_from_json(json.loads(forest_path.read_text())), 500, 9)
     probs: dict = {}
     for row in rows:
         key = tuple(int(v) for v in row)
@@ -618,6 +618,8 @@ MALFORMED_FILES = [
     (["dichotomy", "--threshold", "0", "--betas", "-3", "--forest", "GATE", "--buckets"], json.dumps([[0]]), "bad_parameter"),
     (["dichotomy", "--threshold", "0", "--betas", "1048577", "--forest", "GATE", "--buckets"], json.dumps([[0]]), "bad_trials"),
     pytest.param(["verify", "entropy-deviation", "--forest", "GATE", "--config"], HUGE_K, "bad_cells", id="huge-k-cell"),
+    pytest.param(["verify", "containment", "--k", "1", "--target"], "9223372036854775808,0\t1.0\n", "bad_outcome", id="dump-symbol-past-int64"),
+    pytest.param(["verify", "mixture-bound", "--sigma", "2", "--target"], "_,1\t0.5\n0,-9223372036854775809\t0.5\n", "bad_outcome", id="dump-symbol-below-int64"),
 ]
 
 

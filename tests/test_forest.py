@@ -1,6 +1,8 @@
 """Core engine checks: evaluation, restriction, pruning, profiles, IO."""
 import collections
 import itertools
+import json
+import math
 import random
 import re
 import tracemalloc
@@ -25,15 +27,15 @@ from forestlab import (
     eval_forest,
     eval_tree,
     expected_query_counts,
+    forest_from_json,
     forest_to_json,
-    loads_forest,
-    locality,
     prune_on_query_set,
     query_profile,
     random_forest,
     restrict,
 )
 from forestlab.analysis import (
+    Distribution,
     collision_probability,
     collision_stat,
     conditional_entropy_detail,
@@ -41,13 +43,14 @@ from forestlab.analysis import (
     eval_forest_on_inputs,
     output_distribution,
     sample_forest_outputs,
+    tv_distance,
     tv_lower_bound_via_collision,
 )
 from forestlab.corpus import enforcement_instances, restriction_instances
 from forestlab.forest import _uniform_inputs, query_counts_on_cube
 from forestlab import analysis, harness
 from forestlab.harness import _expected_blanks, enforce_avg_lipschitz
-from forestlab.samplers import ThorpSpec, thorp_forest
+from forestlab.samplers import ThorpSpec, thorp_forest, uniform_perm_distribution
 
 from cube_reference import eval_forest_on_cube, packed_outputs_on_cube, whole_cube_law
 
@@ -228,7 +231,7 @@ def assert_same_forest(got: DecisionForest, want: DecisionForest, rng: random.Ra
         u = tuple(rng.randrange(lam) for _ in range(cells))
         assert eval_forest(got, u) == eval_forest(want, u)
     assert forest_to_json(got) == forest_to_json(want)
-    assert loads_forest(dumps_forest(got))._table == got._table
+    assert forest_from_json(json.loads(dumps_forest(got)))._table == got._table
     assert got == want and hash(got) == hash(want)
 
 
@@ -364,21 +367,11 @@ def test_lipschitz_check_flags_the_worst_cell():
     assert report.worst_cell == 1
 
 
-def test_locality_counts_cells_and_influence():
-    f = identity_forest(3)
-    report = locality(f)
-    assert report.max_tree_cells == 1
-    assert report.influence == (1, 1, 1)
-    g = xor_forest()
-    assert locality(g).max_tree_cells == 2
-    assert locality(g).influence == (1, 1)
-
-
 @given(st.integers(0, 300))
 def test_forest_json_round_trip(seed):
     f = small_random_forest(seed)
     text = dumps_forest(f)
-    g = loads_forest(text)
+    g = forest_from_json(json.loads(text))
     assert dumps_forest(g) == text
     probe = tuple(seed % f.input_space.alphabet for _ in range(f.input_space.cells))
     assert eval_forest(g, probe) == eval_forest(f, probe)
@@ -389,7 +382,7 @@ def test_serialized_blanks_round_trip():
     text = dumps_forest(f)
     leaves = re.findall(r'"leaf": (\w+)', text)
     assert "null" in leaves and str(f.output_space.bot) not in leaves  # a blank is written as null
-    g = loads_forest(text)
+    g = forest_from_json(json.loads(text))
     assert g.output_space.bot == f.output_space.bot
     for u in all_inputs(f):
         assert eval_forest(g, u) == eval_forest(f, u)
@@ -472,11 +465,7 @@ def test_cube_outputs_match_pointwise_evaluation():
             for cells, t in zip(tree_cells, point):
                 cells.update(c for c, _ in t.steps)
         assert f.mentioned_cells() == sorted(set().union(*tree_cells))
-        report = locality(f)
-        assert report.max_tree_cells == max(len(cells) for cells in tree_cells)
-        assert report.influence == tuple(
-            sum(c in cells for cells in tree_cells) for c in range(f.input_space.cells)
-        )
+        assert [{row[0] for row in f._table.tree_rows(t)} - {-1} for t in range(len(f.trees))] == tree_cells
         assert f.depth == max(len(t.steps) for point in points for t in point)
 
 
@@ -535,10 +524,58 @@ def test_exact_collision_shares_match_pointwise_counts():
         assert collision_probability(f, mode="exact") == sum(repeats) / len(inputs)
         if f.output_space.alphabet <= f.output_space.cells:
             events = [hit or bot in z for hit, z in zip(repeats, outputs)]
-            assert tv_lower_bound_via_collision(f) == sum(events) / len(inputs)
+            assert tv_lower_bound_via_collision(output_distribution(f)) == sum(events) / len(inputs)
     law = collections.Counter(eval_forest(wide, u) for u in cube_inputs(wide, [0, 1, 2]))
     assert output_distribution(wide).probs == {row: c / 8 for row, c in law.items()}
-    assert 0 < collision_probability(wide) < tv_lower_bound_via_collision(wide) < 1
+    assert 0 < collision_probability(wide) < tv_lower_bound_via_collision(output_distribution(wide)) < 1
+
+
+def dict_entropy(probs: dict) -> float:
+    """Entropy of a dict law, summed in the dict's order: the slow reference."""
+    acc = 0.0
+    for p in probs.values():
+        if p > 0.0:
+            acc -= p * math.log2(p)
+    return acc
+
+
+def dict_tv(a: dict, b: dict) -> float:
+    """TV of two dict laws, half the fsum of the gaps over the joint support: the slow reference."""
+    terms = [abs(p - b.get(outcome, 0.0)) for outcome, p in a.items()]
+    terms += [abs(q) for outcome, q in b.items() if outcome not in a]
+    return 0.5 * math.fsum(terms)
+
+
+def dict_collision_share(counts: dict, bot, count_bot: bool) -> float:
+    """Share of a dict of output counts with a repeated non-blank symbol (or, if asked, a blank)."""
+    hits = sum(c for z, c in counts.items() if collision_stat(z, bot) > 0 or (count_bot and bot in z))
+    return hits / sum(counts.values())
+
+
+def test_array_laws_match_the_dict_references_bit_for_bit():
+    for f in differential_corpus() + [wide_output_forest()]:
+        bot, m = f.output_space.bot, f.output_space.cells
+        counts = collections.Counter(eval_forest(f, u) for u in cube_inputs(f, f.mentioned_cells()))
+        probs = {row: c / counts.total() for row, c in sorted(counts.items())}
+        law = output_distribution(f)
+        assert law.probs == probs and list(law.probs) == list(probs)
+        assert entropy(law) == dict_entropy(probs)
+        assert collision_probability(f) == dict_collision_share(counts, bot, False)
+        assert tv_lower_bound_via_collision(law) == dict_collision_share(counts, bot, True)
+        cut = prune_on_query_set(f, f.mentioned_cells()[:1])  # the same arity, blanks where cell 0 was read
+        assert tv_distance(law, output_distribution(cut)) == dict_tv(probs, output_distribution(cut).probs)
+        if m <= 8:
+            uniform = uniform_perm_distribution(m)
+            assert tv_distance(law, uniform) == tv_distance(uniform, law) == dict_tv(probs, uniform.probs)
+        given = Distribution(probs, m, bot=bot)  # a law from a dict keeps its probabilities
+        assert entropy(given) == entropy(law) and tv_distance(given, law) == 0.0
+    uniform = uniform_perm_distribution(8)
+    for rounds in range(1, 7):
+        law = output_distribution(thorp_forest(ThorpSpec(3, rounds)))
+        probs = law.probs
+        assert entropy(law) == dict_entropy(probs)
+        assert tv_distance(law, uniform) == dict_tv(probs, uniform.probs)
+        assert tv_lower_bound_via_collision(law) == dict_collision_share(probs, None, True) == 0.0
 
 
 def test_conditional_entropy_per_assignment_matches_the_restricted_laws():

@@ -30,13 +30,17 @@ from forestlab import (
     entropy,
     eval_forest,
     expected_query_counts,
+    collision_probability,
     output_distribution,
     random_forest,
     restrict,
     sample_coupling_distance,
     thorp_bucket_structure,
     thorp_forest,
+    tv_distance,
+    tv_lower_bound_via_collision,
     uniform_ensemble,
+    uniform_perm_distribution,
     verify_at_least_two,
     verify_avg_to_tail_lipschitz,
     verify_chain_bound,
@@ -52,8 +56,10 @@ from forestlab import (
 )
 from forestlab.cli import _report_exit
 from forestlab import harness
+from forestlab import analysis
 from forestlab.corpus import (
     _random_forest_instance,
+    collision_tv_family,
     coupling_instances,
     enforcement_instances,
     entropy_deviation_family,
@@ -851,6 +857,37 @@ def test_collision_tv_lower_bounds_a_real_shuffle():
     assert report.passed
 
 
+def test_the_collision_tv_family_computes_one_law_per_forest(monkeypatch):
+    laws = []
+    cube_law = analysis._cube_law
+
+    def counted(forest, budget, cells=()):
+        laws.append(forest)
+        return cube_law(forest, budget, cells)
+
+    monkeypatch.setattr(analysis, "_cube_law", counted)
+    rows = list(collision_tv_family(count=12))
+    monkeypatch.undo()
+    rng = random.Random(47)
+    forests = [DecisionForest(InputSpace(2, 2), OutputSpace(3, 3), (DecisionTree(Leaf(0)),) * 3)]
+    for _ in range(1, 12):
+        n = rng.choice([3, 4])
+        forests.append(_random_forest_instance(rng, out_alphabet=n, out_cells=n))
+    assert laws == forests
+    for (_, report), forest in zip(rows, forests, strict=True):
+        n = forest.output_space.cells
+        assert report.bound == tv_lower_bound_via_collision(output_distribution(forest))
+        assert report.measured == tv_distance(output_distribution(forest), uniform_perm_distribution(n))
+
+
+def test_collision_tv_refuses_an_output_alphabet_past_the_deck_before_any_law(monkeypatch):
+    monkeypatch.setattr(analysis, "_cube_law", None)  # any law would fail with a TypeError
+    f = DecisionForest(InputSpace(1, 2), OutputSpace(2, 3), (DecisionTree(Leaf(2)),) * 2)
+    with pytest.raises(UsageError) as err:
+        verify_collision_tv(f)
+    assert err.value.reason == "mismatched_spaces"
+
+
 # ---------------------------------------------------------------------------
 # numeric facts
 
@@ -964,6 +1001,43 @@ def test_dichotomy_on_the_shuffle_reports_collision_free_slices():
     for sample in report.details["samples"]:
         assert sample["entropy"] == pytest.approx(4.0)
         assert sample["collision_probability"] == 0.0
+
+
+def dichotomy_corpus() -> list:
+    """(forest, buckets): the 2- and 4-card shuffles plus random bucketed forests, some with blanks."""
+    cases = [(thorp_forest(spec), thorp_bucket_structure(spec)) for spec in map(ThorpSpec, (1, 2, 2, 2, 3), (1, 1, 2, 3, 2))]
+    rng = random.Random(4)
+    for seed in range(40):
+        s = rng.randint(3, 6)
+        cells = rng.sample(range(s), s)
+        cuts = sorted(rng.sample(range(1, s), rng.randint(0, 2)))
+        buckets = BucketStructure(tuple(tuple(sorted(cells[a:b])) for a, b in zip([0] + cuts, cuts + [s])))
+        spec = ForestGenSpec(
+            cells=s, alphabet=rng.randint(2, 3), out_cells=rng.randint(1, 4), out_alphabet=rng.randint(2, 4),
+            depth=len(buckets), seed=seed, buckets=buckets, bot_allowed=seed % 2 == 1,
+        )
+        cases.append((random_forest(spec), buckets))
+    return cases
+
+
+def test_dichotomy_samples_are_the_laws_of_restricted_forests(monkeypatch):
+    def no_restrict(*args):
+        raise AssertionError("the dichotomy restricted a forest")
+
+    reports = []
+    monkeypatch.setattr(harness, "restrict", no_restrict)
+    for forest, buckets in dichotomy_corpus():
+        for seed in (0, 3):
+            reports.append((forest, bucketed_dichotomy_experiment(forest, buckets, 0.0, seed=seed, betas=4)))
+    monkeypatch.undo()
+    collisions = 0
+    for forest, report in reports:
+        for sample in report.details.get("samples", []):
+            restricted = restrict(forest, dict(sample["assignment"]))
+            assert sample["entropy"] == entropy(output_distribution(restricted))
+            assert sample["collision_probability"] == collision_probability(restricted, mode="exact")
+            collisions += 0 < sample["collision_probability"] < 1
+    assert collisions > 10
 
 
 def test_dichotomy_rejects_mismatched_bucket_structures():

@@ -1,8 +1,7 @@
-"""Shuffle network compilation, uniform shuffling, and forest generation."""
+"""Shuffle network compilation, the uniform permutation law, and forest generation."""
 import itertools
 import math
 import random
-from collections import defaultdict
 
 import pytest
 
@@ -14,9 +13,7 @@ from forestlab import (
     coin_cell,
     dumps_forest,
     eval_forest,
-    fisher_yates,
     is_bucketed,
-    locality,
     random_forest,
     thorp_bucket_structure,
     thorp_forest,
@@ -100,23 +97,6 @@ def test_spec_validation():
     assert err.value.reason == "bad_input"
 
 
-def test_fisher_yates_is_deterministic_per_seed():
-    assert fisher_yates(6, 123) == fisher_yates(6, 123)
-    assert fisher_yates(6, 123) != fisher_yates(6, 124)
-    assert sorted(fisher_yates(9, 5)) == list(range(9))
-
-
-def test_fisher_yates_frequencies_are_near_uniform():
-    trials = 100_000
-    rng = random.Random(99)
-    counts: dict = defaultdict(int)
-    for _ in range(trials):
-        counts[fisher_yates(4, rng)] += 1
-    assert len(counts) == 24
-    for perm, hits in counts.items():
-        assert abs(hits / trials - 1 / 24) < 0.01, perm
-
-
 def test_uniform_permutation_law():
     dist = uniform_perm_distribution(3)
     assert len(dist.probs) == 6
@@ -147,9 +127,9 @@ def test_random_forest_is_deterministic_and_well_formed():
 def test_random_forest_honors_locality_caps():
     spec = gen_spec(7, max_tree_cells=2, max_cell_influence=2)
     f = random_forest(spec)
-    report = locality(f)
-    assert report.max_tree_cells <= 2
-    assert max(report.influence) <= 2
+    tree_cells = [{row[0] for row in f._table.tree_rows(t)} - {-1} for t in range(len(f.trees))]
+    assert max(map(len, tree_cells)) <= 2
+    assert max(sum(c in cells for cells in tree_cells) for c in range(f.input_space.cells)) <= 2
 
 
 def test_random_forest_can_target_a_bucket_structure():
