@@ -66,9 +66,9 @@ from .harness import (
     collision_ensemble_report,
     containment_set,
     couple_accepting,
+    coupled_sample,
     depth_reduction_step,
     enforce_avg_lipschitz,
-    sample_coupling_distance,
     verify_at_least_two,
     verify_avg_to_tail_lipschitz,
     verify_chain_bound,

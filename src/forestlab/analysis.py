@@ -21,6 +21,7 @@ from .forest import (
     DecisionForest,
     UsageError,
     _check_enum_budget,
+    _draw_generator,
     _tree_on_cube,
     _uniform_inputs,
     _walk,
@@ -517,8 +518,7 @@ def ensemble_collision_probability(ensemble: IndependentEnsemble) -> float:
 
 def sample_ensemble(ensemble: IndependentEnsemble, trials: int, seed: int) -> np.ndarray:
     """Rows of independent draws; blank comes out as symbol n."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    u = rng.random((trials, ensemble.m))
+    u = _draw_generator(trials, seed).random((trials, ensemble.m))
     out = np.empty((trials, ensemble.m), dtype=np.int32)
     for i in range(ensemble.m):
         cum = np.cumsum(ensemble.rows[i])

@@ -57,9 +57,9 @@ from .harness import (
     collision_ensemble_report,
     containment_set,
     couple_accepting,
+    coupled_sample,
     depth_reduction_step,
     enforce_avg_lipschitz,
-    sample_coupling_distance,
     verify_at_least_two,
     verify_avg_to_tail_lipschitz,
     verify_chain_bound,
@@ -258,7 +258,7 @@ def _json_object(doc) -> dict:
 
 
 def _integer_k(cfg: RunConfig) -> int:
-    """--k where it names a cell or a radius: an integer, never truncated; a --config integer is taken as it is."""
+    """--k where it names a radius: an integer, never truncated; a --config integer is taken as it is."""
     if isinstance(cfg.k, float) and not cfg.k.is_integer():
         raise UsageError("bad_parameter", f"--k must be an integer here, got {cfg.k!r}")
     return int(cfg.k)
@@ -285,9 +285,6 @@ def _parse_floats(text: str) -> list:
 
 def _load_outcome_set(cfg: RunConfig) -> OutcomeSet:
     _need(cfg, "set_spec")
-    spec = cfg.set_spec
-    if spec == "empty":
-        return OutcomeSet(frozenset(), cfg.s or 12, cfg.lam or 2, description="empty set")
 
     def build(doc) -> OutcomeSet:
         members = frozenset(
@@ -300,7 +297,7 @@ def _load_outcome_set(cfg: RunConfig) -> OutcomeSet:
             description=doc.get("description", ""),
         )
 
-    return _read_json(spec, "bad_file", build)
+    return _read_json(cfg.set_spec, "bad_file", build)
 
 
 def _dump_outcome_set(outcome_set: OutcomeSet) -> str:
@@ -566,16 +563,9 @@ def _cmd_enforce(cfg: RunConfig) -> int:
 
 
 def _cmd_couple(cfg: RunConfig) -> int:
-    if cfg.mode in ("exact_report", "exact"):
+    if cfg.mode == "exact_report":
         return _publish(cfg, _verify_coupling(cfg))
-    forest = _load_forest(cfg)
-    if cfg.trials > 1:
-        mean, _ = sample_coupling_distance(forest, cfg.trials, cfg.seed)
-        # each sample's changed-coordinate count lies in [0, depth], so Hoeffding scales by it
-        halfwidth = forest.depth * hoeffding_halfwidth(cfg.trials)
-        _emit_measurement(Measurement("coupling-mean-dist", "monte_carlo", mean, halfwidth, cfg.seed, cfg.trials))
-        return 0
-    sample = couple_accepting(forest, mode="sample", seed=cfg.seed)
+    sample = coupled_sample(_load_forest(cfg), cfg.seed)
     print(json.dumps({"x": list(sample.x), "y": list(sample.y), "dist": sample.dist, "seed": cfg.seed}))
     return 0
 
@@ -615,27 +605,24 @@ def _cmd_dichotomy(cfg: RunConfig) -> int:
     return _publish(cfg, report)
 
 
+def _forest_or_target_law(cfg: RunConfig) -> Distribution:
+    """The exact output law of --forest, else the law dumped in --target."""
+    if cfg.forest:
+        return output_distribution(_load_forest(cfg), budget=cfg.budget_states)
+    return _target_distribution(cfg)
+
+
 def _verify_containment(cfg: RunConfig):
     _need(cfg, "k")
-    forest = _load_forest(cfg) if cfg.forest else None
-    if forest is not None:
-        dist = output_distribution(forest, budget=cfg.budget_states)
-    else:
-        dist = _target_distribution(cfg)
-    _, report = containment_set(dist, cfg.k)
+    _, report = containment_set(_forest_or_target_law(cfg), cfg.k)
     return report
 
 
 def _verify_mixture(cfg: RunConfig):
     _need(cfg, "sigma")
-    if cfg.forest:
-        forest = _load_forest(cfg)
-        dist = output_distribution(forest, budget=cfg.budget_states)
-        return verify_mixture_bound(dist, cfg.sigma, bot=forest.output_space.bot)
-    dist = parse_distribution(_read_text(cfg.target), bot=cfg.sigma) if cfg.target else None
-    if dist is None:
+    if not cfg.forest and not cfg.target:
         raise UsageError("missing_argument", "mixture-bound needs --forest or --target")
-    return verify_mixture_bound(dist, cfg.sigma, bot=cfg.sigma)
+    return verify_mixture_bound(_forest_or_target_law(cfg), cfg.sigma)
 
 
 def _verify_chain(cfg: RunConfig):
@@ -644,10 +631,8 @@ def _verify_chain(cfg: RunConfig):
 
 
 def _verify_entropy_deviation(cfg: RunConfig):
-    cell = cfg.cell if cfg.cell is not None else (_integer_k(cfg) if cfg.k is not None else None)
-    if cell is None:
-        raise UsageError("missing_argument", "entropy-deviation needs --cell")
-    return verify_entropy_deviation(_load_forest(cfg), (cell,), budget=cfg.budget_states)[0]
+    _need(cfg, "cell")
+    return verify_entropy_deviation(_load_forest(cfg), (cfg.cell,), budget=cfg.budget_states)[0]
 
 
 def _verify_second_moment(cfg: RunConfig):
@@ -671,7 +656,7 @@ def _verify_restriction(cfg: RunConfig):
 
 
 def _verify_coupling(cfg: RunConfig):
-    return couple_accepting(_load_forest(cfg), mode="exact_report", calibration=cfg.calib_coupling_c)
+    return couple_accepting(_load_forest(cfg), cfg.calib_coupling_c)
 
 
 def _verify_at_least_two(cfg: RunConfig):
@@ -791,7 +776,7 @@ _COMMANDS = {
     "eval": (_cmd_eval, _EXACT),
     "analyze": (_cmd_analyze, _ANALYZERS),
     "enforce-lipschitz": (_cmd_enforce, _EXACT),
-    "couple": (_cmd_couple, ("exact_report", "exact", "sample", "monte_carlo")),
+    "couple": (_cmd_couple, ("exact_report", "sample")),
     "depth-reduce": (_cmd_depth_reduce, _EXACT),
     "dichotomy": (_cmd_dichotomy, _EXACT),
     "verify": (_cmd_verify, _VERIFIERS),

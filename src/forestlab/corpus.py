@@ -299,7 +299,7 @@ def coupling_instances(count: int = 100, seed: int = 53) -> Iterator[tuple]:
 
 def coupling_family(count: int = 100, seed: int = 53, calibration: float = 2.0) -> Iterator[tuple]:
     for instance_id, forest in coupling_instances(count, seed):
-        yield instance_id, couple_accepting(forest, mode="exact_report", calibration=calibration)
+        yield instance_id, couple_accepting(forest, calibration)
 
 
 def enforcement_instances(count: int = 50, seed: int = 59) -> Iterator[tuple]:

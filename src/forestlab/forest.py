@@ -415,15 +415,23 @@ def _blocks(forest: DecisionForest, tree: int, rank_of: dict):
                 stack.append((kids[v], index[:axis] + (v,) + index[axis + 1 :]))
 
 
+def _draw_generator(trials: int, seed: int) -> np.random.Generator:
+    """The counter-based generator keyed by `seed` for a draw of `trials` rows; refuses a negative seed or count."""
+    if seed < 0:
+        raise UsageError("bad_seed", f"seed must be non-negative, got {seed}")
+    if trials < 0:
+        raise UsageError("bad_trials", f"trials must be non-negative, got {trials}")
+    return np.random.Generator(np.random.Philox(seed))
+
+
 def _uniform_inputs(space: InputSpace, trials: int, seed: int) -> np.ndarray:
     """`trials` uniform input rows from a counter-based generator keyed by `seed`.
 
     Symbols are drawn as the narrowest unsigned type that holds the
     alphabet, so alphabets up to 256 keep their uint8 streams.
     """
-    rng = np.random.Generator(np.random.Philox(seed))
     dtype = np.min_scalar_type(space.alphabet - 1)
-    return rng.integers(0, space.alphabet, size=(trials, space.cells), dtype=dtype)
+    return _draw_generator(trials, seed).integers(0, space.alphabet, size=(trials, space.cells), dtype=dtype)
 
 
 def _tree_on_cube(forest: DecisionForest, tree: int, rank_of: dict, dtype) -> np.ndarray:

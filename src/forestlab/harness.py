@@ -24,6 +24,7 @@ from .analysis import (
     IndependentEnsemble,
     OutcomeSet,
     _check_seed_steps,
+    _checked_cells,
     _collision_mass,
     _cube_law,
     _entropy_bits,
@@ -111,9 +112,7 @@ def containment_set(dist: Distribution, k: float) -> tuple:
 # entropy bounds
 
 
-def verify_mixture_bound(
-    dist: Distribution, sigma: int, bot: int | None = None
-) -> ExperimentReport:
+def verify_mixture_bound(dist: Distribution, sigma: int) -> ExperimentReport:
     """Entropy of a mostly-blank tuple law, against the support-counting cap.
 
     The cap is log2(m+1) plus the expected number of non-blank coordinates
@@ -121,10 +120,8 @@ def verify_mixture_bound(
     """
     if sigma < 1:
         raise UsageError("bad_parameter", "output alphabet must be positive")
-    if bot is None:
-        bot = dist.bot
     m = dist.arity
-    filled = m if bot is None else (dist.rows != bot).sum(axis=1)
+    filled = m if dist.bot is None else (dist.rows != dist.bot).sum(axis=1)
     expected_filled = sum((dist.weights / dist.total * filled).tolist(), 0.0)  # left to right, as a loop adds
     bound = math.log2(m + 1) + expected_filled * math.log2(m * sigma)
     measured = entropy(dist)
@@ -169,9 +166,7 @@ def verify_entropy_deviation(
     The cap combines the blank-mixture bound with the expected number of
     probes the forest sends to the fixed cell.
     """
-    for cell in cells:
-        if not 0 <= cell < forest.input_space.cells:
-            raise UsageError("bad_cells", f"cell {cell} outside the input space")
+    _checked_cells(forest, cells)
     lam = forest.input_space.alphabet
     m = forest.output_space.cells
     sigma = forest.output_space.alphabet
@@ -465,8 +460,15 @@ def _coupling_tables(forest: DecisionForest) -> tuple:
     return counts, tables
 
 
-def _coupled_sample(forest: DecisionForest, tables: dict, seed: int) -> CouplingSample:
-    """One uniform input and its coupled accepted input, walking the coupling tables."""
+def coupled_sample(forest: DecisionForest, seed: int) -> CouplingSample:
+    """One uniform input and its coupled uniform accepted input.
+
+    The forest has one tree with 0/1 leaves.  The walk follows the tree; at
+    each probe the observed symbol is coupled optimally with the symbol law
+    of a uniform accepting input that reaches the node, and the walk
+    continues along the coupled value.
+    """
+    _, tables = _coupling_tables(forest)
     lam, s = forest.input_space.alphabet, forest.input_space.cells
     rows = forest._table.rows
     rng = random.Random(seed)
@@ -491,28 +493,15 @@ def _coupled_sample(forest: DecisionForest, tables: dict, seed: int) -> Coupling
     return CouplingSample(x=x, y=tuple(y), dist=changed)
 
 
-def couple_accepting(
-    forest: DecisionForest,
-    mode: str = "sample",
-    seed: int = 0,
-    calibration: float = 2.0,
-):
-    """Transform a uniform input into a uniform accepted input, step by step.
+def couple_accepting(forest: DecisionForest, calibration: float = 2.0) -> ExperimentReport:
+    """Exact report on the coupling that `coupled_sample` draws from.
 
-    The forest has one tree with 0/1 leaves.  The walk follows the tree; at
-    each probe the observed symbol is coupled optimally with the symbol law
-    of a uniform accepting input that reaches the node, and the walk
-    continues along the coupled value.  Sample mode returns one
-    CouplingSample.  Exact mode checks, in one forward pass over the rows
-    and without sampling, that the transformed marginal is the uniform
-    accepting law and that the expected number of changed coordinates stays
-    below calibration * sqrt(depth * ln(1/acceptance)).
+    Checks, in one forward pass over the rows and without sampling, that
+    the transformed marginal is the uniform accepting law and that the
+    expected number of changed coordinates stays below
+    calibration * sqrt(depth * ln(1/acceptance)).
     """
     counts, tables = _coupling_tables(forest)
-    if mode == "sample":
-        return _coupled_sample(forest, tables, seed)
-    if mode != "exact_report":
-        raise UsageError("bad_mode", f"unknown coupling mode {mode!r}")
     lam, rows = forest.input_space.alphabet, forest._table.rows
     total = counts[0]
     acceptance = Fraction(total, lam ** forest.input_space.cells)
@@ -549,14 +538,6 @@ def couple_accepting(
     )
 
 
-def sample_coupling_distance(forest: DecisionForest, trials: int, seed: int) -> tuple:
-    """Mean changed-coordinate count over seeded coupling samples; the coupling tables are built once."""
-    _check_seed_steps(trials, "coupling trials")
-    _, tables = _coupling_tables(forest)
-    dists = [_coupled_sample(forest, tables, derive_seed(seed, t)).dist for t in range(trials)]
-    return float(np.mean(dists)), dists
-
-
 # ---------------------------------------------------------------------------
 # collision lower bounds
 
@@ -567,6 +548,8 @@ def verify_at_least_two(q: Sequence[float], alpha: float) -> ExperimentReport:
     Needs every probability at most alpha and their sum at most 1/8; the
     exact chance must then be at least (sum^2)/4 - 2*alpha*sum.
     """
+    if not math.isfinite(alpha):  # 2 * inf * 0 is NaN
+        raise UsageError("bad_parameter", f"alpha must be finite, got {alpha}")
     q = [float(v) for v in q]
     for v in q:
         if not 0.0 <= v <= 1.0:
@@ -860,17 +843,10 @@ def bucketed_dichotomy_experiment(
 # numeric facts
 
 
-def verify_taylor_bound(
-    xs: Sequence[float] | None = None, ns: Sequence[int] | None = None
-) -> ExperimentReport:
-    """(1-x)^n against its second-order expansion on a dense grid."""
-    if xs is None:
-        xs = np.linspace(0.005, 0.995, 199)
-    if ns is None:
-        ns = range(2, 65)
-    xs = np.asarray(xs, dtype=np.float64)
-    if ((xs <= 0) | (xs >= 1)).any():
-        raise UsageError("bad_parameter", "grid points must sit strictly inside (0, 1)")
+def verify_taylor_bound() -> ExperimentReport:
+    """(1-x)^n against its second-order expansion on a dense grid of x in (0, 1) and n in [2, 64]."""
+    xs = np.linspace(0.005, 0.995, 199)
+    ns = range(2, 65)
     worst = -math.inf
     for n in ns:
         lhs = (1.0 - xs) ** n
@@ -892,11 +868,15 @@ def verify_sum_ratio_bound(a: Sequence[float], b: Sequence[float]) -> Experiment
     b = np.asarray(list(b), dtype=np.float64)
     if a.shape != b.shape or a.size == 0:
         raise UsageError("bad_parameter", "need equal-length nonempty vectors")
-    if not (a >= 0).all() or not (b > 0).all():  # written so that NaN fails too
-        raise UsageError("bad_parameter", "need nonnegative a and positive b")
-    measured = float((a / b).sum())
-    weighted = float((a * b).sum())
-    bound = float(a.sum()) ** 2 / weighted if weighted > 0 else 0.0
+    if not (np.isfinite(a) & (a >= 0)).all() or not (np.isfinite(b) & (b > 0)).all():
+        raise UsageError("bad_parameter", "need finite nonnegative a and finite positive b")
+    with np.errstate(over="ignore"):  # an overflowing sum comes out inf and is refused below
+        measured = float((a / b).sum())
+        weighted = float((a * b).sum())
+        total = float(a.sum())
+    if not all(math.isfinite(v) for v in (measured, weighted, total * total)):
+        raise UsageError("bad_parameter", "the sums of a and b overflow the float range")
+    bound = total ** 2 / weighted if weighted > 0 else 0.0
     return ExperimentReport(
         lemma_id="sum-ratio",
         bound=bound,

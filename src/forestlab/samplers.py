@@ -138,12 +138,10 @@ class ForestGenSpec:
 
     Trees are drawn top-down with a per-node stop probability, then leaf
     labels are drawn uniformly (the blank symbol participates when the
-    output space allows it).  Optional caps: at most `max_tree_cells`
-    distinct cells per tree, at most `max_cell_influence` trees touching
-    any one cell, probes at level t restricted to bucket t when a bucket
-    structure is given.  `nonadaptive` only allows depth at most 1, which
-    is narrower than the paper's nonadaptive forests (d fixed cells per
-    output, read at any depth).
+    output space allows it).  Probes at level t are restricted to bucket t
+    when a bucket structure is given.  `nonadaptive` only allows depth at
+    most 1, which is narrower than the paper's nonadaptive forests (d fixed
+    cells per output, read at any depth).
     """
 
     cells: int
@@ -154,8 +152,6 @@ class ForestGenSpec:
     seed: int
     nonadaptive: bool = False
     bot_allowed: bool = False
-    max_tree_cells: int | None = None
-    max_cell_influence: int | None = None
     buckets: BucketStructure | None = None
     stop_prob: float = 0.3
 
@@ -179,39 +175,23 @@ def random_forest(spec: ForestGenSpec) -> DecisionForest:
     space = InputSpace(spec.cells, spec.alphabet)
     out = OutputSpace(spec.out_cells, spec.out_alphabet, spec.bot_allowed)
     labels = spec.out_alphabet + (1 if spec.bot_allowed else 0)
-    influence = [0] * spec.cells
-    cap = spec.max_cell_influence
+    # the cells a probe at each level may read
+    pools = [set(range(spec.cells))] * spec.depth if spec.buckets is None else [set(b) for b in spec.buckets.buckets]
 
     def leaf() -> Leaf:
         return Leaf(rng.randrange(labels))
 
-    trees = []
-    for _ in range(spec.out_cells):
-        open_cells = [c for c in range(spec.cells) if cap is None or influence[c] < cap]
-        if spec.max_tree_cells is not None:
-            pool = set(rng.sample(open_cells, min(spec.max_tree_cells, len(open_cells))))
-        else:
-            pool = set(open_cells)
+    def build(level: int, used: set):
+        if level >= spec.depth or rng.random() < spec.stop_prob:
+            return leaf()
+        candidates = sorted(pools[level] - used)
+        if not candidates:
+            return leaf()
+        cell = rng.choice(candidates)
+        used.add(cell)
+        kids = tuple(build(level + 1, used) for _ in range(spec.alphabet))
+        used.remove(cell)
+        return Internal(cell, kids)
 
-        tree_cells: set = set()
-
-        def build(level: int, used: set):
-            if level >= spec.depth or rng.random() < spec.stop_prob:
-                return leaf()
-            if spec.buckets is not None:
-                candidates = sorted((set(spec.buckets.buckets[level]) & pool) - used)
-            else:
-                candidates = sorted(pool - used)
-            if not candidates:
-                return leaf()
-            cell = rng.choice(candidates)
-            tree_cells.add(cell)
-            used.add(cell)
-            kids = tuple(build(level + 1, used) for _ in range(spec.alphabet))
-            used.remove(cell)
-            return Internal(cell, kids)
-
-        trees.append(DecisionTree(build(0, set())))
-        for c in tree_cells:
-            influence[c] += 1
-    return DecisionForest(space, out, tuple(trees))
+    trees = tuple(DecisionTree(build(0, set())) for _ in range(spec.out_cells))
+    return DecisionForest(space, out, trees)

@@ -23,6 +23,7 @@ from forestlab import (
     OutcomeSet,
     OutputSpace,
     UsageError,
+    collision_ensemble_report,
     collision_probability,
     collision_stat,
     conditional_entropy_detail,
@@ -36,8 +37,10 @@ from forestlab import (
     neighborhood,
     output_distribution,
     parse_distribution,
+    query_profile,
     random_forest,
     sample_ensemble,
+    sample_forest_outputs,
     thorp_forest,
     ThorpSpec,
     tv_distance,
@@ -501,6 +504,29 @@ def test_sampled_conditional_entropy_refuses_a_negative_seed():
     with pytest.raises(UsageError) as err:
         monte_carlo_conditional_entropy(thorp_forest(ThorpSpec(2, 2)), (0,), trials=200, seed=-1)
     assert err.value.reason == "bad_seed"
+
+
+SHUFFLE = thorp_forest(ThorpSpec(2, 2))
+ENSEMBLE = uniform_ensemble(3, 4)
+
+
+@pytest.mark.parametrize(
+    "draw, reason",
+    [
+        pytest.param(lambda: collision_probability(SHUFFLE, mode="monte_carlo", seed=-1), "bad_seed", id="forest-collision"),
+        pytest.param(lambda: collision_probability(ENSEMBLE, mode="monte_carlo", seed=-1), "bad_seed", id="ensemble-collision"),
+        pytest.param(lambda: sample_forest_outputs(SHUFFLE, 10, -1), "bad_seed", id="forest-outputs-seed"),
+        pytest.param(lambda: query_profile(SHUFFLE, 1.0, mode="monte_carlo", seed=-1), "bad_seed", id="query-profile"),
+        pytest.param(lambda: sample_ensemble(ENSEMBLE, 10, -1), "bad_seed", id="ensemble-draws-seed"),
+        pytest.param(lambda: collision_ensemble_report(ENSEMBLE, mode="monte_carlo", seed=-1), "bad_seed", id="ensemble-report"),
+        pytest.param(lambda: sample_forest_outputs(SHUFFLE, -1, 1), "bad_trials", id="forest-outputs-trials"),
+        pytest.param(lambda: sample_ensemble(ENSEMBLE, -1, 1), "bad_trials", id="ensemble-draws-trials"),
+    ],
+)
+def test_sampled_draws_refuse_a_negative_seed_or_trial_count(draw, reason):
+    with pytest.raises(UsageError) as err:
+        draw()
+    assert err.value.reason == reason
 
 
 def test_mode_guards_reject_unknown_modes():

@@ -94,8 +94,10 @@ def test_verify_precondition_violation_still_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("precondition_violation at-least-two")
 
 
-def test_verify_harper_on_the_empty_set_is_a_usage_error(capsys):
-    rc = main(["verify", "harper", "--set", "empty", "--k", "1", "--s", "3", "--lambda", "2"])
+def test_verify_harper_on_the_empty_set_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"arity": 3, "alphabet": 2, "description": "empty set", "members": []}))
+    rc = main(["verify", "harper", "--set", str(path), "--k", "1"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: empty_set:")
@@ -300,8 +302,9 @@ def test_huge_entropy_budgets_and_radii_give_reports(tmp_path, capsys):
     assert capsys.readouterr().out == "pass harper measured=1 bound=1\n"
 
 
-# a config whose k is a JSON integer no float holds
+# configs whose k, or cell, is a JSON integer no float holds
 HUGE_K = '{"k": 1' + "0" * 400 + "}"
+HUGE_CELL = '{"cell": 1' + "0" * 400 + "}"
 
 
 def test_a_config_radius_past_the_float_range_covers_the_whole_cube(tmp_path, capsys):
@@ -565,8 +568,8 @@ MALFORMED_FILES = [
     (["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "trees": [{"query": 0, "children": [{"leaf": 0.9}, {"leaf": 1}]}]}), "bad_file"),
     (["verify", "chain-bound", "--forest", "GATE", "--buckets"], json.dumps([[0.5]]), "bad_file"),
     (["verify", "chain-bound", "--forest", "GATE", "--buckets"], json.dumps({"buckets": [[False]]}), "bad_file"),
-    (["verify", "entropy-deviation", "--k", "0.5", "--forest"], json.dumps(GATE_FOREST), "bad_parameter"),
-    (["verify", "entropy-deviation", "--forest", "GATE", "--config"], json.dumps({"k": 0.5}), "bad_parameter"),
+    (["verify", "entropy-deviation", "--k", "0", "--forest"], json.dumps(GATE_FOREST), "missing_argument"),
+    (["verify", "entropy-deviation", "--forest", "GATE", "--config"], json.dumps({"cell": 0.5}), "bad_config"),
     (["verify", "harper", "--k", "1.5", "--set"], json.dumps({"arity": 2, "alphabet": 2, "members": [[0, 1]]}), "bad_parameter"),
     (["analyze", "neighborhood", "--k", "0.5", "--set"], json.dumps({"arity": 1, "alphabet": 2, "members": [[0]]}), "bad_parameter"),
     (["verify", "lipschitz-restriction", "--mu", "1", "--delta", "0.5", "--mode", "exact", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
@@ -583,7 +586,7 @@ MALFORMED_FILES = [
     (["analyze", "cond-entropy", "--cells", "0", "--mode", "monte_carlo", "--trials", "10", "--forest"], json.dumps(GATE_FOREST), "bad_trials"),
     (["couple", "--forest"], json.dumps({**GATE_FOREST, "trees": GATE_FOREST["trees"] * 2}), "bad_forest"),
     (["verify", "coupling", "--forest"], json.dumps({**GATE_FOREST, "trees": GATE_FOREST["trees"] * 2}), "bad_forest"),
-    (["couple", "--mode", "sample", "--trials", "1048577", "--forest"], json.dumps(GATE_FOREST), "bad_trials"),
+    (["couple", "--mode", "exact", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
     (["analyze", "cond-entropy", "--mode", "monte_carlo", "--trials", "200", "--cells", "99", "--forest"], json.dumps(GATE_FOREST), "bad_cells"),
     (["verify", "containment", "--k", "1", "--target"], "0,1\tnan\n1,0\t1.0\n", "bad_probability"),
     (["verify", "ensemble-collision", "--target"], '{"rows": [[NaN, 0.5, 0.0], [0.5, 0.5, 0.0]]}', "bad_probability"),
@@ -617,9 +620,14 @@ MALFORMED_FILES = [
     (["sweep"], json.dumps({"families": ["enforce-lipschitz"], "overrides": {"enforce-lipschitz": {"runs": 1048577}}}), "bad_config"),
     (["dichotomy", "--threshold", "0", "--betas", "-3", "--forest", "GATE", "--buckets"], json.dumps([[0]]), "bad_parameter"),
     (["dichotomy", "--threshold", "0", "--betas", "1048577", "--forest", "GATE", "--buckets"], json.dumps([[0]]), "bad_trials"),
-    pytest.param(["verify", "entropy-deviation", "--forest", "GATE", "--config"], HUGE_K, "bad_cells", id="huge-k-cell"),
+    pytest.param(["verify", "entropy-deviation", "--forest", "GATE", "--config"], HUGE_CELL, "bad_cells", id="huge-k-cell"),
     pytest.param(["verify", "containment", "--k", "1", "--target"], "9223372036854775808,0\t1.0\n", "bad_outcome", id="dump-symbol-past-int64"),
     pytest.param(["verify", "mixture-bound", "--sigma", "2", "--target"], "_,1\t0.5\n0,-9223372036854775809\t0.5\n", "bad_outcome", id="dump-symbol-below-int64"),
+    (["couple", "--mode", "monte_carlo", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
+    (["verify", "harper", "--config"], json.dumps({"set": "empty", "k": 1, "s": 3, "lambda": 2}), "missing_file"),
+    (["verify", "at-least-two", "--q", "0", "--alpha", "inf", "--config"], "{}", "bad_parameter"),
+    (["verify", "sum-ratio", "--target"], "1 inf\n1 1\n", "bad_parameter"),
+    (["verify", "sum-ratio", "--target"], "1e308 1e308\n1 1\n", "bad_parameter"),
 ]
 
 
@@ -694,12 +702,6 @@ def test_only_a_sampled_mean_of_bounded_events_carries_a_half_width(tmp_path, ca
     assert (tv["ci_halfwidth"], tv["trials"], tv["seed"]) == (None, 400, 3)
     assert main(["analyze", "collision"] + sampled) == 0
     assert json.loads(capsys.readouterr().out)["ci_halfwidth"] == hoeffding_halfwidth(400)
-    # a depth-2 acceptor: the mean coupled distance lies in [0, 2]
-    tree = DecisionTree(Internal(0, (Leaf(0), Internal(1, (Leaf(0), Leaf(1))))))
-    path = tmp_path / "acceptor.json"
-    path.write_text(dumps_forest(DecisionForest(InputSpace(2, 2), OutputSpace(1, 2), (tree,))))
-    assert main(["couple", "--forest", str(path), "--mode", "sample", "--trials", "400"]) == 0
-    assert json.loads(capsys.readouterr().out)["ci_halfwidth"] == 2 * hoeffding_halfwidth(400)
 
 
 # Every RunConfig field past the positionals is a flag of every subcommand and

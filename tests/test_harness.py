@@ -24,6 +24,7 @@ from forestlab import (
     collision_ensemble_report,
     containment_set,
     couple_accepting,
+    coupled_sample,
     cube_distances_to_set,
     derive_seed,
     enforce_avg_lipschitz,
@@ -34,7 +35,6 @@ from forestlab import (
     output_distribution,
     random_forest,
     restrict,
-    sample_coupling_distance,
     thorp_bucket_structure,
     thorp_forest,
     tv_distance,
@@ -182,7 +182,7 @@ def test_containment_size_cap_holds_even_for_high_entropy_laws():
 
 def test_mixture_bound_on_the_all_blank_point_mass():
     d = Distribution({(2, 2, 2): 1.0}, 3, bot=2)
-    report = verify_mixture_bound(d, sigma=2, bot=2)
+    report = verify_mixture_bound(d, sigma=2)
     assert report.measured == 0.0
     assert report.bound == pytest.approx(math.log2(4))
     assert report.passed
@@ -511,16 +511,16 @@ GATE = one_tree(Internal(0, (Leaf(0), Leaf(1))))
 
 def test_coupling_with_an_all_accepting_tree_is_the_identity():
     forest = one_tree(Leaf(1))
-    report = couple_accepting(forest, mode="exact_report")
+    report = couple_accepting(forest)
     assert report.measured == 0.0
     assert report.details["marginal_tv"] == 0.0
-    sample = couple_accepting(forest, mode="sample", seed=9)
+    sample = coupled_sample(forest, seed=9)
     assert sample.y == sample.x
     assert sample.dist == 0
 
 
 def test_coupling_through_a_single_gate():
-    report = couple_accepting(GATE, mode="exact_report")
+    report = couple_accepting(GATE)
     assert report.measured == pytest.approx(0.5, abs=1e-12)
     assert report.bound == pytest.approx(2 * math.sqrt(math.log(2)), abs=1e-12)
     assert report.details["marginal_tv"] <= 1e-9
@@ -530,21 +530,14 @@ def test_coupling_through_a_single_gate():
 
 def test_coupling_samples_always_land_in_the_accepting_region():
     for seed in range(64):
-        sample = couple_accepting(GATE, mode="sample", seed=seed)
+        sample = coupled_sample(GATE, seed=seed)
         assert sample.y == (1,)
         assert sample.dist == (0 if sample.x == (1,) else 1)
 
 
-def test_coupling_sample_mean_matches_the_exact_distance():
-    mean, dists = sample_coupling_distance(GATE, trials=2000, seed=1)
-    assert len(dists) == 2000
-    assert mean == pytest.approx(0.489, abs=1e-12)
-    assert abs(mean - 0.5) < 0.05
-
-
 def test_coupling_marginal_is_uniform_on_a_two_cell_acceptor():
     forest = one_tree(Internal(0, (Leaf(0), Internal(1, (Leaf(1), Leaf(0))))), cells=2)
-    report = couple_accepting(forest, mode="exact_report")
+    report = couple_accepting(forest)
     assert report.details["acceptance"] == pytest.approx(0.25)
     assert report.details["marginal_tv"] <= 1e-9
     assert report.passed
@@ -552,23 +545,19 @@ def test_coupling_marginal_is_uniform_on_a_two_cell_acceptor():
 
 def test_coupling_guards():
     with pytest.raises(UsageError) as err:
-        couple_accepting(one_tree(Leaf(0)), mode="exact_report")
+        couple_accepting(one_tree(Leaf(0)))
     assert err.value.reason == "zero_acceptance"
-    with pytest.raises(UsageError) as err:
-        couple_accepting(one_tree(Leaf(1)), mode="sideways")
-    assert err.value.reason == "bad_mode"
     three = DecisionForest(BIT_SPACE, OutputSpace(1, 3), (DecisionTree(Internal(0, (Leaf(1), Leaf(2)))),))
     with pytest.raises(UsageError) as err:
-        couple_accepting(three, mode="exact_report")
+        couple_accepting(three)
     assert err.value.reason == "bad_leaf"
 
 
 def test_coupling_rejects_a_two_tree_forest():
     two = DecisionForest(BIT_SPACE, OutputSpace(2, 2), GATE.trees * 2)
     for couple in (
-        lambda: couple_accepting(two, mode="sample"),
-        lambda: couple_accepting(two, mode="exact_report"),
-        lambda: sample_coupling_distance(two, trials=3, seed=0),
+        lambda: coupled_sample(two, seed=0),
+        lambda: couple_accepting(two),
     ):
         with pytest.raises(UsageError) as err:
             couple()
@@ -652,15 +641,13 @@ def test_table_coupling_matches_the_recursive_reference():
     for forest in forests:
         lam, cells = forest.input_space.alphabet, forest.input_space.cells
         root = annotate_acceptance(forest.trees[0].root, 0, cells, lam)
-        report = couple_accepting(forest, mode="exact_report")
+        report = couple_accepting(forest)
         measured, tv, acceptance = reference_exact(root, lam, cells)
         assert (report.measured, report.details["marginal_tv"], report.details["acceptance"]) == (measured, tv, acceptance)
         assert report.bound == 2.0 * math.sqrt(forest.depth * math.log(1.0 / acceptance))
         for seed in range(10):
-            sample = couple_accepting(forest, mode="sample", seed=seed)
+            sample = coupled_sample(forest, seed=seed)
             assert (sample.x, sample.y, sample.dist) == reference_sample(root, lam, cells, seed)
-        _, dists = sample_coupling_distance(forest, trials=20, seed=3)
-        assert dists == [reference_sample(root, lam, cells, derive_seed(3, t))[2] for t in range(20)]
         stack = [root]
         while stack:
             node, _, kids = stack.pop()
@@ -670,7 +657,7 @@ def test_table_coupling_matches_the_recursive_reference():
 
 
 def test_coupling_calibration_rescales_the_bound():
-    report = couple_accepting(GATE, mode="exact_report", calibration=0.01)
+    report = couple_accepting(GATE, calibration=0.01)
     assert report.bound == pytest.approx(0.01 * math.sqrt(math.log(2)))
     assert not report.passed
 
@@ -895,8 +882,6 @@ def test_collision_tv_refuses_an_output_alphabet_past_the_deck_before_any_law(mo
 def test_taylor_style_bound_over_the_default_grid():
     report = verify_taylor_bound()
     assert report.passed
-    with pytest.raises(UsageError):
-        verify_taylor_bound(xs=(0.0,))
 
 
 def test_sum_ratio_bound_examples():

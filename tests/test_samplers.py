@@ -124,14 +124,6 @@ def test_random_forest_is_deterministic_and_well_formed():
     assert len(f.trees) == 3
 
 
-def test_random_forest_honors_locality_caps():
-    spec = gen_spec(7, max_tree_cells=2, max_cell_influence=2)
-    f = random_forest(spec)
-    tree_cells = [{row[0] for row in f._table.tree_rows(t)} - {-1} for t in range(len(f.trees))]
-    assert max(map(len, tree_cells)) <= 2
-    assert max(sum(c in cells for cells in tree_cells) for c in range(f.input_space.cells)) <= 2
-
-
 def test_random_forest_can_target_a_bucket_structure():
     buckets = BucketStructure(((0, 1), (2, 3), (4,)))
     f = random_forest(gen_spec(3, buckets=buckets))
