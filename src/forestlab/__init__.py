@@ -10,16 +10,13 @@ from .analysis import (
     ConditionalEntropyDetail,
     Distribution,
     IndependentEnsemble,
-    Measurement,
     OutcomeSet,
     collision_probability,
-    collision_stat,
     conditional_entropy_detail,
     cube_distances_to_set,
     derive_seed,
     ensemble_collision_probability,
     entropy,
-    hamming_dist_to_set,
     hoeffding_halfwidth,
     monte_carlo_conditional_entropy,
     neighborhood,

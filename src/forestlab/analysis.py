@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -59,21 +59,6 @@ def hoeffding_halfwidth(trials: int) -> float:
     if trials < 1:
         raise UsageError("bad_trials", f"a mean needs at least 1 trial, got {trials}")
     return math.sqrt(math.log(2.0 / (1.0 - 0.99)) / (2.0 * trials))
-
-
-@dataclass
-class Measurement:
-    """One reported quantity with its estimation context."""
-
-    quantity: str
-    mode: str
-    value: float
-    ci_halfwidth: float | None = None
-    seed: int | None = None
-    trials: int | None = None
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 class Distribution:
@@ -321,11 +306,15 @@ def conditional_entropy_detail(
     """
     cells = _checked_cells(forest, cells)
     _, counts, group = _cube_law(forest, budget, tuple(cells))
-    groups = forest.input_space.alphabet ** len(cells)
+    per_assignment = _group_entropies(counts, group, forest.input_space.alphabet ** len(cells))
+    return ConditionalEntropyDetail(float(per_assignment.mean()), tuple(cells), per_assignment)
+
+
+def _group_entropies(counts: np.ndarray, group: np.ndarray, groups: int) -> np.ndarray:
+    """The entropy of each of `groups` equal-sized groups of a grouped law's counts, group b where `group` is b."""
     frac = counts / (int(counts.sum()) // groups)
     terms = -frac * np.log2(frac, where=frac > 0, out=np.zeros_like(frac))
-    per_assignment = np.bincount(group, weights=terms, minlength=groups)
-    return ConditionalEntropyDetail(float(per_assignment.mean()), tuple(cells), per_assignment)
+    return np.bincount(group, weights=terms, minlength=groups)
 
 
 def monte_carlo_conditional_entropy(
@@ -433,16 +422,6 @@ def tv_lower_bound_via_collision(dist: Distribution) -> float:
 
 # ---------------------------------------------------------------------------
 # collision statistics
-
-
-def collision_stat(z, bot: int | None = None) -> int:
-    """Total count of repeated non-blank symbols, sum of (multiplicity - 1)."""
-    counts: dict = {}
-    for sym in z:
-        if bot is not None and sym == bot:
-            continue
-        counts[sym] = counts.get(sym, 0) + 1
-    return sum(c - 1 for c in counts.values() if c > 1)
 
 
 @dataclass(frozen=True)
@@ -553,23 +532,6 @@ def collision_probability(
 
 # ---------------------------------------------------------------------------
 # Hamming geometry
-
-
-def hamming_dist_to_set(x, outcome_set: OutcomeSet) -> int:
-    """Coordinates to change before x lands in the set."""
-    if not outcome_set.members:
-        raise UsageError("empty_set", "distance to an empty set is undefined")
-    x = tuple(x)
-    if len(x) != outcome_set.arity:
-        raise UsageError("bad_outcome", f"point arity {len(x)} vs set arity {outcome_set.arity}")
-    best = outcome_set.arity
-    for member in outcome_set.members:
-        d = sum(1 for a, b in zip(x, member) if a != b)
-        if d < best:
-            best = d
-            if best == 0:
-                break
-    return best
 
 
 def neighborhood(

@@ -23,7 +23,6 @@ from . import corpus as corpus_mod
 from .analysis import (
     Distribution,
     IndependentEnsemble,
-    Measurement,
     OutcomeSet,
     SEED_STEPS,
     _check_seed_steps,
@@ -348,10 +347,6 @@ def _instance_id(cfg: RunConfig) -> str:
     return stem or "cli"
 
 
-def _emit_measurement(measurement: Measurement) -> None:
-    print(json.dumps(measurement.to_json()))
-
-
 def _log_report(cfg: RunConfig, report) -> None:
     append_ledger(_ledger_path(cfg), [ledger_row(report, _instance_id(cfg))], fresh=cfg.fresh)
 
@@ -523,40 +518,34 @@ _QUANTITIES = {"lipschitz": "lipschitz-worst-tail", "neighborhood": "neighborhoo
 def _cmd_analyze(cfg: RunConfig) -> int:
     value, drawn = _ANALYZERS[cfg.analysis][0](cfg)
     sampled = cfg.mode == "monte_carlo"
+    report = ExperimentReport(
+        lemma_id=f"analyze-{cfg.analysis}", bound=None, measured=value, direction=None, mode=cfg.mode,
+        trials=drawn if sampled else None, seed=cfg.seed if sampled else None,
+    )
     # Hoeffding's interval holds for a mean of 0/1 events, which collision is; plug-in
     # tv and entropies are biased, and lipschitz is a max over cells with no union bound.
-    measurement = Measurement(
-        _QUANTITIES.get(cfg.analysis, cfg.analysis), cfg.mode, value,
-        ci_halfwidth=hoeffding_halfwidth(drawn) if sampled and cfg.analysis == "collision" else None,
-        seed=cfg.seed if sampled else None, trials=drawn if sampled else None,
-    )
-    _emit_measurement(measurement)
-    report = ExperimentReport(
-        lemma_id=f"analyze-{cfg.analysis}",
-        bound=None,
-        measured=measurement.value,
-        direction=None,
-        mode=measurement.mode,
-        trials=measurement.trials,
-        seed=measurement.seed,
-    )
+    halfwidth = hoeffding_halfwidth(drawn) if sampled and cfg.analysis == "collision" else None
+    print(json.dumps({
+        "quantity": _QUANTITIES.get(cfg.analysis, cfg.analysis), "mode": report.mode, "value": report.measured,
+        "ci_halfwidth": halfwidth, "seed": report.seed, "trials": report.trials,
+    }))
     _log_report(cfg, report)
     return 0
+
+
+def _record_json(record) -> dict:
+    """A result record's fields, in declaration order, less those that hold a forest."""
+    return {
+        field.name: getattr(record, field.name)
+        for field in dataclasses.fields(record) if not field.type.startswith("DecisionForest")
+    }
 
 
 def _cmd_enforce(cfg: RunConfig) -> int:
     _need(cfg, "forest", "mu", "eps")
     forest = _load_forest(cfg)
     trace = enforce_avg_lipschitz(forest, cfg.mu, cfg.eps, cfg.seed)
-    doc = {
-        "success": trace.success,
-        "steps": [[cell, value, expected] for cell, value, expected in trace.steps],
-        "budget": trace.budget,
-        "mu": trace.mu,
-        "eps": trace.eps,
-        "seed": trace.seed,
-    }
-    print(json.dumps(doc))
+    print(json.dumps(_record_json(trace)))
     if cfg.out:
         _atomic_write(cfg.out, dumps_forest(trace.final_forest))
     return 0 if trace.success else 1
@@ -574,17 +563,7 @@ def _cmd_depth_reduce(cfg: RunConfig) -> int:
     _need(cfg, "forest", "alpha")
     forest = _load_forest(cfg)
     step = depth_reduction_step(forest, cfg.alpha, cfg.seed, budget=cfg.budget_states)
-    doc = {
-        "alpha": step.alpha,
-        "seed": step.seed,
-        "selected_cells": list(step.selected_cells),
-        "tree_indices": list(step.tree_indices),
-        "h_selected": step.h_selected,
-        "h_pruned": step.h_pruned,
-        "expected_extra_queries": step.expected_extra_queries,
-        "expected_blank_outputs": step.expected_blank_outputs,
-    }
-    print(json.dumps(doc))
+    print(json.dumps(_record_json(step)))
     if cfg.out and step.pruned is not None:
         _atomic_write(cfg.out, dumps_forest(step.pruned))
     return 0
@@ -774,11 +753,11 @@ _COMMANDS = {
     "gen-thorp": (_cmd_gen_thorp, _EXACT),
     "gen-random": (_cmd_gen_random, _EXACT),
     "eval": (_cmd_eval, _EXACT),
-    "analyze": (_cmd_analyze, _ANALYZERS),
     "enforce-lipschitz": (_cmd_enforce, _EXACT),
     "couple": (_cmd_couple, ("exact_report", "sample")),
     "depth-reduce": (_cmd_depth_reduce, _EXACT),
     "dichotomy": (_cmd_dichotomy, _EXACT),
+    "analyze": (_cmd_analyze, _ANALYZERS),
     "verify": (_cmd_verify, _VERIFIERS),
     "sweep": (_cmd_sweep, _EXACT),
 }
@@ -822,18 +801,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decision forest generation, analysis, and bound verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("gen-thorp", "gen-random", "eval", "enforce-lipschitz", "couple", "depth-reduce", "dichotomy"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
+        if name == "analyze":
+            p.add_argument("analysis", choices=sorted(_ANALYZERS))
+        elif name == "verify":
+            p.add_argument("lemma", metavar="lemma-id")
+        elif name == "sweep":
+            p.add_argument("corpus_config", nargs="?", default=None)
         _add_shared_flags(p)
-    p = sub.add_parser("analyze")
-    p.add_argument("analysis", choices=sorted(_ANALYZERS))
-    _add_shared_flags(p)
-    p = sub.add_parser("verify")
-    p.add_argument("lemma", metavar="lemma-id")
-    _add_shared_flags(p)
-    p = sub.add_parser("sweep")
-    p.add_argument("corpus_config", nargs="?", default=None)
-    _add_shared_flags(p)
     return parser
 
 
@@ -846,10 +822,7 @@ def main(argv=None) -> int:
         if cfg.mode not in modes:
             raise UsageError("bad_mode", f"{_command_name(cfg)} takes mode {'/'.join(modes)}, not {cfg.mode!r}")
         return _COMMANDS[cfg.command][0](cfg)
-    except UsageError as exc:
-        print(f"error: {exc.reason}: {exc.message}", file=sys.stderr)
-        return 2
-    except BudgetError as exc:
+    except (UsageError, BudgetError) as exc:
         print(f"error: {exc.reason}: {exc.message}", file=sys.stderr)
         return 2
 

@@ -1,13 +1,14 @@
 """Standard seeded instance families for the verification sweep.
 
 Each family is a deterministic generator of (instance_id, ExperimentReport)
-pairs; the family seeds below are fixed so that sweep ledgers reproduce
+pairs; each family's default seed is fixed so that sweep ledgers reproduce
 byte for byte.  Helpers that expose the raw instances (forests, parameter
 choices) are provided where the test suite re-runs an operation many times
 per instance.
 """
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from typing import Iterator
@@ -54,25 +55,6 @@ from .harness import (
 )
 from .report import ExperimentReport
 from .samplers import ForestGenSpec, random_forest
-
-FAMILY_SEEDS = {
-    "containment": 11,
-    "mixture-bound": 13,
-    "chain-bound": 17,
-    "entropy-deviation": 19,
-    "second-moment-tail": 23,
-    "avg-to-tail-lipschitz": 29,
-    "harper": 31,
-    "at-least-two": 37,
-    "light-mass": 41,
-    "sum-ratio": 43,
-    "collision-tv": 47,
-    "coupling": 53,
-    "enforce-lipschitz": 59,
-    "lipschitz-restriction": 61,
-    "ensemble-collision": 67,
-    "taylor-bound": 71,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -415,3 +397,9 @@ FAMILIES: dict = {
     "ensemble-collision": ensemble_family,
 }
 
+# the default seed of each family that takes one
+FAMILY_SEEDS = {
+    name: seed.default
+    for name, family in FAMILIES.items()
+    if (seed := inspect.signature(family).parameters.get("seed")) is not None
+}

@@ -24,22 +24,21 @@ DEFAULT_SET_BUDGET = 1 << 22
 PartialAssignment = Mapping[int, int]
 
 
-class BudgetError(RuntimeError):
+class _ReasonedError(Exception):
+    """An error that names its reason beside its message."""
+
+    def __init__(self, reason: str, message: str):
+        super().__init__(message)
+        self.reason = reason
+        self.message = message
+
+
+class BudgetError(_ReasonedError, RuntimeError):
     """An exact computation would exceed its declared state budget."""
 
-    def __init__(self, reason: str, message: str):
-        super().__init__(message)
-        self.reason = reason
-        self.message = message
 
-
-class UsageError(ValueError):
+class UsageError(_ReasonedError, ValueError):
     """A request that is malformed rather than merely expensive."""
-
-    def __init__(self, reason: str, message: str):
-        super().__init__(message)
-        self.reason = reason
-        self.message = message
 
 
 @dataclass(frozen=True)

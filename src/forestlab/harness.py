@@ -28,6 +28,7 @@ from .analysis import (
     _collision_mass,
     _cube_law,
     _entropy_bits,
+    _group_entropies,
     collision_probability,
     conditional_entropy_detail,
     cube_distances_to_set,
@@ -134,12 +135,6 @@ def verify_mixture_bound(dist: Distribution, sigma: int) -> ExperimentReport:
     )
 
 
-def _leave_one_block_out(forest: DecisionForest, buckets: BucketStructure, budget: int) -> list:
-    """The output entropy given every cell outside each block, block by block."""
-    cells = range(forest.input_space.cells)
-    return [conditional_entropy_detail(forest, [c for c in cells if c not in b], budget).value for b in buckets.buckets]
-
-
 def verify_chain_bound(
     forest: DecisionForest, buckets: BucketStructure, budget: int = DEFAULT_STATE_BUDGET
 ) -> ExperimentReport:
@@ -147,7 +142,9 @@ def verify_chain_bound(
     if buckets.cells != forest.input_space.cells:
         raise UsageError("bad_buckets", "partition does not cover the input cells")
     measured = entropy(output_distribution(forest, budget=budget))
-    terms = _leave_one_block_out(forest, buckets, budget)
+    # the output entropy given every cell outside each block, block by block
+    cells = range(forest.input_space.cells)
+    terms = [conditional_entropy_detail(forest, [c for c in cells if c not in b], budget).value for b in buckets.buckets]
     bound = float(sum(terms))
     return ExperimentReport(
         lemma_id="chain-bound",
@@ -282,9 +279,9 @@ class RestrictionTrace:
     was fixed), in order.
     """
 
+    success: bool
     steps: tuple
     final_forest: DecisionForest
-    success: bool
     budget: int
     mu: float
     eps: float
@@ -327,9 +324,9 @@ def enforce_avg_lipschitz(
         steps.append((heaviest, value, float(ec[heaviest])))
         current = restrict(current, {heaviest: value})
     return RestrictionTrace(
+        success=success,
         steps=tuple(steps),
         final_forest=current,
-        success=success,
         budget=budget,
         mu=float(mu),
         eps=float(eps),
@@ -713,13 +710,13 @@ class DepthReductionReport:
     alpha: float
     seed: int
     selected_cells: tuple
-    tree_indices: tuple
-    subforest: DecisionForest | None
-    pruned: DecisionForest | None
-    h_selected: float
-    h_pruned: float
-    expected_extra_queries: float
-    expected_blank_outputs: float
+    tree_indices: tuple = ()
+    subforest: DecisionForest | None = None
+    pruned: DecisionForest | None = None
+    h_selected: float = 0.0
+    h_pruned: float = 0.0
+    expected_extra_queries: float = 0.0
+    expected_blank_outputs: float = 0.0
 
 
 def _expected_blanks(forest: DecisionForest) -> float:
@@ -744,18 +741,7 @@ def depth_reduction_step(
     selected = tuple(c for c in sorted(groups) if rng.random() < alpha)
     indices = tuple(ti for c in selected for ti in groups[c])
     if not indices:
-        return DepthReductionReport(
-            alpha=alpha,
-            seed=seed,
-            selected_cells=selected,
-            tree_indices=(),
-            subforest=None,
-            pruned=None,
-            h_selected=0.0,
-            h_pruned=0.0,
-            expected_extra_queries=0.0,
-            expected_blank_outputs=0.0,
-        )
+        return DepthReductionReport(alpha=alpha, seed=seed, selected_cells=selected)
     indices = tuple(sorted(indices))
     sub_out = OutputSpace(
         len(indices), forest.output_space.alphabet, forest.output_space.bot_allowed
@@ -804,17 +790,21 @@ def bucketed_dichotomy_experiment(
         details = {**inner.details, "branch": "containment", "container_size": len(container)}
         return replace(inner, lemma_id="bucketed-dichotomy", seed=seed, details=details)
     lam = forest.input_space.alphabet
-    conditionals = _leave_one_block_out(forest, buckets, budget)
-    best = max(range(len(conditionals)), key=conditionals.__getitem__)
-    others = [c for c in range(forest.input_space.cells) if c not in buckets.buckets[best]]
-    # one law grouped by the probed cells the restriction fixes; each restriction's law is one group
-    fixed = sorted(set(others) & set(forest.mentioned_cells()))
-    rows, counts, group = _cube_law(forest, budget, tuple(fixed))
+    # the output entropy given every cell outside each block; the law grouped by the cells
+    # outside the first block of largest entropy is kept, and each restriction's law is one group of it
+    conditionals = []
+    for block in buckets.buckets:
+        outside = [c for c in range(forest.input_space.cells) if c not in block]
+        law = _cube_law(forest, budget, tuple(outside))
+        conditionals.append(float(_group_entropies(law[1], law[2], lam ** len(outside)).mean()))
+        if conditionals[-1] > max(conditionals[:-1], default=-math.inf):
+            best, others, (rows, counts, group) = len(conditionals) - 1, outside, law
+        del law  # a block's law that is not kept is freed before the next one is built
     samples = []
     for b in range(betas):
         rng = random.Random(derive_seed(seed, b))
         assignment = {c: rng.randrange(lam) for c in others}
-        index = sum(assignment[c] * lam**rank for rank, c in enumerate(fixed))
+        index = sum(assignment[c] * lam**rank for rank, c in enumerate(others))
         start, stop = np.searchsorted(group, (index, index + 1))
         restricted = Distribution._from_counts(rows[start:stop], counts[start:stop], dist.bot)
         samples.append(
@@ -876,7 +866,14 @@ def verify_sum_ratio_bound(a: Sequence[float], b: Sequence[float]) -> Experiment
         total = float(a.sum())
     if not all(math.isfinite(v) for v in (measured, weighted, total * total)):
         raise UsageError("bad_parameter", "the sums of a and b overflow the float range")
-    bound = total ** 2 / weighted if weighted > 0 else 0.0
+    scale = 1.0
+    if total > 0 and weighted < sys.float_info.min:  # a * b underflowed: sum a and b scaled to a largest term of 1
+        scale = float(a.max() / b.max())
+        a, b = a / a.max(), b / b.max()
+        total, weighted = float(a.sum()), float((a * b).sum())
+        if weighted == 0.0:
+            raise UsageError("bad_parameter", "the sum of a * b underflows the float range")
+    bound = total ** 2 / weighted * scale if weighted > 0 else 0.0
     return ExperimentReport(
         lemma_id="sum-ratio",
         bound=bound,

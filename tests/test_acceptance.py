@@ -34,7 +34,6 @@ from forestlab import (
     uniform_ensemble,
     uniform_perm_distribution,
 )
-from forestlab.analysis import collision_stat
 from forestlab.corpus import (
     FAMILIES,
     enforcement_instances,
@@ -42,6 +41,8 @@ from forestlab.corpus import (
 )
 from forestlab.report import ledger_row
 from forestlab.harness import verify_lipschitz_after_conditioning
+
+from pointwise_reference import collision_stat
 
 CRITERION_6_FAMILIES = (
     "entropy-deviation",

@@ -19,19 +19,16 @@ from forestlab import (
     InputSpace,
     Internal,
     Leaf,
-    Measurement,
     OutcomeSet,
     OutputSpace,
     UsageError,
     collision_ensemble_report,
     collision_probability,
-    collision_stat,
     conditional_entropy_detail,
     cube_distances_to_set,
     derive_seed,
     ensemble_collision_probability,
     entropy,
-    hamming_dist_to_set,
     hoeffding_halfwidth,
     monte_carlo_conditional_entropy,
     neighborhood,
@@ -51,6 +48,8 @@ from forestlab import (
 from forestlab import analysis
 from forestlab.cli import _dump_outcome_set
 from forestlab.samplers import thorp_network_permutation
+
+from pointwise_reference import collision_stat, hamming_dist_to_set
 
 
 def identity_forest(s: int, lam: int = 2) -> DecisionForest:
@@ -431,18 +430,6 @@ def test_parsing_rejects_unexpected_blanks():
     with pytest.raises(UsageError) as err:
         parse_distribution("0,_\t1.0\n")
     assert err.value.reason == "bad_outcome"
-
-
-def test_measurement_serialization_field_names():
-    m = Measurement(quantity="entropy", mode="exact", value=1.5)
-    assert m.to_json() == {
-        "quantity": "entropy",
-        "mode": "exact",
-        "value": 1.5,
-        "ci_halfwidth": None,
-        "seed": None,
-        "trials": None,
-    }
 
 
 def test_seed_derivation_spreads_steps_apart():

@@ -181,6 +181,39 @@ def test_enforce_success_exits_zero(tmp_path, capsys):
     assert doc["steps"] == []
 
 
+SHUFFLE_RECORDS = [
+    (
+        ["enforce-lipschitz", "--mu", "1.0", "--eps", "0.25", "--seed", "3"], 0,
+        '{"success": true, "steps": [[0, 0, 2.0], [1, 0, 2.0], [2, 1, 2.0], [3, 1, 2.0], [4, 0, 2.0], [5, 0, 2.0],'
+        ' [6, 1, 2.0], [7, 1, 2.0], [8, 0, 2.0], [9, 0, 2.0], [10, 1, 2.0], [11, 1, 2.0]],'
+        ' "budget": 144, "mu": 1.0, "eps": 0.25, "seed": 3}',
+    ),
+    (
+        ["enforce-lipschitz", "--mu", "1.0", "--eps", "0.99", "--seed", "3"], 1,
+        '{"success": false, "steps": [[0, 0, 2.0]], "budget": 1, "mu": 1.0, "eps": 0.99, "seed": 3}',
+    ),
+    (
+        ["depth-reduce", "--alpha", "0", "--seed", "2"], 0,
+        '{"alpha": 0.0, "seed": 2, "selected_cells": [], "tree_indices": [], "h_selected": 0.0, "h_pruned": 0.0,'
+        ' "expected_extra_queries": 0.0, "expected_blank_outputs": 0.0}',
+    ),
+    (
+        ["depth-reduce", "--alpha", "0.5", "--seed", "2"], 0,
+        '{"alpha": 0.5, "seed": 2, "selected_cells": [10, 11], "tree_indices": [4, 5, 6, 7], "h_selected": 8.0,'
+        ' "h_pruned": 8.0, "expected_extra_queries": 0.0, "expected_blank_outputs": 0.0}',
+    ),
+]
+
+
+@pytest.mark.parametrize("args, code, record", SHUFFLE_RECORDS)
+def test_structural_commands_print_their_records_on_the_three_round_shuffle(tmp_path, capsys, args, code, record):
+    forest_path = tmp_path / "f.json"
+    main(["gen-thorp", "--log2n", "3", "--rounds", "3", "-o", str(forest_path)])
+    capsys.readouterr()
+    assert main(args + ["--forest", str(forest_path)]) == code
+    assert capsys.readouterr().out == record + "\n"
+
+
 def test_config_file_merges_under_flags(tmp_path, capsys):
     cfg = tmp_path / "claim.json"
     cfg.write_text(json.dumps({"q": "0.04,0.04", "alpha": 0.04}))
@@ -412,11 +445,11 @@ def test_sweep_runs_infinite_radii(tmp_path, capsys, isolated_ledger):
 
 
 def test_family_seeds_are_the_default_seeds_of_the_families():
-    assert sorted(corpus.FAMILY_SEEDS) == sorted(corpus.FAMILIES)
-    for name, family in corpus.FAMILIES.items():
-        seed = inspect.signature(family).parameters.get("seed")
-        if seed is not None:
-            assert seed.default == corpus.FAMILY_SEEDS[name], name
+    seeded = [name for name, family in corpus.FAMILIES.items() if "seed" in inspect.signature(family).parameters]
+    assert list(corpus.FAMILY_SEEDS) == seeded
+    assert "taylor-bound" not in corpus.FAMILY_SEEDS
+    for name in seeded:
+        assert inspect.signature(corpus.FAMILIES[name]).parameters["seed"].default == corpus.FAMILY_SEEDS[name], name
 
 
 def test_sweep_rejects_unknown_families(tmp_path, capsys):
@@ -458,6 +491,23 @@ def test_analyze_entropy_and_lipschitz_smoke(tmp_path, capsys):
     )
     assert rc == 0
     assert "lipschitz" in capsys.readouterr().out
+
+
+def test_analyze_prints_the_measurement_keys_in_order(tmp_path, capsys):
+    forest_path = tmp_path / "f.json"
+    main(["gen-thorp", "--log2n", "2", "--rounds", "1", "-o", str(forest_path)])
+    capsys.readouterr()
+    keys = ["quantity", "mode", "value", "ci_halfwidth", "seed", "trials"]
+    assert main(["analyze", "entropy", "--forest", str(forest_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == keys
+    assert [payload[key] for key in keys] == ["entropy", "exact", 2.0, None, None, None]
+    sampled = ["--mode", "monte_carlo", "--trials", "500", "--seed", "9"]
+    assert main(["analyze", "collision", "--forest", str(forest_path)] + sampled) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == keys
+    assert payload["ci_halfwidth"] == hoeffding_halfwidth(500)
+    assert (payload["seed"], payload["trials"]) == (9, 500)
 
 
 def test_analyze_cond_entropy_reports_the_trials_it_drew(tmp_path, capsys):

@@ -37,7 +37,6 @@ from forestlab import (
 from forestlab.analysis import (
     Distribution,
     collision_probability,
-    collision_stat,
     conditional_entropy_detail,
     entropy,
     eval_forest_on_inputs,
@@ -53,6 +52,7 @@ from forestlab.harness import _expected_blanks, enforce_avg_lipschitz
 from forestlab.samplers import ThorpSpec, thorp_forest, uniform_perm_distribution
 
 from cube_reference import eval_forest_on_cube, packed_outputs_on_cube, whole_cube_law
+from pointwise_reference import collision_stat
 
 
 def identity_forest(s: int, lam: int = 2) -> DecisionForest:

@@ -902,6 +902,17 @@ def test_sum_ratio_bound_examples():
         assert err.value.reason == "bad_parameter"
 
 
+def test_sum_ratio_bound_survives_an_underflowing_sum_of_products():
+    report = verify_sum_ratio_bound([1e-200], [1e-200])
+    assert (report.measured, report.bound) == (1.0, 1.0)
+    report = verify_sum_ratio_bound([1e-200, 3e-200], [2e-200, 1e-200])
+    assert report.bound == pytest.approx(16 / 5, rel=1e-12)
+    assert report.measured >= report.bound
+    with pytest.raises(UsageError) as err:  # a * b underflows even with a and b scaled to a largest term of 1
+        verify_sum_ratio_bound([0.0, 1e-300], [1e10, 5e-324])
+    assert err.value.reason == "bad_parameter"
+
+
 # ---------------------------------------------------------------------------
 # depth reduction and the dichotomy pipeline
 
@@ -1023,6 +1034,24 @@ def test_dichotomy_samples_are_the_laws_of_restricted_forests(monkeypatch):
             assert sample["collision_probability"] == collision_probability(restricted, mode="exact")
             collisions += 0 < sample["collision_probability"] < 1
     assert collisions > 10
+
+
+def test_the_dichotomy_slices_its_samples_from_the_best_blocks_law(monkeypatch):
+    laws = []
+    cube_law = analysis._cube_law
+
+    def counted(forest, budget, cells=()):
+        laws.append(cells)
+        return cube_law(forest, budget, cells)
+
+    spec = ThorpSpec(3, 3)
+    monkeypatch.setattr(analysis, "_cube_law", counted)
+    monkeypatch.setattr(harness, "_cube_law", counted)
+    report = bucketed_dichotomy_experiment(thorp_forest(spec), thorp_bucket_structure(spec), 11.0, betas=3)
+    monkeypatch.undo()
+    # the ungrouped law, then one law per block grouped by the cells outside it
+    assert laws == [(), tuple(range(8)), tuple(range(4)) + tuple(range(8, 12)), tuple(range(4, 12))]
+    assert len(report.details["samples"]) == 3
 
 
 def test_dichotomy_rejects_mismatched_bucket_structures():
