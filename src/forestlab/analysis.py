@@ -391,14 +391,11 @@ def _row_keys(a: np.ndarray, b: np.ndarray) -> tuple:
 
 def _rows_have_collision(rows: np.ndarray, bot: int | None, count_bot: bool) -> np.ndarray:
     """Per-row flag: repeated non-blank symbol (or any blank if requested)."""
-    if rows.shape[1] < 2:
-        hit = np.zeros(rows.shape[0], dtype=bool)
-    else:
-        srt = np.sort(rows, axis=1)
-        eq = srt[:, 1:] == srt[:, :-1]
-        if bot is not None:
-            eq &= srt[:, 1:] != bot
-        hit = eq.any(axis=1)
+    srt = np.sort(rows, axis=1)
+    eq = srt[:, 1:] == srt[:, :-1]
+    if bot is not None:
+        eq &= srt[:, 1:] != bot
+    hit = eq.any(axis=1)
     if count_bot and bot is not None:
         hit |= (rows == bot).any(axis=1)
     return hit

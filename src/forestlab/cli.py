@@ -123,7 +123,6 @@ class RunConfig:
     fresh: bool = False
     budget_states: int = DEFAULT_STATE_BUDGET
     budget_set: int = DEFAULT_SET_BUDGET
-    calib_coupling_c: float = 2.0
 
 
 _CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -157,9 +156,9 @@ def _check_json_value(what: str, annotation: str, value) -> None:
 
 
 def _check_override(what: str, parameter: inspect.Parameter, value) -> None:
-    """A sweep override's value: of the parameter's type, no NaN (in a list neither), and a size of at least 1."""
+    """A sweep override's value: of the parameter's type, no NaN in a list, and a size of at least 1."""
     _check_json_value(what, parameter.annotation, value)
-    if any(item != item for item in (value if isinstance(value, list) else [value])):  # only NaN is unequal to itself
+    if isinstance(value, list) and any(item != item for item in value):  # only NaN is unequal to itself
         raise UsageError("bad_config", f"{what} must not be nan")
     if parameter.name in ("count", "trials", "runs") and value < 1:
         raise UsageError("bad_config", f"{what} must be at least 1, got {value}")
@@ -383,38 +382,24 @@ def _cmd_gen_thorp(cfg: RunConfig) -> int:
 
 
 def _cmd_gen_random(cfg: RunConfig) -> int:
-    _need(cfg, "out", "s", "lam", "m", "sigma", "depth")
+    # the shape flags, in manifest order, and the ForestGenSpec field each one sets
+    fields = {"s": "cells", "lam": "alphabet", "m": "out_cells", "sigma": "out_alphabet", "depth": "depth"}
+    _need(cfg, "out", *fields)
     count = 1 if cfg.count is None else cfg.count
     if count < 1:
         raise UsageError("bad_parameter", f"--count must be at least 1, got {count}")
     _check_seed_steps(count, "--count", "bad_parameter")
+    shape = {field: getattr(cfg, name) for name, field in fields.items()}
+    # the manifest names each shape value by its flag
+    spec = {_SPELLINGS.get(name, name): getattr(cfg, name) for name in fields}
     base, _ = os.path.splitext(cfg.out)
     lines = []
     for i in range(count):
         seed = derive_seed(cfg.seed, i)
-        gen = ForestGenSpec(
-            cells=cfg.s,
-            alphabet=cfg.lam,
-            out_cells=cfg.m,
-            out_alphabet=cfg.sigma,
-            depth=cfg.depth,
-            seed=seed,
-        )
-        forest = random_forest(gen)
+        forest = random_forest(ForestGenSpec(**shape, seed=seed))
         path = f"{base}-{i:04d}.json"
         _atomic_write(path, dumps_forest(forest))
-        record = {
-            "spec": {
-                "s": cfg.s,
-                "lambda": cfg.lam,
-                "m": cfg.m,
-                "sigma": cfg.sigma,
-                "depth": cfg.depth,
-            },
-            "seed": seed,
-            "path": path,
-        }
-        lines.append(json.dumps(record))
+        lines.append(json.dumps({"spec": spec, "seed": seed, "path": path}))
     _atomic_write(cfg.out, "\n".join(lines) + "\n")
     print(f"wrote {count} forests and manifest {cfg.out}")
     return 0
@@ -635,7 +620,7 @@ def _verify_restriction(cfg: RunConfig):
 
 
 def _verify_coupling(cfg: RunConfig):
-    return couple_accepting(_load_forest(cfg), cfg.calib_coupling_c)
+    return couple_accepting(_load_forest(cfg))
 
 
 def _verify_at_least_two(cfg: RunConfig):
@@ -656,7 +641,7 @@ def _verify_harper(cfg: RunConfig):
 def _verify_ensemble(cfg: RunConfig):
     _need(cfg, "target")
     return collision_ensemble_report(
-        _load_ensemble(cfg.target), mode=cfg.mode, trials=cfg.trials, seed=cfg.seed
+        _load_ensemble(cfg.target), trials=cfg.trials, seed=cfg.seed
     )
 
 
@@ -688,7 +673,7 @@ _VERIFIERS = {
     "at-least-two": (_verify_at_least_two, _EXACT),
     "light-mass": (_verify_light_mass, _EXACT),
     "harper": (_verify_harper, _EXACT),
-    "ensemble-collision": (_verify_ensemble, ("auto", "exact", "monte_carlo")),
+    "ensemble-collision": (_verify_ensemble, ("auto",)),
     "collision-tv": (_verify_collision_tv, _EXACT),
     "taylor-bound": (_verify_taylor, _EXACT),
     "sum-ratio": (_verify_sum_ratio, _EXACT),

@@ -90,18 +90,16 @@ def _random_distribution(
 def _random_forest_instance(
     rng: random.Random,
     s_max: int = 5,
-    lam_max: int = 3,
     m_max: int = 4,
-    sigma_max: int = 3,
     depth_max: int = 3,
     out_alphabet: int | None = None,
     out_cells: int | None = None,
     s_min: int = 2,
 ) -> DecisionForest:
     s = rng.randint(s_min, s_max)
-    lam = rng.randint(2, lam_max)
+    lam = rng.randint(2, 3)
     m = out_cells if out_cells is not None else rng.randint(1, m_max)
-    sigma = out_alphabet if out_alphabet is not None else rng.randint(2, sigma_max)
+    sigma = out_alphabet if out_alphabet is not None else rng.randint(2, 3)
     depth = rng.randint(1, min(depth_max, s))
     spec = ForestGenSpec(
         cells=s,
@@ -279,9 +277,9 @@ def coupling_instances(count: int = 100, seed: int = 53) -> Iterator[tuple]:
         yield f"coupling-{i:04d}", forest
 
 
-def coupling_family(count: int = 100, seed: int = 53, calibration: float = 2.0) -> Iterator[tuple]:
+def coupling_family(count: int = 100, seed: int = 53) -> Iterator[tuple]:
     for instance_id, forest in coupling_instances(count, seed):
-        yield instance_id, couple_accepting(forest, calibration)
+        yield instance_id, couple_accepting(forest)
 
 
 def enforcement_instances(count: int = 50, seed: int = 59) -> Iterator[tuple]:
@@ -364,7 +362,7 @@ def ensemble_family(count: int = 20, seed: int = 67) -> Iterator[tuple]:
     )
     yield "ensemble-disjoint4", collision_ensemble_report(disjoint)
     yield "ensemble-uniform64", collision_ensemble_report(
-        uniform_ensemble(64, 64), mode="monte_carlo", trials=20_000, seed=seed
+        uniform_ensemble(64, 64), trials=20_000, seed=seed
     )
     rng = random.Random(seed)
     for i in range(count):

@@ -32,6 +32,10 @@ class _ReasonedError(Exception):
         self.reason = reason
         self.message = message
 
+    def __reduce__(self):
+        # args holds the message alone, so the default reduction would drop the reason
+        return type(self), (self.reason, self.message)
+
 
 class BudgetError(_ReasonedError, RuntimeError):
     """An exact computation would exceed its declared state budget."""
@@ -453,31 +457,29 @@ def _tree_on_cube(forest: DecisionForest, tree: int, rank_of: dict, dtype) -> np
 
 def query_counts_on_cube(
     forest: DecisionForest,
-    cells_order: list | None = None,
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> tuple:
-    """Per-assignment probe counts for every cell in cells_order.
+    """Per-assignment probe counts for every cell of the cube.
 
-    Returns (counts, cells_order) where counts[i, r] is the number of trees
-    probing cells_order[r] on assignment i.
+    Returns (counts, order), with order = cube_order(forest), where
+    counts[i, r] is the number of trees probing order[r] on assignment i.
     """
-    if cells_order is None:
-        cells_order = cube_order(forest)
+    order = cube_order(forest)
     lam = forest.input_space.alphabet
-    n = _check_enum_budget(lam, len(cells_order), budget)
-    if n * max(1, len(cells_order)) > (1 << 28):
+    n = _check_enum_budget(lam, len(order), budget)
+    if n * max(1, len(order)) > (1 << 28):
         raise BudgetError(
             "enum_budget",
-            f"probe-count table of {n} points x {len(cells_order)} cells passes its fixed cap of 2**28 entries",
+            f"probe-count table of {n} points x {len(order)} cells passes its fixed cap of 2**28 entries",
         )
-    rank_of = {c: r for r, c in enumerate(cells_order)}
-    counts = np.zeros((n, len(cells_order)), dtype=np.uint16)
-    view = counts.reshape((lam,) * len(cells_order) + (len(cells_order),))
+    rank_of = {c: r for r, c in enumerate(order)}
+    counts = np.zeros((n, len(order)), dtype=np.uint16)
+    view = counts.reshape((lam,) * len(order) + (len(order),))
     for tree in range(forest.output_space.cells):
         for cell, _, index in _blocks(forest, tree, rank_of):
             if cell >= 0:
                 view[index + (rank_of[cell],)] += 1
-    return counts, cells_order
+    return counts, order
 
 
 def _cube_tails(

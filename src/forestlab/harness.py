@@ -63,6 +63,9 @@ TOL = 1e-9
 
 DEFAULT_EPSILONS = (0.5, 0.25, 0.125)
 
+# the constant c of the coupling bound: expected changes <= c * sqrt(depth * ln(1/acceptance))
+COUPLING_CALIBRATION = 2.0
+
 
 # ---------------------------------------------------------------------------
 # containment of low-entropy laws
@@ -113,6 +116,11 @@ def containment_set(dist: Distribution, k: float) -> tuple:
 # entropy bounds
 
 
+def _blank_mixture_cap(m: int, sigma: int, filled: float) -> float:
+    """log2(m+1) plus `filled` expected non-blank coordinates times log2(m * sigma)."""
+    return math.log2(m + 1) + filled * math.log2(m * sigma)
+
+
 def verify_mixture_bound(dist: Distribution, sigma: int) -> ExperimentReport:
     """Entropy of a mostly-blank tuple law, against the support-counting cap.
 
@@ -124,7 +132,7 @@ def verify_mixture_bound(dist: Distribution, sigma: int) -> ExperimentReport:
     m = dist.arity
     filled = m if dist.bot is None else (dist.rows != dist.bot).sum(axis=1)
     expected_filled = sum((dist.weights / dist.total * filled).tolist(), 0.0)  # left to right, as a loop adds
-    bound = math.log2(m + 1) + expected_filled * math.log2(m * sigma)
+    bound = _blank_mixture_cap(m, sigma, expected_filled)
     measured = entropy(dist)
     return ExperimentReport(
         lemma_id="mixture-bound",
@@ -183,7 +191,7 @@ def verify_entropy_deviation(
         ec = float(expected[cell])
         reports.append(ExperimentReport(
             lemma_id="entropy-deviation",
-            bound=math.log2(m + 1) + ec * math.log2(m * sigma),
+            bound=_blank_mixture_cap(m, sigma, ec),
             measured=max(abs(hv - h) for hv in per_value),
             direction="le",
             details={"entropy": h, "per_value": per_value, "expected_probes": ec, "cell": cell},
@@ -195,42 +203,34 @@ def verify_entropy_deviation(
 # probe-count tails
 
 
-def _check_epsilons(epsilons: Sequence[float]) -> None:
-    for eps in epsilons:
-        if not 0.0 < eps < 1.0:
-            raise UsageError("bad_parameter", f"eps {eps} outside (0, 1)")
-
-
-def _tail_cases(epsilons: Sequence[float], thresholds: list, tails: list) -> tuple:
-    """The report's cases, one per eps, and its measured value: the largest tail - eps."""
-    cases = [{"eps": eps, "threshold": t, "tail": tail} for eps, t, tail in zip(epsilons, thresholds, tails)]
+def _tail_cases(thresholds: list, tails: list) -> tuple:
+    """The report's cases, one per eps of DEFAULT_EPSILONS, and its measured value: the largest tail - eps."""
+    cases = [{"eps": eps, "threshold": t, "tail": tail} for eps, t, tail in zip(DEFAULT_EPSILONS, thresholds, tails)]
     return cases, max((case["tail"] - case["eps"] for case in cases), default=-math.inf)
 
 
 def verify_second_moment_tail(
     forest: DecisionForest,
-    epsilons: Sequence[float] = DEFAULT_EPSILONS,
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> ExperimentReport:
     """Tail of the output sum of a 0/1 forest at the second-moment threshold.
 
     With kappa the expected sum, d the depth, and mu the largest expected
     probe count of any cell, the mass strictly above 2(kappa +
-    log2(1/eps) * d * mu) must be at most eps for each requested eps.
+    log2(1/eps) * d * mu) must be at most eps for each eps of DEFAULT_EPSILONS.
     """
     if forest.output_space.bot_allowed:
         raise UsageError("bad_leaf", "tail bound needs blank-free outputs")
     if _leaf_labels(forest) - {0, 1}:
         raise UsageError("bad_leaf", "tail bound needs 0/1 leaf values")
-    _check_epsilons(epsilons)
     rows, counts, _ = _cube_law(forest, budget)
     totals = rows.sum(axis=1, dtype=np.int64)
     n = counts.sum()
     kappa = float(totals @ counts / n)
     mu = float(expected_query_counts(forest).max())
     d = forest.depth
-    thresholds = [2.0 * (kappa + math.log2(1.0 / eps) * d * mu) for eps in epsilons]
-    cases, worst = _tail_cases(epsilons, thresholds, [float(counts[totals > t].sum() / n) for t in thresholds])
+    thresholds = [2.0 * (kappa + math.log2(1.0 / eps) * d * mu) for eps in DEFAULT_EPSILONS]
+    cases, worst = _tail_cases(thresholds, [float(counts[totals > t].sum() / n) for t in thresholds])
     return ExperimentReport(
         lemma_id="second-moment-tail",
         bound=0.0,
@@ -242,22 +242,21 @@ def verify_second_moment_tail(
 
 def verify_avg_to_tail_lipschitz(
     forest: DecisionForest,
-    epsilons: Sequence[float] = DEFAULT_EPSILONS,
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> ExperimentReport:
     """Average probe smoothness implies a probe-count tail bound.
 
     For mu the exact largest expected probe count, the chance any cell is
-    probed more than 3 * mu * depth^2 * log2(1/eps) times is at most eps.
+    probed more than 3 * mu * depth^2 * log2(1/eps) times is at most eps,
+    for each eps of DEFAULT_EPSILONS.
     """
     ec = expected_query_counts(forest)
     mu = float(ec.max())
     d = forest.depth
-    _check_epsilons(epsilons)
     counts, order = query_counts_on_cube(forest, budget=budget)
-    thresholds = [3.0 * mu * d * d * math.log2(1.0 / eps) for eps in epsilons]
+    thresholds = [3.0 * mu * d * d * math.log2(1.0 / eps) for eps in DEFAULT_EPSILONS]
     tails = [float(_cube_tails(forest, counts, order, t).max()) for t in thresholds]
-    cases, worst = _tail_cases(epsilons, thresholds, tails)
+    cases, worst = _tail_cases(thresholds, tails)
     return ExperimentReport(
         lemma_id="avg-to-tail-lipschitz",
         bound=0.0,
@@ -490,13 +489,13 @@ def coupled_sample(forest: DecisionForest, seed: int) -> CouplingSample:
     return CouplingSample(x=x, y=tuple(y), dist=changed)
 
 
-def couple_accepting(forest: DecisionForest, calibration: float = 2.0) -> ExperimentReport:
+def couple_accepting(forest: DecisionForest) -> ExperimentReport:
     """Exact report on the coupling that `coupled_sample` draws from.
 
     Checks, in one forward pass over the rows and without sampling, that
     the transformed marginal is the uniform accepting law and that the
     expected number of changed coordinates stays below
-    calibration * sqrt(depth * ln(1/acceptance)).
+    COUPLING_CALIBRATION * sqrt(depth * ln(1/acceptance)).
     """
     counts, tables = _coupling_tables(forest)
     lam, rows = forest.input_space.alphabet, forest._table.rows
@@ -517,7 +516,7 @@ def couple_accepting(forest: DecisionForest, calibration: float = 2.0) -> Experi
             for b, kid in enumerate(kids):
                 reach[kid] = reach[r] * sum(table[a][b] for a in range(lam))
     depth = forest.depth
-    bound = calibration * math.sqrt(depth * math.log(1.0 / float(acceptance)))
+    bound = COUPLING_CALIBRATION * math.sqrt(depth * math.log(1.0 / float(acceptance)))
     measured = float(expected_changes)
     tv = 0.5 * float(tv_gap)
     return ExperimentReport(
@@ -530,7 +529,7 @@ def couple_accepting(forest: DecisionForest, calibration: float = 2.0) -> Experi
             "marginal_tv": tv,
             "acceptance": float(acceptance),
             "depth": depth,
-            "calibration": calibration,
+            "calibration": COUPLING_CALIBRATION,
         },
     )
 
@@ -630,7 +629,6 @@ def verify_harper(
 
 def collision_ensemble_report(
     ensemble: IndependentEnsemble,
-    mode: str = "auto",
     trials: int = 100_000,
     seed: int = 0,
 ) -> ExperimentReport:
@@ -645,8 +643,7 @@ def collision_ensemble_report(
     entropies = ensemble.row_entropies()
     log2n = math.log2(n) if n >= 2 else 0.0
     delta = float(entropies.min() / (m * log2n)) if log2n > 0 else 0.0
-    if mode == "auto":
-        mode = "exact" if m <= ENSEMBLE_EXACT_LIMIT else "monte_carlo"
+    mode = "exact" if m <= ENSEMBLE_EXACT_LIMIT else "monte_carlo"
     measured = collision_probability(ensemble, mode=mode, trials=trials, seed=seed)
     sampled = mode == "monte_carlo"
     reference = 1.0 - math.exp(-(delta ** 4) * m ** 3 / (n * n)) if n else 0.0

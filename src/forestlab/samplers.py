@@ -139,9 +139,7 @@ class ForestGenSpec:
     Trees are drawn top-down with a per-node stop probability, then leaf
     labels are drawn uniformly (the blank symbol participates when the
     output space allows it).  Probes at level t are restricted to bucket t
-    when a bucket structure is given.  `nonadaptive` only allows depth at
-    most 1, which is narrower than the paper's nonadaptive forests (d fixed
-    cells per output, read at any depth).
+    when a bucket structure is given.
     """
 
     cells: int
@@ -150,7 +148,6 @@ class ForestGenSpec:
     out_alphabet: int
     depth: int
     seed: int
-    nonadaptive: bool = False
     bot_allowed: bool = False
     buckets: BucketStructure | None = None
     stop_prob: float = 0.3
@@ -158,8 +155,6 @@ class ForestGenSpec:
     def __post_init__(self):
         if self.depth < 0:
             raise UsageError("bad_spec", "negative depth")
-        if self.nonadaptive and self.depth > 1:
-            raise UsageError("unsatisfiable", "nonadaptive forests have depth at most 1")
         if self.buckets is not None:
             if self.buckets.cells != self.cells:
                 raise UsageError("unsatisfiable", "bucket structure does not cover the cells")

@@ -505,7 +505,7 @@ ENSEMBLE = uniform_ensemble(3, 4)
         pytest.param(lambda: sample_forest_outputs(SHUFFLE, 10, -1), "bad_seed", id="forest-outputs-seed"),
         pytest.param(lambda: query_profile(SHUFFLE, 1.0, mode="monte_carlo", seed=-1), "bad_seed", id="query-profile"),
         pytest.param(lambda: sample_ensemble(ENSEMBLE, 10, -1), "bad_seed", id="ensemble-draws-seed"),
-        pytest.param(lambda: collision_ensemble_report(ENSEMBLE, mode="monte_carlo", seed=-1), "bad_seed", id="ensemble-report"),
+        pytest.param(lambda: collision_ensemble_report(uniform_ensemble(21, 4), seed=-1), "bad_seed", id="ensemble-report"),
         pytest.param(lambda: sample_forest_outputs(SHUFFLE, -1, 1), "bad_trials", id="forest-outputs-trials"),
         pytest.param(lambda: sample_ensemble(ENSEMBLE, -1, 1), "bad_trials", id="ensemble-draws-trials"),
     ],

@@ -26,7 +26,7 @@ from forestlab import (
     tv_distance,
     uniform_perm_distribution,
 )
-from forestlab import cli, corpus
+from forestlab import cli, corpus, harness
 from forestlab.analysis import hoeffding_halfwidth
 from forestlab.cli import _ANALYZERS, _COMMANDS, _MODES, _VERIFIERS, RunConfig, _build_config, build_parser, main
 from forestlab.forest import UsageError
@@ -117,23 +117,14 @@ def test_verify_unknown_lemma_is_a_usage_error(capsys):
     assert "unknown_lemma" in capsys.readouterr().err
 
 
-def test_couple_exact_reports_and_fails_under_a_tiny_calibration(tmp_path, capsys):
+def test_couple_exact_reports_and_fails_under_a_tiny_calibration(tmp_path, capsys, monkeypatch):
     forest_path = write_gate_forest(tmp_path)
     rc = main(["couple", "--forest", forest_path, "--mode", "exact_report"])
     assert rc == 0
     out = capsys.readouterr().out
     assert out.startswith("pass coupling measured=0.5 bound=1.66510922232")
-    rc = main(
-        [
-            "couple",
-            "--forest",
-            forest_path,
-            "--mode",
-            "exact_report",
-            "--calib-coupling-c",
-            "0.01",
-        ]
-    )
+    monkeypatch.setattr(harness, "COUPLING_CALIBRATION", 0.01)
+    rc = main(["couple", "--forest", forest_path, "--mode", "exact_report"])
     assert rc == 1
     assert capsys.readouterr().out.startswith("fail coupling")
 
@@ -408,11 +399,12 @@ def test_a_failing_family_keeps_the_rows_of_the_families_before_it(tmp_path, cap
     assert len(ledger_lines(isolated_ledger)) == 202
 
 
-def test_sweep_counts_failures_and_violations_per_family(tmp_path, capsys, isolated_ledger):
+def test_sweep_counts_failures_and_violations_per_family(tmp_path, capsys, isolated_ledger, monkeypatch):
+    monkeypatch.setattr(harness, "COUPLING_CALIBRATION", 0.01)
     cfg = tmp_path / "sweep.json"
     plan = {
         "families": ["at-least-two", "coupling"],
-        "overrides": {"at-least-two": {"count": 40}, "coupling": {"count": 5, "calibration": 0.01}},
+        "overrides": {"at-least-two": {"count": 40}, "coupling": {"count": 5}},
     }
     cfg.write_text(json.dumps(plan))
     assert main(["sweep", str(cfg)]) == 1
@@ -630,7 +622,7 @@ MALFORMED_FILES = [
     (["couple", "--mode", "auto", "--trials", "1", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
     (["gen-thorp", "--log2n", "1", "--rounds", "1", "--mode", "monte_carlo", "-o"], None, "bad_mode"),
     (["verify", "taylor-bound", "--config"], json.dumps({"mode": "monte_carlo"}), "bad_mode"),
-    (["verify", "ensemble-collision", "--mode", "exact", "--trials", "100", "--target"], json.dumps({"rows": [[0.5, 0.5]] * 30}), "enum_budget"),
+    (["verify", "ensemble-collision", "--mode", "exact", "--trials", "100", "--target"], json.dumps({"rows": [[0.5, 0.5]] * 30}), "bad_mode"),
     (["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 2, "alphabet": 1, "members": [[0, 0]]}), "bad_parameter"),
     (["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 0, "alphabet": 2, "members": [[]]}), "bad_parameter"),
     (["analyze", "cond-entropy", "--cells", "0", "--mode", "monte_carlo", "--trials", "10", "--forest"], json.dumps(GATE_FOREST), "bad_trials"),
@@ -659,7 +651,7 @@ MALFORMED_FILES = [
     (["gen-random", "--s", "4", "--lambda", "2", "--m", "2", "--sigma", "2", "--depth", "2", "--count", "0", "-o"], None, "bad_parameter"),
     (["gen-random", "--s", "4", "--lambda", "2", "--m", "2", "--sigma", "2", "--depth", "2", "--count", "-2", "-o"], None, "bad_parameter"),
     (["sweep"], json.dumps({"families": ["containment"], "overrides": {"containment": {"count": -5}}}), "bad_config"),
-    (["sweep"], '{"families": ["coupling"], "overrides": {"coupling": {"calibration": NaN}}}', "bad_config"),
+    (["sweep"], '{"families": ["coupling"], "overrides": {"coupling": {"calibration": NaN}}}', "bad_config"),  # no such parameter
     (["sweep"], '{"families": ["taylor-bound", "harper"], "overrides": {"harper": {"radii": [1, NaN]}}}', "bad_config"),
     (["sweep"], json.dumps({"families": ["enforce-lipschitz"], "overrides": {"enforce-lipschitz": {"runs": 0}}}), "bad_config"),
     (["sweep"], json.dumps({"families": ["lipschitz-restriction"], "overrides": {"lipschitz-restriction": {"trials": 0}}}), "bad_config"),
@@ -678,6 +670,7 @@ MALFORMED_FILES = [
     (["verify", "at-least-two", "--q", "0", "--alpha", "inf", "--config"], "{}", "bad_parameter"),
     (["verify", "sum-ratio", "--target"], "1 inf\n1 1\n", "bad_parameter"),
     (["verify", "sum-ratio", "--target"], "1e308 1e308\n1 1\n", "bad_parameter"),
+    (["verify", "coupling", "--forest", "GATE", "--config"], json.dumps({"calib_coupling_c": 2.0}), "bad_config"),
 ]
 
 
@@ -795,6 +788,13 @@ def test_each_run_config_field_is_a_flag_and_a_config_key(tmp_path, field):
             with pytest.raises(UsageError) as err:
                 config_from(parser, tmp_path, argv, {key: wrong})
             assert err.value.reason == "bad_config"
+
+
+def test_the_coupling_calibration_is_not_a_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "coupling", "--calib-coupling-c", "2.0"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --calib-coupling-c 2.0" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs_in_a_subprocess():

@@ -3,6 +3,7 @@ import collections
 import itertools
 import json
 import math
+import pickle
 import random
 import re
 import tracemalloc
@@ -141,6 +142,12 @@ def test_validation_rejects_out_of_range_pieces():
     with pytest.raises(UsageError) as err:
         DecisionForest(InputSpace(1, 2), OutputSpace(2, 2), (DecisionTree(Leaf(0)),))
     assert err.value.reason == "bad_arity"
+
+
+@pytest.mark.parametrize("error", [UsageError("bad_seed", "seed must be non-negative"), BudgetError("enum_budget", "too big")])
+def test_reasoned_errors_survive_pickling(error):
+    copy = pickle.loads(pickle.dumps(error))
+    assert (type(copy), copy.reason, copy.message, str(copy)) == (type(error), error.reason, error.message, error.message)
 
 
 def test_blank_leaf_needs_a_blank_aware_output_space():
@@ -454,8 +461,9 @@ def test_cube_outputs_match_pointwise_evaluation():
             packed = packed_outputs_on_cube(f, cells_order)
             assert packed.dtype == (np.int32 if base**m < 2**31 else np.int64)
             assert packed.tolist() == [sum(v * base ** (m - 1 - i) for i, v in enumerate(row)) for row in values]
-            counts, _ = query_counts_on_cube(f, cells_order)
-            assert counts.tolist() == [transcript_counts(point, cells_order) for point in points]
+        counts, counted = query_counts_on_cube(f)
+        assert counted == order
+        assert counts.tolist() == [transcript_counts(point, order) for point in cube_transcripts(f, order)]
         inputs = cube_inputs(f, order)
         law = collections.Counter(eval_forest(f, u) for u in inputs)
         assert output_distribution(f).probs == {row: c / len(inputs) for row, c in law.items()}
@@ -516,7 +524,9 @@ def test_the_round6_shuffle_law_stays_under_80_mib():
 def test_exact_collision_shares_match_pointwise_counts():
     wide = wide_output_forest()
     assert packed_outputs_on_cube(wide) is None
-    for f in differential_corpus() + [wide]:
+    # one output cell, symbol 0 or blank: no repeat, and a blank half the time
+    single = DecisionForest(InputSpace(2, 2), OutputSpace(1, 1, True), (DecisionTree(Internal(0, (Leaf(0), Leaf(1)))),))
+    for f in differential_corpus() + [wide, single]:
         inputs = cube_inputs(f, sorted(set(f.mentioned_cells())))
         bot = f.output_space.bot
         outputs = [eval_forest(f, u) for u in inputs]
@@ -528,6 +538,8 @@ def test_exact_collision_shares_match_pointwise_counts():
     law = collections.Counter(eval_forest(wide, u) for u in cube_inputs(wide, [0, 1, 2]))
     assert output_distribution(wide).probs == {row: c / 8 for row, c in law.items()}
     assert 0 < collision_probability(wide) < tv_lower_bound_via_collision(output_distribution(wide)) < 1
+    for bot in (None, 0):  # empty rows hold no repeat and no blank
+        assert tv_lower_bound_via_collision(Distribution({(): 1.0}, 0, bot=bot)) == 0.0
 
 
 def dict_entropy(probs: dict) -> float:

@@ -321,14 +321,6 @@ def test_second_moment_tail_needs_binary_blank_free_outputs():
     assert err.value.reason == "bad_leaf"
 
 
-@pytest.mark.parametrize("verify", [verify_second_moment_tail, verify_avg_to_tail_lipschitz])
-def test_tail_verifiers_reject_a_bad_eps_before_they_enumerate(verify):
-    # a budget of one cube point would raise enum_budget if the cube came first
-    with pytest.raises(UsageError) as err:
-        verify(identity_forest(2), epsilons=(0.5, 2.0), budget=1)
-    assert err.value.reason == "bad_parameter"
-
-
 def reference_second_moment_tail(forest: DecisionForest, epsilons) -> dict:
     """The tail report's details from the full output matrix, one row per cube point."""
     totals = eval_forest_on_cube(forest).sum(axis=1, dtype=np.int64)
@@ -342,7 +334,7 @@ def reference_second_moment_tail(forest: DecisionForest, epsilons) -> dict:
     return {"kappa": kappa, "mu": mu, "depth": d, "cases": cases}
 
 
-def test_second_moment_tail_matches_the_output_matrix():
+def test_second_moment_tail_matches_the_output_matrix(monkeypatch):
     rng = random.Random(23)
     forests = [_random_forest_instance(rng, m_max=5, out_alphabet=2) for _ in range(40)]
     # 3**40 packed keys overflow int64, so these two read the output matrix
@@ -350,8 +342,9 @@ def test_second_moment_tail_matches_the_output_matrix():
     both = DecisionTree(Internal(0, (Leaf(0), Internal(1, (Leaf(0), Leaf(1))))))
     forests.append(DecisionForest(InputSpace(2, 2), OutputSpace(40, 2), (both,) * 40))  # sums 0 or 40
     epsilons = (0.999, 0.9, 0.5, 0.125, 0.01)  # eps near 1 puts the threshold near 2 kappa, where tails are nonzero
+    monkeypatch.setattr(harness, "DEFAULT_EPSILONS", epsilons)
     for f in forests:
-        report = verify_second_moment_tail(f, epsilons)
+        report = verify_second_moment_tail(f)
         want = reference_second_moment_tail(f, epsilons)
         assert report.details == want
         assert report.measured == max(case["tail"] - case["eps"] for case in want["cases"])
@@ -656,8 +649,9 @@ def test_table_coupling_matches_the_recursive_reference():
     assert zero_children > 0
 
 
-def test_coupling_calibration_rescales_the_bound():
-    report = couple_accepting(GATE, calibration=0.01)
+def test_coupling_calibration_rescales_the_bound(monkeypatch):
+    monkeypatch.setattr(harness, "COUPLING_CALIBRATION", 0.01)
+    report = couple_accepting(GATE)
     assert report.bound == pytest.approx(0.01 * math.sqrt(math.log(2)))
     assert not report.passed
 
@@ -819,13 +813,13 @@ def test_ensemble_report_flags_the_disjoint_low_entropy_regime():
     assert report.details["min_row_entropy"] == 0.0
 
 
-def test_ensemble_report_sampling_agrees_with_the_exact_mode():
-    exact = collision_ensemble_report(uniform_ensemble(4, 4)).measured
-    sampled = collision_ensemble_report(
-        uniform_ensemble(4, 4), mode="monte_carlo", trials=100_000, seed=7
-    )
-    assert sampled.mode == "monte_carlo"
-    assert abs(sampled.measured - exact) < 0.01
+def test_ensemble_report_is_exact_up_to_the_limit_and_sampled_past_it():
+    limit = analysis.ENSEMBLE_EXACT_LIMIT
+    # one symbol: every variable takes it, so the chance is 1 on either path
+    exact = collision_ensemble_report(uniform_ensemble(limit, 1), trials=50, seed=3)
+    assert (exact.mode, exact.trials, exact.seed, exact.measured) == ("exact", None, None, 1.0)
+    sampled = collision_ensemble_report(uniform_ensemble(limit + 1, 1), trials=50, seed=3)
+    assert (sampled.mode, sampled.trials, sampled.seed, sampled.measured) == ("monte_carlo", 50, 3, 1.0)
 
 
 def test_collision_tv_is_tight_on_a_constant_forest():

@@ -137,14 +137,6 @@ def test_random_forest_blank_leaves_only_when_allowed():
     assert padded.output_space.bot == padded.output_space.alphabet
 
 
-def test_nonadaptive_generation_rejects_depth_above_one():
-    with pytest.raises(UsageError) as err:
-        random_forest(gen_spec(0, nonadaptive=True, depth=2))
-    assert err.value.reason == "unsatisfiable"
-    flat = random_forest(gen_spec(0, nonadaptive=True, depth=1))
-    assert flat.depth <= 1
-
-
 def test_generation_spec_guards():
     with pytest.raises(UsageError):
         random_forest(gen_spec(0, stop_prob=1.0))
