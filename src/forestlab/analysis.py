@@ -194,7 +194,7 @@ def _cube_law(forest: DecisionForest, budget: int, cells: tuple = ()) -> tuple:
     if wide:  # b in its narrowest type, so the matrix keeps the outputs' type when b fits it
         slab = np.empty((lam,) * inner + (m + 1,), dtype=np.result_type(group.dtype, dtype))
     else:
-        slab = np.empty((lam,) * inner, dtype=np.int64 if cells or span >= 1 << 31 else np.int32)
+        slab = np.empty((lam,) * inner, dtype=np.int64 if lam ** len(cells) * span >= 1 << 31 else np.int32)
     parts, merged, waiting = [], 0, 0
     for lead in itertools.product(range(lam), repeat=k - inner):
         # restriction as indexing: each table at the slab's symbols, or at 0 on axes it spans once
@@ -221,7 +221,7 @@ def _cube_law(forest: DecisionForest, budget: int, cells: tuple = ()) -> tuple:
         return keys[:, 1:], counts, keys[:, 0].astype(np.int64)
     rows = keys[:, None] // base ** np.arange(m - 1, -1, -1, dtype=np.int64) % base
     # calloc'd zeros stay untouched; a computed b raised the shuffle's peak RSS by about 1 MiB
-    return rows, counts, keys // span if cells else np.zeros(len(keys), dtype=np.int64)
+    return rows, counts, (keys // span).astype(np.int64) if cells else np.zeros(len(keys), dtype=np.int64)
 
 
 def _merge(parts: list) -> tuple:

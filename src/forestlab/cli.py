@@ -1,10 +1,9 @@
 """Command-line front end.
 
-One subcommand per process.  Flags always win over the optional JSON config
-file given with --config.  Verification results append to the CSV ledger;
-the FORESTLAB_LEDGER environment variable supplies the default path.  Exit
-status is 0 for pass or success, 1 for a failed verification, 2 for usage
-and budget errors.
+One subcommand per process, whose inputs are its flags.  Verification
+results append to the CSV ledger; the FORESTLAB_LEDGER environment variable
+supplies the default path.  Exit status is 0 for pass or success, 1 for a
+failed verification, 2 for usage and budget errors.
 """
 from __future__ import annotations
 
@@ -24,7 +23,6 @@ from .analysis import (
     Distribution,
     IndependentEnsemble,
     OutcomeSet,
-    SEED_STEPS,
     _check_seed_steps,
     collision_probability,
     conditional_entropy_detail,
@@ -85,7 +83,7 @@ from .samplers import (
 
 @dataclass
 class RunConfig:
-    """The CLI's inputs: each field past the positionals is a flag and a config key; flags win."""
+    """The CLI's inputs: each field past the positionals is a flag."""
 
     command: str
     analysis: str | None = None
@@ -127,67 +125,19 @@ class RunConfig:
 
 _CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 _POSITIONAL = ("command", "analysis", "lemma", "corpus_config")
-# flag names, and config keys, that differ from the field name
+# flag names that differ from the field name
 _SPELLINGS = {"lam": "lambda", "set_spec": "set"}
-_FIELD_OF_KEY = {key: name for name, key in _SPELLINGS.items()}
-# JSON values a config file may give for each type named in an annotation; a tuple's items are numbers
-_JSON_TYPES = {
-    "int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "None": (type(None),),
-    "tuple": (list,),
-}
 
 
 def _flag(name: str) -> str:
     return "--" + _SPELLINGS.get(name, name).replace("_", "-")
 
 
-def _json_fits(annotation: str, value) -> bool:
-    """Whether a JSON value has one of the types an annotation names."""
-    kinds = sum((_JSON_TYPES[t] for t in annotation.split(" | ")), ())
-    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-        return False
-    return not isinstance(value, list) or all(_json_fits("float", item) for item in value)
-
-
-def _check_json_value(what: str, annotation: str, value) -> None:
-    if not _json_fits(annotation, value):
-        kind = "a list of numbers" if annotation == "tuple" else annotation
-        raise UsageError("bad_config", f"{what} must be {kind}, got {value!r}")
-
-
-def _check_override(what: str, parameter: inspect.Parameter, value) -> None:
-    """A sweep override's value: of the parameter's type, no NaN in a list, and a size of at least 1."""
-    _check_json_value(what, parameter.annotation, value)
-    if isinstance(value, list) and any(item != item for item in value):  # only NaN is unequal to itself
-        raise UsageError("bad_config", f"{what} must not be nan")
-    if parameter.name in ("count", "trials", "runs") and value < 1:
-        raise UsageError("bad_config", f"{what} must be at least 1, got {value}")
-    if parameter.name in ("trials", "runs") and value > SEED_STEPS:
-        raise UsageError("bad_config", f"{what} must be at most 2**20, got {value}")
-
-
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    raw = vars(args).copy()
-    config_path = raw.pop("config", None)
-    merged: dict = {}
-    if config_path:
-        file_values = _read_json(config_path, "bad_config", _json_object)
-        for key, value in file_values.items():
-            name = key.replace("-", "_")
-            name = _FIELD_OF_KEY.get(name, name)
-            if name not in _CONFIG_TYPES:
-                raise UsageError("bad_config", f"unknown config field {key!r}")
-            _check_json_value(f"config field {key!r}", _CONFIG_TYPES[name], value)
-            merged[name] = value
-    for key, value in raw.items():
-        if value is not None:
-            merged[key] = value
-    cfg = RunConfig(**merged)
+    cfg = RunConfig(**{key: value for key, value in vars(args).items() if value is not None})
     for name, kind in _CONFIG_TYPES.items():
         if "float" in kind and getattr(cfg, name) != getattr(cfg, name):  # only NaN is unequal to itself
             raise UsageError("bad_parameter", f"{_flag(name)} must be a number, got nan")
-    if cfg.mode not in (None, *_MODES):
-        raise UsageError("bad_config", f"mode must be one of {', '.join(_MODES)}, got {cfg.mode!r}")
     if cfg.seed < 0:
         raise UsageError("bad_seed", f"seed must be non-negative, got {cfg.seed}")
     if cfg.trials < 1:
@@ -256,8 +206,8 @@ def _json_object(doc) -> dict:
 
 
 def _integer_k(cfg: RunConfig) -> int:
-    """--k where it names a radius: an integer, never truncated; a --config integer is taken as it is."""
-    if isinstance(cfg.k, float) and not cfg.k.is_integer():
+    """--k where it names a radius: an integer, never truncated."""
+    if not cfg.k.is_integer():
         raise UsageError("bad_parameter", f"--k must be an integer here, got {cfg.k!r}")
     return int(cfg.k)
 
@@ -691,19 +641,22 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 
         def plan(doc) -> tuple:
             doc = _json_object(doc)
+            names = doc.get("families", list(corpus_mod.FAMILIES))
+            if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+                raise UsageError("bad_config", f"families must be a list of family names, got {names!r}")
             overrides = _json_object(doc.get("overrides", {}))
             for family, values in overrides.items():
                 # an unknown family is a KeyError, which _read_json reports
-                family_signature = inspect.signature(corpus_mod.FAMILIES[family])
                 try:
-                    family_signature.bind_partial(**_json_object(values))
+                    inspect.signature(corpus_mod.FAMILIES[family]).bind_partial(**_json_object(values))
                 except TypeError as exc:
                     raise UsageError("bad_config", f"overrides for family {family!r}: {exc}")
                 for name, value in values.items():
-                    parameter = family_signature.parameters.get(name)
-                    if parameter is not None:  # None: a wrapper's **kwargs took the name, with no type
-                        _check_override(f"override {name!r} of family {family!r}", parameter, value)
-            return tuple(doc.get("families", corpus_mod.FAMILIES)), overrides
+                    what = f"override {name!r} of family {family!r}"
+                    least = 1 if name == "count" else 0  # a seed may be 0
+                    if _json_int(value, "bad_config", what) < least:
+                        raise UsageError("bad_config", f"{what} must be at least {least}, got {value}")
+            return names, overrides
 
         names, overrides = _read_json(cfg.corpus_config, "bad_config", plan)
         for name in names:
@@ -746,7 +699,7 @@ _COMMANDS = {
     "verify": (_cmd_verify, _VERIFIERS),
     "sweep": (_cmd_sweep, _EXACT),
 }
-# every mode some command reads: the choices of --mode and of a config "mode"
+# every mode some command reads: the choices of --mode
 _MODES = tuple(sorted({
     mode for table in (_COMMANDS, _ANALYZERS, _VERIFIERS)
     for _, modes in table.values() if isinstance(modes, tuple) for mode in modes
@@ -765,7 +718,6 @@ def _modes(cfg: RunConfig) -> tuple:
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file merged under explicit flags")
     for name, annotation in _CONFIG_TYPES.items():
         if name in _POSITIONAL:
             continue

@@ -193,7 +193,10 @@ def avg_to_tail_family(count: int = 100, seed: int = 29) -> Iterator[tuple]:
         yield f"avg-tail-{i:04d}", verify_avg_to_tail_lipschitz(forest)
 
 
-def harper_family(count: int = 100, seed: int = 31, radii: tuple = (1, 2, 3, 4, 5, 6)) -> Iterator[tuple]:
+HARPER_RADII = (1, 2, 3, 4, 5, 6)
+
+
+def harper_family(count: int = 100, seed: int = 31) -> Iterator[tuple]:
     rng = random.Random(seed)
     s, lam = 12, 2
     n = lam ** s
@@ -202,7 +205,7 @@ def harper_family(count: int = 100, seed: int = 31, radii: tuple = (1, 2, 3, 4, 
         # pick bit r is the symbol at rank r, so each pick is its own cube index
         picks = np.array(rng.sample(range(n), size))
         outcome_set = OutcomeSet._from_indices(picks, s, lam, description=f"draw {i}")
-        for k, report in zip(radii, verify_harper(outcome_set, radii)):
+        for k, report in zip(HARPER_RADII, verify_harper(outcome_set, HARPER_RADII)):
             yield f"harper-{i:04d}-k{k}", report
 
 
@@ -292,9 +295,8 @@ def enforcement_instances(count: int = 50, seed: int = 59) -> Iterator[tuple]:
         yield f"enforce-{i:04d}", forest, mu, eps
 
 
-def enforcement_family(
-    count: int = 50, seed: int = 59, runs: int = 100
-) -> Iterator[tuple]:
+def enforcement_family(count: int = 50, seed: int = 59) -> Iterator[tuple]:
+    runs = 100
     for instance_id, forest, mu, eps in enforcement_instances(count, seed):
         failures = 0
         for r in range(runs):
@@ -343,11 +345,9 @@ def restriction_instances(seed: int = 61) -> Iterator[tuple]:
         yield f"restrict-{produced:04d}", forest, mu, delta
 
 
-def restriction_family(seed: int = 61, trials: int = 500) -> Iterator[tuple]:
+def restriction_family(seed: int = 61) -> Iterator[tuple]:
     for instance_id, forest, mu, delta in restriction_instances(seed):
-        yield instance_id, verify_lipschitz_after_conditioning(
-            forest, mu, delta, trials=trials, seed=seed
-        )
+        yield instance_id, verify_lipschitz_after_conditioning(forest, mu, delta, trials=500, seed=seed)
 
 
 def ensemble_family(count: int = 20, seed: int = 67) -> Iterator[tuple]:

@@ -2,8 +2,10 @@
 import dataclasses
 import inspect
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,22 +207,6 @@ def test_structural_commands_print_their_records_on_the_three_round_shuffle(tmp_
     assert capsys.readouterr().out == record + "\n"
 
 
-def test_config_file_merges_under_flags(tmp_path, capsys):
-    cfg = tmp_path / "claim.json"
-    cfg.write_text(json.dumps({"q": "0.04,0.04", "alpha": 0.04}))
-    assert main(["verify", "at-least-two", "--config", str(cfg)]) == 0
-    assert "bound=-0.0048" in capsys.readouterr().out
-    assert main(["verify", "at-least-two", "--config", str(cfg), "--alpha", "0.5"]) == 0
-    assert "bound=-0.0784" in capsys.readouterr().out
-
-
-def test_config_file_rejects_unknown_fields(tmp_path, capsys):
-    cfg = tmp_path / "claim.json"
-    cfg.write_text(json.dumps({"qq": 1}))
-    assert main(["verify", "at-least-two", "--config", str(cfg)]) == 2
-    assert "bad_config" in capsys.readouterr().err
-
-
 def test_ledger_rows_are_reproducible_and_fresh_resets(capsys, isolated_ledger):
     args = ["verify", "at-least-two", "--q", "0.04,0.04", "--alpha", "0.04"]
     assert main(args) == 0
@@ -324,30 +310,12 @@ def test_huge_entropy_budgets_and_radii_give_reports(tmp_path, capsys):
     points.write_text(json.dumps({"arity": 2, "alphabet": 2, "members": [[0, 1]]}))
     assert main(["verify", "harper", "--k", "1e300", "--set", str(points)]) == 0
     assert capsys.readouterr().out == "pass harper measured=1 bound=1\n"
-
-
-# configs whose k, or cell, is a JSON integer no float holds
-HUGE_K = '{"k": 1' + "0" * 400 + "}"
-HUGE_CELL = '{"cell": 1' + "0" * 400 + "}"
-
-
-def test_a_config_radius_past_the_float_range_covers_the_whole_cube(tmp_path, capsys):
-    huge = tmp_path / "k.json"
-    huge.write_text(HUGE_K)
-    points = tmp_path / "points.json"
+    # a radius at or past the arity grows the set to the whole cube
     points.write_text(json.dumps({"arity": 3, "alphabet": 2, "members": [[0, 1, 0], [1, 1, 1]]}))
-    assert main(["verify", "harper", "--set", str(points), "--config", str(huge)]) == 0
-    assert capsys.readouterr().out == "pass harper measured=1 bound=1\n"
-    members = []
-    for name, k in (("huge", ["--config", str(huge)]), ("arity", ["--k", "3"]), ("past", ["--k", "7"])):
-        out = tmp_path / f"{name}.json"
-        assert main(["analyze", "neighborhood", "--set", str(points), *k, "-o", str(out)]) == 0
-        members.append(json.loads(out.read_text())["members"])
-    assert members[0] == members[1] == members[2]
-    assert len(members[0]) == 8
-    huge.write_text(json.dumps({"k": -(10**400)}))
-    assert main(["verify", "harper", "--set", str(points), "--config", str(huge)]) == 2
-    assert capsys.readouterr().err.startswith("error: bad_radius: ")
+    for k in ("3", "7"):
+        out = tmp_path / f"k{k}.json"
+        assert main(["analyze", "neighborhood", "--set", str(points), "--k", k, "-o", str(out)]) == 0
+        assert len(json.loads(out.read_text())["members"]) == 8
 
 
 def test_gen_random_refuses_more_forests_than_seed_steps_before_writing_any(tmp_path, capsys, monkeypatch):
@@ -385,10 +353,13 @@ def test_sweep_runs_selected_families_and_summarizes(tmp_path, capsys, isolated_
     assert len(ledger_lines(isolated_ledger)) == 202
 
 
-def test_a_failing_family_keeps_the_rows_of_the_families_before_it(tmp_path, capsys, isolated_ledger):
+def test_a_failing_family_keeps_the_rows_of_the_families_before_it(tmp_path, capsys, isolated_ledger, monkeypatch):
+    def harper():
+        raise UsageError("bad_radius", "radius -1 is negative")
+
+    monkeypatch.setitem(corpus.FAMILIES, "harper", harper)
     cfg = tmp_path / "sweep.json"
-    plan = {"families": ["taylor-bound", "sum-ratio", "harper"], "overrides": {"harper": {"count": 1, "radii": [-1]}}}
-    cfg.write_text(json.dumps(plan))
+    cfg.write_text(json.dumps({"families": ["taylor-bound", "sum-ratio", "harper"]}))
     assert main(["sweep", str(cfg)]) == 2
     out, err = capsys.readouterr()
     assert out.splitlines() == [
@@ -427,13 +398,6 @@ def test_sweep_overrides_reach_a_family_behind_a_kwargs_wrapper(tmp_path, capsys
     cfg.write_text(json.dumps({"families": ["at-least-two"], "overrides": {"at-least-two": {"count": 3}}}))
     assert main(["sweep", str(cfg)]) == 0
     assert capsys.readouterr().out.startswith("at-least-two: 3 instances, ")
-
-
-def test_sweep_runs_infinite_radii(tmp_path, capsys, isolated_ledger):
-    cfg = tmp_path / "sweep.json"
-    cfg.write_text('{"families": ["harper"], "overrides": {"harper": {"count": 2, "radii": [1, Infinity]}}}')
-    assert main(["sweep", str(cfg)]) == 0
-    assert capsys.readouterr().out.startswith("harper: 4 instances, 0 failures, ")
 
 
 def test_family_seeds_are_the_default_seeds_of_the_families():
@@ -563,16 +527,17 @@ def _deep_forest_text(levels: int) -> str:
 
 
 # (arguments before the file path, file text or None for no file, expected
-# reason); GATE stands for the path of a valid one-tree forest.  The last rows
-# give a valid forest file and put the bad value in a flag.
+# reason); GATE stands for the path of a valid one-tree forest.  Rows with a
+# valid file put the bad value in a flag, and rows that end in --ledger give no
+# file.  No case prints a result or writes a ledger row.
 MALFORMED_FILES = [
     (["eval", "--input", "0", "--forest"], "{not json", "bad_file"),
     (["eval", "--input", "0", "--forest"], json.dumps(_without(GATE_FOREST, "output_alphabet")), "bad_file"),
     (["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "trees": [{"query": 0}]}), "bad_file"),
     (["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "trees": 7}), "bad_file"),
     (["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "trees": [{"leaf": 5}]}), "bad_leaf"),
-    (["verify", "at-least-two", "--config"], "[1, 2", "bad_config"),
-    (["verify", "at-least-two", "--config"], "[1, 2]", "bad_config"),
+    (["sweep"], "[1, 2", "bad_config"),
+    (["sweep"], "[1, 2]", "bad_config"),
     (["sweep"], "{", "bad_config"),
     (["sweep"], json.dumps({"families": 3}), "bad_config"),
     (["sweep"], json.dumps({"families": ["taylor-bound"], "overrides": [1]}), "bad_config"),
@@ -583,16 +548,16 @@ MALFORMED_FILES = [
     (["verify", "chain-bound", "--forest", "GATE", "--buckets"], "oops", "bad_file"),
     (["verify", "chain-bound", "--forest", "GATE", "--buckets"], json.dumps({"buckets": 3}), "bad_file"),
     (["eval", "--input", "0", "--forest"], None, "missing_file"),
-    (["verify", "at-least-two", "--config"], json.dumps({"alpha": "x", "q": "0.1,0.1"}), "bad_config"),
-    (["verify", "at-least-two", "--config"], json.dumps({"alpha": 0.5, "q": [0.1, 0.1]}), "bad_config"),
-    (["verify", "at-least-two", "--config"], json.dumps({"alpha": True, "q": "0.1,0.1"}), "bad_config"),
-    (["verify", "at-least-two", "--config"], json.dumps({"alpha": 0.5, "q": "0.1,0.1", "trials": None}), "bad_config"),
+    (["sweep"], json.dumps({"families": [["harper"]]}), "bad_config"),
+    (["sweep"], json.dumps({"families": "harper"}), "bad_config"),
+    (["sweep"], json.dumps({"families": {"harper": 1}}), "bad_config"),
+    (["sweep"], json.dumps({"families": ["taylor-bound", 3]}), "bad_config"),
     (["sweep"], json.dumps({"families": ["taylor-bound"], "overrides": {"taylor-bound": {"nonsense": 1}}}), "bad_config"),
     (["sweep"], json.dumps({"families": ["taylor-bound"], "overrides": {"harper": 3}}), "bad_config"),
     (["sweep"], json.dumps({"families": ["taylor-bound"], "overrides": {"no-such-family": {}}}), "bad_config"),
     (["analyze", "entropy", "--mode", "monte_carlo", "--trials", "100", "--seed", "-3", "--forest"], json.dumps(GATE_FOREST), "bad_seed"),
-    (["analyze", "entropy", "--forest", "GATE", "--mode", "monte_carlo", "--trials", "100", "--config"], json.dumps({"seed": -3}), "bad_seed"),
-    (["analyze", "entropy", "--forest", "GATE", "--config"], json.dumps({"mode": "bogus"}), "bad_config"),
+    (["sweep"], json.dumps({"families": ["containment"], "overrides": {"containment": {"count": 0}}}), "bad_config"),
+    (["sweep"], json.dumps({"families": ["harper"], "overrides": {"harper": {"seed": -1}}}), "bad_config"),
     (["analyze", "entropy", "--mode", "monte_carlo", "--trials", "0", "--forest"], json.dumps(GATE_FOREST), "bad_trials"),
     (["analyze", "entropy", "--mode", "monte_carlo", "--trials", "-5", "--forest"], json.dumps(GATE_FOREST), "bad_trials"),
     (["analyze", "tv", "--target", "uniform-perm", "--mode", "sample", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
@@ -611,17 +576,17 @@ MALFORMED_FILES = [
     (["verify", "chain-bound", "--forest", "GATE", "--buckets"], json.dumps([[0.5]]), "bad_file"),
     (["verify", "chain-bound", "--forest", "GATE", "--buckets"], json.dumps({"buckets": [[False]]}), "bad_file"),
     (["verify", "entropy-deviation", "--k", "0", "--forest"], json.dumps(GATE_FOREST), "missing_argument"),
-    (["verify", "entropy-deviation", "--forest", "GATE", "--config"], json.dumps({"cell": 0.5}), "bad_config"),
+    (["sweep"], json.dumps({"families": ["harper"], "overrides": {"harper": {"seed": "1"}}}), "bad_config"),
     (["verify", "harper", "--k", "1.5", "--set"], json.dumps({"arity": 2, "alphabet": 2, "members": [[0, 1]]}), "bad_parameter"),
     (["analyze", "neighborhood", "--k", "0.5", "--set"], json.dumps({"arity": 1, "alphabet": 2, "members": [[0]]}), "bad_parameter"),
     (["verify", "lipschitz-restriction", "--mu", "1", "--delta", "0.5", "--mode", "exact", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
-    (["verify", "lipschitz-restriction", "--forest", "GATE", "--config"], json.dumps({"mu": 1, "delta": 0.5, "mode": "exact"}), "bad_mode"),
+    (["sweep"], json.dumps({"families": ["harper"], "overrides": {"harper": {"count": True}}}), "bad_config"),
     (["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "bot_allowed": "false"}), "bad_file"),
     (["verify", "collision-tv", "--mode", "monte_carlo", "--forest"], json.dumps(SWAP_FOREST), "bad_mode"),
     (["analyze", "neighborhood", "--k", "1", "--mode", "monte_carlo", "--set"], json.dumps({"arity": 1, "alphabet": 2, "members": [[0]]}), "bad_mode"),
     (["couple", "--mode", "auto", "--trials", "1", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
     (["gen-thorp", "--log2n", "1", "--rounds", "1", "--mode", "monte_carlo", "-o"], None, "bad_mode"),
-    (["verify", "taylor-bound", "--config"], json.dumps({"mode": "monte_carlo"}), "bad_mode"),
+    (["verify", "taylor-bound", "--mode", "monte_carlo", "--ledger"], None, "bad_mode"),
     (["verify", "ensemble-collision", "--mode", "exact", "--trials", "100", "--target"], json.dumps({"rows": [[0.5, 0.5]] * 30}), "bad_mode"),
     (["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 2, "alphabet": 1, "members": [[0, 0]]}), "bad_parameter"),
     (["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 0, "alphabet": 2, "members": [[]]}), "bad_parameter"),
@@ -638,53 +603,57 @@ MALFORMED_FILES = [
     (["verify", "light-mass", "--c", "1", "--target"], "nan 0.5 0.5", "bad_probability"),
     (["enforce-lipschitz", "--mu", "nan", "--eps", "0.5", "--forest"], json.dumps(GATE_FOREST), "bad_parameter"),
     (["verify", "lipschitz-restriction", "--mu", "nan", "--delta", "0.5", "--trials", "50", "--forest"], json.dumps(GATE_FOREST), "bad_parameter"),
-    (["verify", "at-least-two", "--alpha", "nan", "--q", "0.1,0.1", "--config"], "{}", "bad_parameter"),
-    (["verify", "at-least-two", "--config"], '{"alpha": NaN, "q": "0.1,0.1"}', "bad_parameter"),
+    (["verify", "at-least-two", "--alpha", "nan", "--q", "0.1,0.1", "--ledger"], None, "bad_parameter"),
+    (["sweep"], json.dumps({"families": ["taylor-bound"], "overrides": {"taylor-bound": {"seed": 1}}}), "bad_config"),
     (["verify", "sum-ratio", "--target"], "1 2 nan\n1 2 3\n", "bad_parameter"),
     # deep documents get short ids, not their text
     pytest.param(["eval", "--input", "0", "--forest"], _deep_forest_text(700), "bad_file", id="eval-deep-forest"),
     pytest.param(["analyze", "entropy", "--forest"], _deep_forest_text(700), "bad_file", id="entropy-deep-forest"),
-    pytest.param(["verify", "taylor-bound", "--config"], '{"a": ' + "[" * 3000 + "]" * 3000 + "}", "bad_config", id="deep-config"),
+    pytest.param(["sweep"], '{"families": ' + "[" * 3000 + "]" * 3000 + "}", "bad_config", id="deep-config"),
     (["sweep"], json.dumps({"families": ["taylor-bound", "harper"], "overrides": {"harper": {"count": "3"}}}), "bad_config"),
     (["sweep"], json.dumps({"families": ["sum-ratio"], "overrides": {"sum-ratio": {"count": 2.5}}}), "bad_config"),
-    (["sweep"], json.dumps({"families": ["harper"], "overrides": {"harper": {"radii": ["a"]}}}), "bad_config"),
+    (["sweep"], json.dumps({"families": ["harper"], "overrides": {"harper": {"radii": ["a"]}}}), "bad_config"),  # no such parameter
     (["gen-random", "--s", "4", "--lambda", "2", "--m", "2", "--sigma", "2", "--depth", "2", "--count", "0", "-o"], None, "bad_parameter"),
     (["gen-random", "--s", "4", "--lambda", "2", "--m", "2", "--sigma", "2", "--depth", "2", "--count", "-2", "-o"], None, "bad_parameter"),
     (["sweep"], json.dumps({"families": ["containment"], "overrides": {"containment": {"count": -5}}}), "bad_config"),
     (["sweep"], '{"families": ["coupling"], "overrides": {"coupling": {"calibration": NaN}}}', "bad_config"),  # no such parameter
-    (["sweep"], '{"families": ["taylor-bound", "harper"], "overrides": {"harper": {"radii": [1, NaN]}}}', "bad_config"),
-    (["sweep"], json.dumps({"families": ["enforce-lipschitz"], "overrides": {"enforce-lipschitz": {"runs": 0}}}), "bad_config"),
-    (["sweep"], json.dumps({"families": ["lipschitz-restriction"], "overrides": {"lipschitz-restriction": {"trials": 0}}}), "bad_config"),
+    (["sweep"], '{"families": ["taylor-bound", "harper"], "overrides": {"harper": {"radii": [1, NaN]}}}', "bad_config"),  # no such parameter
+    (["sweep"], json.dumps({"families": ["enforce-lipschitz"], "overrides": {"enforce-lipschitz": {"runs": 0}}}), "bad_config"),  # no such parameter
+    (["sweep"], json.dumps({"families": ["lipschitz-restriction"], "overrides": {"lipschitz-restriction": {"trials": 0}}}), "bad_config"),  # no such parameter
     (["verify", "lipschitz-restriction", "--mu", "1", "--delta", "0.5", "--trials", "1048577", "--forest"], json.dumps(GATE_FOREST), "bad_trials"),
     (["enforce-lipschitz", "--mu", "1e-320", "--eps", "0.5", "--forest"], json.dumps(GATE_FOREST), "bad_parameter"),
     (["enforce-lipschitz", "--mu", "1", "--eps", "1e-320", "--forest"], json.dumps(GATE_FOREST), "bad_parameter"),
-    (["sweep"], json.dumps({"families": ["lipschitz-restriction"], "overrides": {"lipschitz-restriction": {"trials": 1048577}}}), "bad_config"),
-    (["sweep"], json.dumps({"families": ["enforce-lipschitz"], "overrides": {"enforce-lipschitz": {"runs": 1048577}}}), "bad_config"),
+    (["sweep"], json.dumps({"families": ["lipschitz-restriction"], "overrides": {"lipschitz-restriction": {"trials": 1048577}}}), "bad_config"),  # no such parameter
+    (["sweep"], json.dumps({"families": ["enforce-lipschitz"], "overrides": {"enforce-lipschitz": {"runs": 1048577}}}), "bad_config"),  # no such parameter
     (["dichotomy", "--threshold", "0", "--betas", "-3", "--forest", "GATE", "--buckets"], json.dumps([[0]]), "bad_parameter"),
     (["dichotomy", "--threshold", "0", "--betas", "1048577", "--forest", "GATE", "--buckets"], json.dumps([[0]]), "bad_trials"),
-    pytest.param(["verify", "entropy-deviation", "--forest", "GATE", "--config"], HUGE_CELL, "bad_cells", id="huge-k-cell"),
+    pytest.param(["verify", "entropy-deviation", "--cell", "1" + "0" * 400, "--forest"], json.dumps(GATE_FOREST), "bad_cells", id="huge-k-cell"),
     pytest.param(["verify", "containment", "--k", "1", "--target"], "9223372036854775808,0\t1.0\n", "bad_outcome", id="dump-symbol-past-int64"),
     pytest.param(["verify", "mixture-bound", "--sigma", "2", "--target"], "_,1\t0.5\n0,-9223372036854775809\t0.5\n", "bad_outcome", id="dump-symbol-below-int64"),
     (["couple", "--mode", "monte_carlo", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
-    (["verify", "harper", "--config"], json.dumps({"set": "empty", "k": 1, "s": 3, "lambda": 2}), "missing_file"),
-    (["verify", "at-least-two", "--q", "0", "--alpha", "inf", "--config"], "{}", "bad_parameter"),
+    (["verify", "harper", "--k", "1", "--set"], None, "missing_file"),
+    (["verify", "at-least-two", "--q", "0", "--alpha", "inf", "--ledger"], None, "bad_parameter"),
     (["verify", "sum-ratio", "--target"], "1 inf\n1 1\n", "bad_parameter"),
     (["verify", "sum-ratio", "--target"], "1e308 1e308\n1 1\n", "bad_parameter"),
-    (["verify", "coupling", "--forest", "GATE", "--config"], json.dumps({"calib_coupling_c": 2.0}), "bad_config"),
+    (["verify", "harper", "--k", "-1", "--set"], json.dumps({"arity": 2, "alphabet": 2, "members": [[0, 1]]}), "bad_radius"),
+    (["sweep"], json.dumps({"families": ["taylor-bound", "enforce-lipschitz"], "overrides": {"enforce-lipschitz": {"seed": -1}}}), "bad_config"),
+    (["sweep"], json.dumps({"families": ["taylor-bound", "lipschitz-restriction"], "overrides": {"lipschitz-restriction": {"seed": -1}}}), "bad_config"),
 ]
 
 
 @pytest.mark.parametrize("args, text, reason", MALFORMED_FILES)
-def test_malformed_input_files_exit_two_with_a_reason(tmp_path, capsys, args, text, reason):
+def test_malformed_input_files_exit_two_with_a_reason(tmp_path, capsys, isolated_ledger, args, text, reason):
     path = tmp_path / "input.json"
     if text is not None:
         path.write_text(text)
     gate = write_gate_forest(tmp_path)
     argv = [gate if a == "GATE" else a for a in args] + [str(path)]
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith(f"error: {reason}: ")
     assert "Traceback" not in err
+    assert out == ""
+    assert not isolated_ledger.exists()
 
 
 def test_missing_forest_argument_is_a_usage_error(capsys):
@@ -747,47 +716,46 @@ def test_only_a_sampled_mean_of_bounded_events_carries_a_half_width(tmp_path, ca
     assert json.loads(capsys.readouterr().out)["ci_halfwidth"] == hoeffding_halfwidth(400)
 
 
-# Every RunConfig field past the positionals is a flag of every subcommand and
-# a config key.  Per annotation: a config value, a different flag value (as
-# typed and as parsed) and a config value of the wrong JSON type.
-FIELD_VALUES = {
-    "int": (3, "4", 4, "x"),
-    "float": (0.5, "0.25", 0.25, "x"),
-    "str": ("a", "b", "b", 1),
-    "bool": (False, None, True, "x"),
-}
+# Every RunConfig field past the positionals is a flag of every subcommand, and
+# the flag sets that field of the run's config.  Per annotation: a flag value as
+# typed and as parsed.
+FIELD_VALUES = {"int": ("4", 4), "float": ("0.25", 0.25), "str": ("b", "b"), "bool": (None, True)}
 COMMAND_ARGS = {"analyze": ["analyze", "tv"], "verify": ["verify", "taylor-bound"]}
 
 
-def run_config_fields():
-    return [f for f in dataclasses.fields(RunConfig) if f.name not in ("command", "analysis", "lemma", "corpus_config")]
+def subcommand_parsers():
+    return [action for action in build_parser()._actions if action.dest == "command"][0].choices
 
 
-def config_from(parser, tmp_path, argv, doc):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
-    return _build_config(parser.parse_args(argv + ["--config", str(path)]))
-
-
-@pytest.mark.parametrize("field", run_config_fields(), ids=lambda f: f.name)
-def test_each_run_config_field_is_a_flag_and_a_config_key(tmp_path, field):
+@pytest.mark.parametrize(
+    "field", [f for f in dataclasses.fields(RunConfig) if f.name not in cli._POSITIONAL], ids=lambda f: f.name
+)
+def test_each_run_config_field_is_a_flag_and_a_config_key(field):
     flag = "--" + {"lam": "lambda", "set_spec": "set"}.get(field.name, field.name).replace("_", "-")
-    config_value, flag_text, flag_value, wrong = FIELD_VALUES[field.type.split(" | ")[0]]
-    if field.name == "mode":
-        config_value, flag_text, flag_value = "auto", "sample", "sample"
+    flag_text, flag_value = ("sample", "sample") if field.name == "mode" else FIELD_VALUES[field.type.split(" | ")[0]]
     parser = build_parser()
-    commands = [action for action in parser._actions if action.dest == "command"][0].choices
+    commands = subcommand_parsers()
     assert len(commands) == 10
     for command in commands:
-        argv = COMMAND_ARGS.get(command, [command])
-        flag_argv = argv + ([flag] if flag_text is None else [flag, flag_text])
-        assert getattr(parser.parse_args(flag_argv), field.name) == flag_value
-        for key in {flag[2:], field.name}:
-            assert getattr(config_from(parser, tmp_path, argv, {key: config_value}), field.name) == config_value
-            assert getattr(config_from(parser, tmp_path, flag_argv, {key: config_value}), field.name) == flag_value
-            with pytest.raises(UsageError) as err:
-                config_from(parser, tmp_path, argv, {key: wrong})
-            assert err.value.reason == "bad_config"
+        argv = COMMAND_ARGS.get(command, [command]) + ([flag] if flag_text is None else [flag, flag_text])
+        assert getattr(_build_config(parser.parse_args(argv)), field.name) == flag_value
+
+
+def test_config_is_not_a_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "taylor-bound", "--config", str(tmp_path / "config.json")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+def test_the_readme_names_every_flag_and_no_other():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
+    flags = {
+        option for parser in subcommand_parsers().values() for action in parser._actions
+        for option in action.option_strings if option.startswith("--")
+    }
+    assert named == flags - {"--help"}
 
 
 def test_the_coupling_calibration_is_not_a_flag(capsys):
