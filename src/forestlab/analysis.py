@@ -542,7 +542,7 @@ def neighborhood(
     lam = outcome_set.alphabet
     seen = set(outcome_set.members)
     frontier = set(outcome_set.members)
-    for _ in range(k):
+    for _ in range(min(k, outcome_set.arity)):  # past the arity nothing new is in reach
         nxt = set()
         for x in frontier:
             for pos in range(outcome_set.arity):

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -205,8 +206,10 @@ def _json_object(doc) -> dict:
     return doc
 
 
-def _integer_k(cfg: RunConfig) -> int:
-    """--k where it names a radius: an integer, never truncated."""
+def _integer_k(cfg: RunConfig) -> int | float:
+    """--k where it names a radius: an integer, never truncated; a radius past the float range stays infinite."""
+    if math.isinf(cfg.k):
+        return cfg.k
     if not cfg.k.is_integer():
         raise UsageError("bad_parameter", f"--k must be an integer here, got {cfg.k!r}")
     return int(cfg.k)

@@ -310,12 +310,23 @@ def test_huge_entropy_budgets_and_radii_give_reports(tmp_path, capsys):
     points.write_text(json.dumps({"arity": 2, "alphabet": 2, "members": [[0, 1]]}))
     assert main(["verify", "harper", "--k", "1e300", "--set", str(points)]) == 0
     assert capsys.readouterr().out == "pass harper measured=1 bound=1\n"
-    # a radius at or past the arity grows the set to the whole cube
+
+
+def test_a_config_radius_past_the_float_range_covers_the_whole_cube(tmp_path, capsys):
+    huge = "1" + "0" * 400  # parses to an infinite float
+    points = tmp_path / "points.json"
     points.write_text(json.dumps({"arity": 3, "alphabet": 2, "members": [[0, 1, 0], [1, 1, 1]]}))
-    for k in ("3", "7"):
-        out = tmp_path / f"k{k}.json"
+    assert main(["verify", "harper", "--set", str(points), "--k", huge]) == 0
+    assert capsys.readouterr().out == "pass harper measured=1 bound=1\n"
+    members = []
+    for name, k in (("huge", huge), ("arity", "3"), ("past", "7")):
+        out = tmp_path / f"{name}.json"
         assert main(["analyze", "neighborhood", "--set", str(points), "--k", k, "-o", str(out)]) == 0
-        assert len(json.loads(out.read_text())["members"]) == 8
+        members.append(json.loads(out.read_text())["members"])
+    assert members[0] == members[1] == members[2]
+    assert len(members[0]) == 8
+    assert main(["verify", "harper", "--set", str(points), "--k", "-" + huge]) == 2
+    assert capsys.readouterr().err.startswith("error: bad_radius: ")
 
 
 def test_gen_random_refuses_more_forests_than_seed_steps_before_writing_any(tmp_path, capsys, monkeypatch):
