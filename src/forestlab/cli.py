@@ -644,6 +644,9 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 
         def plan(doc) -> tuple:
             doc = _json_object(doc)
+            unknown = sorted(set(doc) - {"families", "overrides"})
+            if unknown:
+                raise UsageError("bad_config", f"corpus config keys must be families and overrides, got {unknown!r}")
             names = doc.get("families", list(corpus_mod.FAMILIES))
             if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
                 raise UsageError("bad_config", f"families must be a list of family names, got {names!r}")

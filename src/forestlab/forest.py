@@ -210,6 +210,10 @@ class DecisionForest:
         object.__setattr__(self, "trees", trees)
         return trees
 
+    def __getstate__(self) -> dict:
+        # caches such as `_flat` and a walk's `_heaviest_step` are rebuilt on use, so a pickle holds the forest alone
+        return {k: v for k, v in vars(self).items() if k in ("input_space", "output_space", "trees", "_table")}
+
     @functools.cached_property
     def _flat(self) -> tuple:
         """The node table as the arrays (cell, value, kids, offset) that `_walk` reads, built on first use."""

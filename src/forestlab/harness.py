@@ -287,6 +287,20 @@ class RestrictionTrace:
     seed: int
 
 
+def _heaviest_step(forest: DecisionForest) -> tuple:
+    """(heaviest cell, its expected probe count, {drawn value: restricted forest}) of a walk at `forest`.
+
+    Kept in the forest's `vars()` like `_flat`, so walks on one forest share a
+    lazy tree with one node per distinct prefix of drawn values, as long-lived as the forest.
+    """
+    step = vars(forest).get("_heaviest_step")
+    if step is None:
+        ec = expected_query_counts(forest)
+        heaviest = int(np.argmax(ec))
+        step = vars(forest)["_heaviest_step"] = (heaviest, float(ec[heaviest]), {})
+    return step
+
+
 def enforce_avg_lipschitz(
     forest: DecisionForest, mu: float, eps: float, seed: int
 ) -> RestrictionTrace:
@@ -294,7 +308,8 @@ def enforce_avg_lipschitz(
 
     The walk stops with success once every expected probe count is at most
     mu, and with failure once the depth budget 2 * cells * depth / mu *
-    log2(1/eps) is exhausted.  Ties pick the lowest cell index.
+    log2(1/eps) is exhausted.  Ties pick the lowest cell index.  Walks that
+    drew the same values share their restricted forests (`_heaviest_step`).
     """
     if mu <= 0:
         raise UsageError("bad_parameter", "mu must be positive")
@@ -311,17 +326,19 @@ def enforce_avg_lipschitz(
     current = forest
     steps = []
     while True:
-        ec = expected_query_counts(current)
-        heaviest = int(np.argmax(ec))
-        if float(ec[heaviest]) <= mu + 1e-12:
+        heaviest, load, children = _heaviest_step(current)
+        if load <= mu + 1e-12:
             success = True
             break
         if len(steps) >= budget:
             success = False
             break
         value = rng.randrange(lam)
-        steps.append((heaviest, value, float(ec[heaviest])))
-        current = restrict(current, {heaviest: value})
+        steps.append((heaviest, value, load))
+        child = children.get(value)
+        if child is None:
+            child = children[value] = restrict(current, {heaviest: value})
+        current = child
     return RestrictionTrace(
         success=success,
         steps=tuple(steps),
@@ -364,10 +381,14 @@ def verify_lipschitz_after_conditioning(
     s = forest.input_space.cells
     lam = forest.input_space.alphabet
     failures = 0
+    failed = {}  # each distinct draw, as its sorted (cell, value) items, is sliced once
     for t in range(trials):
         rng = random.Random(derive_seed(seed, t))
         assignment = {c: rng.randrange(lam) for c in sorted(rng.sample(range(s), max(1, s // 2)))}
-        failures += float(_cube_tails(forest, counts, order, mu, assignment).max()) > sqrt_delta + 1e-12
+        key = tuple(assignment.items())
+        if key not in failed:
+            failed[key] = float(_cube_tails(forest, counts, order, mu, assignment).max()) > sqrt_delta + 1e-12
+        failures += failed[key]
     measured = failures / trials
     bound = sqrt_delta + halfwidth
     return ExperimentReport(

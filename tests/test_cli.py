@@ -537,118 +537,126 @@ def _deep_forest_text(levels: int) -> str:
     return json.dumps({**GATE_FOREST, "input_arity": levels, "trees": ["TREE"]}).replace('"TREE"', tree)
 
 
+def _case(number: int, args: list, text, reason: str):
+    """A case whose id is the one pytest first gave it by its place in the list, now fixed to the case."""
+    return pytest.param(args, text, reason, id=f"args{number}-{text}-{reason}")
+
+
 # (arguments before the file path, file text or None for no file, expected
 # reason); GATE stands for the path of a valid one-tree forest.  Rows with a
 # valid file put the bad value in a flag, and rows that end in --ledger give no
-# file.  No case prints a result or writes a ledger row.
+# file.  No case prints a result or writes a ledger row.  Every case names its
+# own id, so deleting one leaves the others' ids alone; new cases take a
+# descriptive id.
 MALFORMED_FILES = [
-    (["eval", "--input", "0", "--forest"], "{not json", "bad_file"),
-    (["eval", "--input", "0", "--forest"], json.dumps(_without(GATE_FOREST, "output_alphabet")), "bad_file"),
-    (["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "trees": [{"query": 0}]}), "bad_file"),
-    (["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "trees": 7}), "bad_file"),
-    (["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "trees": [{"leaf": 5}]}), "bad_leaf"),
-    (["sweep"], "[1, 2", "bad_config"),
-    (["sweep"], "[1, 2]", "bad_config"),
-    (["sweep"], "{", "bad_config"),
-    (["sweep"], json.dumps({"families": 3}), "bad_config"),
-    (["sweep"], json.dumps({"families": ["taylor-bound"], "overrides": [1]}), "bad_config"),
-    (["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 2, "members": []}), "bad_file"),
-    (["verify", "harper", "--k", "1", "--set"], "", "bad_file"),
-    (["verify", "ensemble-collision", "--target"], "{]", "bad_file"),
-    (["verify", "ensemble-collision", "--target"], json.dumps({"row": [[1.0]]}), "bad_file"),
-    (["verify", "chain-bound", "--forest", "GATE", "--buckets"], "oops", "bad_file"),
-    (["verify", "chain-bound", "--forest", "GATE", "--buckets"], json.dumps({"buckets": 3}), "bad_file"),
-    (["eval", "--input", "0", "--forest"], None, "missing_file"),
-    (["sweep"], json.dumps({"families": [["harper"]]}), "bad_config"),
-    (["sweep"], json.dumps({"families": "harper"}), "bad_config"),
-    (["sweep"], json.dumps({"families": {"harper": 1}}), "bad_config"),
-    (["sweep"], json.dumps({"families": ["taylor-bound", 3]}), "bad_config"),
-    (["sweep"], json.dumps({"families": ["taylor-bound"], "overrides": {"taylor-bound": {"nonsense": 1}}}), "bad_config"),
-    (["sweep"], json.dumps({"families": ["taylor-bound"], "overrides": {"harper": 3}}), "bad_config"),
-    (["sweep"], json.dumps({"families": ["taylor-bound"], "overrides": {"no-such-family": {}}}), "bad_config"),
-    (["analyze", "entropy", "--mode", "monte_carlo", "--trials", "100", "--seed", "-3", "--forest"], json.dumps(GATE_FOREST), "bad_seed"),
-    (["sweep"], json.dumps({"families": ["containment"], "overrides": {"containment": {"count": 0}}}), "bad_config"),
-    (["sweep"], json.dumps({"families": ["harper"], "overrides": {"harper": {"seed": -1}}}), "bad_config"),
-    (["analyze", "entropy", "--mode", "monte_carlo", "--trials", "0", "--forest"], json.dumps(GATE_FOREST), "bad_trials"),
-    (["analyze", "entropy", "--mode", "monte_carlo", "--trials", "-5", "--forest"], json.dumps(GATE_FOREST), "bad_trials"),
-    (["analyze", "tv", "--target", "uniform-perm", "--mode", "sample", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
-    (["analyze", "entropy", "--mode", "exact_report", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
-    (["analyze", "cond-entropy", "--cells", "0", "--mode", "auto", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
-    (["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 2, "alphabet": 2, "members": [[0.5, 1]]}), "bad_outcome"),
-    (["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 2, "alphabet": 2, "members": [[0, True]]}), "bad_outcome"),
-    (["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 2.0, "alphabet": 2, "members": [[0, 1]]}), "bad_file"),
-    (["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 2, "alphabet": 2.5, "members": [[0, 1]]}), "bad_file"),
-    (["analyze", "neighborhood", "--k", "1", "--set"], json.dumps({"arity": 1, "alphabet": "2", "members": [[0]]}), "bad_file"),
-    (["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "input_arity": 1.0}), "bad_file"),
-    (["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "input_alphabet": 2.5}), "bad_file"),
-    (["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "output_alphabet": True}), "bad_file"),
-    (["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "trees": [{"query": 0.5, "children": [{"leaf": 0}, {"leaf": 1}]}]}), "bad_file"),
-    (["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "trees": [{"query": 0, "children": [{"leaf": 0.9}, {"leaf": 1}]}]}), "bad_file"),
-    (["verify", "chain-bound", "--forest", "GATE", "--buckets"], json.dumps([[0.5]]), "bad_file"),
-    (["verify", "chain-bound", "--forest", "GATE", "--buckets"], json.dumps({"buckets": [[False]]}), "bad_file"),
-    (["verify", "entropy-deviation", "--k", "0", "--forest"], json.dumps(GATE_FOREST), "missing_argument"),
-    (["sweep"], json.dumps({"families": ["harper"], "overrides": {"harper": {"seed": "1"}}}), "bad_config"),
-    (["verify", "harper", "--k", "1.5", "--set"], json.dumps({"arity": 2, "alphabet": 2, "members": [[0, 1]]}), "bad_parameter"),
-    (["analyze", "neighborhood", "--k", "0.5", "--set"], json.dumps({"arity": 1, "alphabet": 2, "members": [[0]]}), "bad_parameter"),
-    (["verify", "lipschitz-restriction", "--mu", "1", "--delta", "0.5", "--mode", "exact", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
-    (["sweep"], json.dumps({"families": ["harper"], "overrides": {"harper": {"count": True}}}), "bad_config"),
-    (["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "bot_allowed": "false"}), "bad_file"),
-    (["verify", "collision-tv", "--mode", "monte_carlo", "--forest"], json.dumps(SWAP_FOREST), "bad_mode"),
-    (["analyze", "neighborhood", "--k", "1", "--mode", "monte_carlo", "--set"], json.dumps({"arity": 1, "alphabet": 2, "members": [[0]]}), "bad_mode"),
-    (["couple", "--mode", "auto", "--trials", "1", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
-    (["gen-thorp", "--log2n", "1", "--rounds", "1", "--mode", "monte_carlo", "-o"], None, "bad_mode"),
-    (["verify", "taylor-bound", "--mode", "monte_carlo", "--ledger"], None, "bad_mode"),
-    (["verify", "ensemble-collision", "--mode", "exact", "--trials", "100", "--target"], json.dumps({"rows": [[0.5, 0.5]] * 30}), "bad_mode"),
-    (["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 2, "alphabet": 1, "members": [[0, 0]]}), "bad_parameter"),
-    (["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 0, "alphabet": 2, "members": [[]]}), "bad_parameter"),
-    (["analyze", "cond-entropy", "--cells", "0", "--mode", "monte_carlo", "--trials", "10", "--forest"], json.dumps(GATE_FOREST), "bad_trials"),
-    (["couple", "--forest"], json.dumps({**GATE_FOREST, "trees": GATE_FOREST["trees"] * 2}), "bad_forest"),
-    (["verify", "coupling", "--forest"], json.dumps({**GATE_FOREST, "trees": GATE_FOREST["trees"] * 2}), "bad_forest"),
-    (["couple", "--mode", "exact", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
-    (["analyze", "cond-entropy", "--mode", "monte_carlo", "--trials", "200", "--cells", "99", "--forest"], json.dumps(GATE_FOREST), "bad_cells"),
-    (["verify", "containment", "--k", "1", "--target"], "0,1\tnan\n1,0\t1.0\n", "bad_probability"),
-    (["verify", "ensemble-collision", "--target"], '{"rows": [[NaN, 0.5, 0.0], [0.5, 0.5, 0.0]]}', "bad_probability"),
-    (["verify", "containment", "--k", "1", "--target"], "0,1 0.5\n", "bad_file"),
-    (["verify", "containment", "--k", "1", "--target"], "0,x\t0.5\n", "bad_file"),
-    (["verify", "containment", "--k", "1", "--target"], "0,1\tabc\n", "bad_file"),
-    (["verify", "light-mass", "--c", "1", "--target"], "nan 0.5 0.5", "bad_probability"),
-    (["enforce-lipschitz", "--mu", "nan", "--eps", "0.5", "--forest"], json.dumps(GATE_FOREST), "bad_parameter"),
-    (["verify", "lipschitz-restriction", "--mu", "nan", "--delta", "0.5", "--trials", "50", "--forest"], json.dumps(GATE_FOREST), "bad_parameter"),
-    (["verify", "at-least-two", "--alpha", "nan", "--q", "0.1,0.1", "--ledger"], None, "bad_parameter"),
-    (["sweep"], json.dumps({"families": ["taylor-bound"], "overrides": {"taylor-bound": {"seed": 1}}}), "bad_config"),
-    (["verify", "sum-ratio", "--target"], "1 2 nan\n1 2 3\n", "bad_parameter"),
+    _case(0, ["eval", "--input", "0", "--forest"], "{not json", "bad_file"),
+    _case(1, ["eval", "--input", "0", "--forest"], json.dumps(_without(GATE_FOREST, "output_alphabet")), "bad_file"),
+    _case(2, ["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "trees": [{"query": 0}]}), "bad_file"),
+    _case(3, ["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "trees": 7}), "bad_file"),
+    _case(4, ["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "trees": [{"leaf": 5}]}), "bad_leaf"),
+    _case(5, ["sweep"], "[1, 2", "bad_config"),
+    _case(6, ["sweep"], "[1, 2]", "bad_config"),
+    _case(7, ["sweep"], "{", "bad_config"),
+    _case(8, ["sweep"], json.dumps({"families": 3}), "bad_config"),
+    _case(9, ["sweep"], json.dumps({"families": ["taylor-bound"], "overrides": [1]}), "bad_config"),
+    _case(10, ["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 2, "members": []}), "bad_file"),
+    _case(11, ["verify", "harper", "--k", "1", "--set"], "", "bad_file"),
+    _case(12, ["verify", "ensemble-collision", "--target"], "{]", "bad_file"),
+    _case(13, ["verify", "ensemble-collision", "--target"], json.dumps({"row": [[1.0]]}), "bad_file"),
+    _case(14, ["verify", "chain-bound", "--forest", "GATE", "--buckets"], "oops", "bad_file"),
+    _case(15, ["verify", "chain-bound", "--forest", "GATE", "--buckets"], json.dumps({"buckets": 3}), "bad_file"),
+    _case(16, ["eval", "--input", "0", "--forest"], None, "missing_file"),
+    _case(17, ["sweep"], json.dumps({"families": [["harper"]]}), "bad_config"),
+    _case(18, ["sweep"], json.dumps({"families": "harper"}), "bad_config"),
+    _case(19, ["sweep"], json.dumps({"families": {"harper": 1}}), "bad_config"),
+    _case(20, ["sweep"], json.dumps({"families": ["taylor-bound", 3]}), "bad_config"),
+    _case(21, ["sweep"], json.dumps({"families": ["taylor-bound"], "overrides": {"taylor-bound": {"nonsense": 1}}}), "bad_config"),
+    _case(22, ["sweep"], json.dumps({"families": ["taylor-bound"], "overrides": {"harper": 3}}), "bad_config"),
+    _case(23, ["sweep"], json.dumps({"families": ["taylor-bound"], "overrides": {"no-such-family": {}}}), "bad_config"),
+    _case(24, ["analyze", "entropy", "--mode", "monte_carlo", "--trials", "100", "--seed", "-3", "--forest"], json.dumps(GATE_FOREST), "bad_seed"),
+    _case(25, ["sweep"], json.dumps({"families": ["containment"], "overrides": {"containment": {"count": 0}}}), "bad_config"),
+    _case(26, ["sweep"], json.dumps({"families": ["harper"], "overrides": {"harper": {"seed": -1}}}), "bad_config"),
+    _case(27, ["analyze", "entropy", "--mode", "monte_carlo", "--trials", "0", "--forest"], json.dumps(GATE_FOREST), "bad_trials"),
+    _case(28, ["analyze", "entropy", "--mode", "monte_carlo", "--trials", "-5", "--forest"], json.dumps(GATE_FOREST), "bad_trials"),
+    _case(29, ["analyze", "tv", "--target", "uniform-perm", "--mode", "sample", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
+    _case(30, ["analyze", "entropy", "--mode", "exact_report", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
+    _case(31, ["analyze", "cond-entropy", "--cells", "0", "--mode", "auto", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
+    _case(32, ["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 2, "alphabet": 2, "members": [[0.5, 1]]}), "bad_outcome"),
+    _case(33, ["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 2, "alphabet": 2, "members": [[0, True]]}), "bad_outcome"),
+    _case(34, ["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 2.0, "alphabet": 2, "members": [[0, 1]]}), "bad_file"),
+    _case(35, ["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 2, "alphabet": 2.5, "members": [[0, 1]]}), "bad_file"),
+    _case(36, ["analyze", "neighborhood", "--k", "1", "--set"], json.dumps({"arity": 1, "alphabet": "2", "members": [[0]]}), "bad_file"),
+    _case(37, ["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "input_arity": 1.0}), "bad_file"),
+    _case(38, ["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "input_alphabet": 2.5}), "bad_file"),
+    _case(39, ["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "output_alphabet": True}), "bad_file"),
+    _case(40, ["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "trees": [{"query": 0.5, "children": [{"leaf": 0}, {"leaf": 1}]}]}), "bad_file"),
+    _case(41, ["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "trees": [{"query": 0, "children": [{"leaf": 0.9}, {"leaf": 1}]}]}), "bad_file"),
+    _case(42, ["verify", "chain-bound", "--forest", "GATE", "--buckets"], json.dumps([[0.5]]), "bad_file"),
+    _case(43, ["verify", "chain-bound", "--forest", "GATE", "--buckets"], json.dumps({"buckets": [[False]]}), "bad_file"),
+    _case(44, ["verify", "entropy-deviation", "--k", "0", "--forest"], json.dumps(GATE_FOREST), "missing_argument"),
+    _case(45, ["sweep"], json.dumps({"families": ["harper"], "overrides": {"harper": {"seed": "1"}}}), "bad_config"),
+    _case(46, ["verify", "harper", "--k", "1.5", "--set"], json.dumps({"arity": 2, "alphabet": 2, "members": [[0, 1]]}), "bad_parameter"),
+    _case(47, ["analyze", "neighborhood", "--k", "0.5", "--set"], json.dumps({"arity": 1, "alphabet": 2, "members": [[0]]}), "bad_parameter"),
+    _case(48, ["verify", "lipschitz-restriction", "--mu", "1", "--delta", "0.5", "--mode", "exact", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
+    _case(49, ["sweep"], json.dumps({"families": ["harper"], "overrides": {"harper": {"count": True}}}), "bad_config"),
+    _case(50, ["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "bot_allowed": "false"}), "bad_file"),
+    _case(51, ["verify", "collision-tv", "--mode", "monte_carlo", "--forest"], json.dumps(SWAP_FOREST), "bad_mode"),
+    _case(52, ["analyze", "neighborhood", "--k", "1", "--mode", "monte_carlo", "--set"], json.dumps({"arity": 1, "alphabet": 2, "members": [[0]]}), "bad_mode"),
+    _case(53, ["couple", "--mode", "auto", "--trials", "1", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
+    _case(54, ["gen-thorp", "--log2n", "1", "--rounds", "1", "--mode", "monte_carlo", "-o"], None, "bad_mode"),
+    _case(55, ["verify", "taylor-bound", "--mode", "monte_carlo", "--ledger"], None, "bad_mode"),
+    _case(56, ["verify", "ensemble-collision", "--mode", "exact", "--trials", "100", "--target"], json.dumps({"rows": [[0.5, 0.5]] * 30}), "bad_mode"),
+    _case(57, ["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 2, "alphabet": 1, "members": [[0, 0]]}), "bad_parameter"),
+    _case(58, ["verify", "harper", "--k", "1", "--set"], json.dumps({"arity": 0, "alphabet": 2, "members": [[]]}), "bad_parameter"),
+    _case(59, ["analyze", "cond-entropy", "--cells", "0", "--mode", "monte_carlo", "--trials", "10", "--forest"], json.dumps(GATE_FOREST), "bad_trials"),
+    _case(60, ["couple", "--forest"], json.dumps({**GATE_FOREST, "trees": GATE_FOREST["trees"] * 2}), "bad_forest"),
+    _case(61, ["verify", "coupling", "--forest"], json.dumps({**GATE_FOREST, "trees": GATE_FOREST["trees"] * 2}), "bad_forest"),
+    _case(62, ["couple", "--mode", "exact", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
+    _case(63, ["analyze", "cond-entropy", "--mode", "monte_carlo", "--trials", "200", "--cells", "99", "--forest"], json.dumps(GATE_FOREST), "bad_cells"),
+    _case(64, ["verify", "containment", "--k", "1", "--target"], "0,1\tnan\n1,0\t1.0\n", "bad_probability"),
+    _case(65, ["verify", "ensemble-collision", "--target"], '{"rows": [[NaN, 0.5, 0.0], [0.5, 0.5, 0.0]]}', "bad_probability"),
+    _case(66, ["verify", "containment", "--k", "1", "--target"], "0,1 0.5\n", "bad_file"),
+    _case(67, ["verify", "containment", "--k", "1", "--target"], "0,x\t0.5\n", "bad_file"),
+    _case(68, ["verify", "containment", "--k", "1", "--target"], "0,1\tabc\n", "bad_file"),
+    _case(69, ["verify", "light-mass", "--c", "1", "--target"], "nan 0.5 0.5", "bad_probability"),
+    _case(70, ["enforce-lipschitz", "--mu", "nan", "--eps", "0.5", "--forest"], json.dumps(GATE_FOREST), "bad_parameter"),
+    _case(71, ["verify", "lipschitz-restriction", "--mu", "nan", "--delta", "0.5", "--trials", "50", "--forest"], json.dumps(GATE_FOREST), "bad_parameter"),
+    _case(72, ["verify", "at-least-two", "--alpha", "nan", "--q", "0.1,0.1", "--ledger"], None, "bad_parameter"),
+    _case(73, ["sweep"], json.dumps({"families": ["taylor-bound"], "overrides": {"taylor-bound": {"seed": 1}}}), "bad_config"),
+    _case(74, ["verify", "sum-ratio", "--target"], "1 2 nan\n1 2 3\n", "bad_parameter"),
     # deep documents get short ids, not their text
     pytest.param(["eval", "--input", "0", "--forest"], _deep_forest_text(700), "bad_file", id="eval-deep-forest"),
     pytest.param(["analyze", "entropy", "--forest"], _deep_forest_text(700), "bad_file", id="entropy-deep-forest"),
     pytest.param(["sweep"], '{"families": ' + "[" * 3000 + "]" * 3000 + "}", "bad_config", id="deep-config"),
-    (["sweep"], json.dumps({"families": ["taylor-bound", "harper"], "overrides": {"harper": {"count": "3"}}}), "bad_config"),
-    (["sweep"], json.dumps({"families": ["sum-ratio"], "overrides": {"sum-ratio": {"count": 2.5}}}), "bad_config"),
-    (["sweep"], json.dumps({"families": ["harper"], "overrides": {"harper": {"radii": ["a"]}}}), "bad_config"),  # no such parameter
-    (["gen-random", "--s", "4", "--lambda", "2", "--m", "2", "--sigma", "2", "--depth", "2", "--count", "0", "-o"], None, "bad_parameter"),
-    (["gen-random", "--s", "4", "--lambda", "2", "--m", "2", "--sigma", "2", "--depth", "2", "--count", "-2", "-o"], None, "bad_parameter"),
-    (["sweep"], json.dumps({"families": ["containment"], "overrides": {"containment": {"count": -5}}}), "bad_config"),
-    (["sweep"], '{"families": ["coupling"], "overrides": {"coupling": {"calibration": NaN}}}', "bad_config"),  # no such parameter
-    (["sweep"], '{"families": ["taylor-bound", "harper"], "overrides": {"harper": {"radii": [1, NaN]}}}', "bad_config"),  # no such parameter
-    (["sweep"], json.dumps({"families": ["enforce-lipschitz"], "overrides": {"enforce-lipschitz": {"runs": 0}}}), "bad_config"),  # no such parameter
-    (["sweep"], json.dumps({"families": ["lipschitz-restriction"], "overrides": {"lipschitz-restriction": {"trials": 0}}}), "bad_config"),  # no such parameter
-    (["verify", "lipschitz-restriction", "--mu", "1", "--delta", "0.5", "--trials", "1048577", "--forest"], json.dumps(GATE_FOREST), "bad_trials"),
-    (["enforce-lipschitz", "--mu", "1e-320", "--eps", "0.5", "--forest"], json.dumps(GATE_FOREST), "bad_parameter"),
-    (["enforce-lipschitz", "--mu", "1", "--eps", "1e-320", "--forest"], json.dumps(GATE_FOREST), "bad_parameter"),
-    (["sweep"], json.dumps({"families": ["lipschitz-restriction"], "overrides": {"lipschitz-restriction": {"trials": 1048577}}}), "bad_config"),  # no such parameter
-    (["sweep"], json.dumps({"families": ["enforce-lipschitz"], "overrides": {"enforce-lipschitz": {"runs": 1048577}}}), "bad_config"),  # no such parameter
-    (["dichotomy", "--threshold", "0", "--betas", "-3", "--forest", "GATE", "--buckets"], json.dumps([[0]]), "bad_parameter"),
-    (["dichotomy", "--threshold", "0", "--betas", "1048577", "--forest", "GATE", "--buckets"], json.dumps([[0]]), "bad_trials"),
+    _case(78, ["sweep"], json.dumps({"families": ["taylor-bound", "harper"], "overrides": {"harper": {"count": "3"}}}), "bad_config"),
+    _case(79, ["sweep"], json.dumps({"families": ["sum-ratio"], "overrides": {"sum-ratio": {"count": 2.5}}}), "bad_config"),
+    _case(80, ["sweep"], json.dumps({"families": ["harper"], "overrides": {"harper": {"radii": ["a"]}}}), "bad_config"),  # no such parameter
+    _case(81, ["gen-random", "--s", "4", "--lambda", "2", "--m", "2", "--sigma", "2", "--depth", "2", "--count", "0", "-o"], None, "bad_parameter"),
+    _case(82, ["gen-random", "--s", "4", "--lambda", "2", "--m", "2", "--sigma", "2", "--depth", "2", "--count", "-2", "-o"], None, "bad_parameter"),
+    _case(83, ["sweep"], json.dumps({"families": ["containment"], "overrides": {"containment": {"count": -5}}}), "bad_config"),
+    _case(84, ["sweep"], '{"families": ["coupling"], "overrides": {"coupling": {"calibration": NaN}}}', "bad_config"),  # no such parameter
+    _case(85, ["sweep"], '{"families": ["taylor-bound", "harper"], "overrides": {"harper": {"radii": [1, NaN]}}}', "bad_config"),  # no such parameter
+    _case(86, ["sweep"], json.dumps({"families": ["enforce-lipschitz"], "overrides": {"enforce-lipschitz": {"runs": 0}}}), "bad_config"),  # no such parameter
+    _case(87, ["sweep"], json.dumps({"families": ["lipschitz-restriction"], "overrides": {"lipschitz-restriction": {"trials": 0}}}), "bad_config"),  # no such parameter
+    _case(88, ["verify", "lipschitz-restriction", "--mu", "1", "--delta", "0.5", "--trials", "1048577", "--forest"], json.dumps(GATE_FOREST), "bad_trials"),
+    _case(89, ["enforce-lipschitz", "--mu", "1e-320", "--eps", "0.5", "--forest"], json.dumps(GATE_FOREST), "bad_parameter"),
+    _case(90, ["enforce-lipschitz", "--mu", "1", "--eps", "1e-320", "--forest"], json.dumps(GATE_FOREST), "bad_parameter"),
+    _case(91, ["sweep"], json.dumps({"families": ["lipschitz-restriction"], "overrides": {"lipschitz-restriction": {"trials": 1048577}}}), "bad_config"),  # no such parameter
+    _case(92, ["sweep"], json.dumps({"families": ["enforce-lipschitz"], "overrides": {"enforce-lipschitz": {"runs": 1048577}}}), "bad_config"),  # no such parameter
+    _case(93, ["dichotomy", "--threshold", "0", "--betas", "-3", "--forest", "GATE", "--buckets"], json.dumps([[0]]), "bad_parameter"),
+    _case(94, ["dichotomy", "--threshold", "0", "--betas", "1048577", "--forest", "GATE", "--buckets"], json.dumps([[0]]), "bad_trials"),
     pytest.param(["verify", "entropy-deviation", "--cell", "1" + "0" * 400, "--forest"], json.dumps(GATE_FOREST), "bad_cells", id="huge-k-cell"),
     pytest.param(["verify", "containment", "--k", "1", "--target"], "9223372036854775808,0\t1.0\n", "bad_outcome", id="dump-symbol-past-int64"),
     pytest.param(["verify", "mixture-bound", "--sigma", "2", "--target"], "_,1\t0.5\n0,-9223372036854775809\t0.5\n", "bad_outcome", id="dump-symbol-below-int64"),
-    (["couple", "--mode", "monte_carlo", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
-    (["verify", "harper", "--k", "1", "--set"], None, "missing_file"),
-    (["verify", "at-least-two", "--q", "0", "--alpha", "inf", "--ledger"], None, "bad_parameter"),
-    (["verify", "sum-ratio", "--target"], "1 inf\n1 1\n", "bad_parameter"),
-    (["verify", "sum-ratio", "--target"], "1e308 1e308\n1 1\n", "bad_parameter"),
-    (["verify", "harper", "--k", "-1", "--set"], json.dumps({"arity": 2, "alphabet": 2, "members": [[0, 1]]}), "bad_radius"),
-    (["sweep"], json.dumps({"families": ["taylor-bound", "enforce-lipschitz"], "overrides": {"enforce-lipschitz": {"seed": -1}}}), "bad_config"),
-    (["sweep"], json.dumps({"families": ["taylor-bound", "lipschitz-restriction"], "overrides": {"lipschitz-restriction": {"seed": -1}}}), "bad_config"),
+    _case(98, ["couple", "--mode", "monte_carlo", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
+    _case(99, ["verify", "harper", "--k", "1", "--set"], None, "missing_file"),
+    _case(100, ["verify", "at-least-two", "--q", "0", "--alpha", "inf", "--ledger"], None, "bad_parameter"),
+    _case(101, ["verify", "sum-ratio", "--target"], "1 inf\n1 1\n", "bad_parameter"),
+    _case(102, ["verify", "sum-ratio", "--target"], "1e308 1e308\n1 1\n", "bad_parameter"),
+    _case(103, ["verify", "harper", "--k", "-1", "--set"], json.dumps({"arity": 2, "alphabet": 2, "members": [[0, 1]]}), "bad_radius"),
+    _case(104, ["sweep"], json.dumps({"families": ["taylor-bound", "enforce-lipschitz"], "overrides": {"enforce-lipschitz": {"seed": -1}}}), "bad_config"),
+    _case(105, ["sweep"], json.dumps({"families": ["taylor-bound", "lipschitz-restriction"], "overrides": {"lipschitz-restriction": {"seed": -1}}}), "bad_config"),
+    pytest.param(["sweep"], json.dumps({"familes": ["taylor-bound"]}), "bad_config", id="sweep-config-misspelt-key"),
 ]
 
 

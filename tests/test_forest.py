@@ -269,10 +269,10 @@ def test_table_pruning_matches_the_node_rebuilding_reference():
 
 
 def test_enforcement_traces_match_the_reference_restriction_step_for_step(monkeypatch):
-    instances = list(enforcement_instances())
-    fast = [enforce_avg_lipschitz(f, mu, eps, seed=r) for _, f, mu, eps in instances for r in range(4)]
+    fast = [enforce_avg_lipschitz(f, mu, eps, seed=r) for _, f, mu, eps in enforcement_instances() for r in range(4)]
     monkeypatch.setattr(harness, "restrict", reference_restrict)
-    slow = [enforce_avg_lipschitz(f, mu, eps, seed=r) for _, f, mu, eps in instances for r in range(4)]
+    # fresh forests: the walks above left their restricted forests on the first ones
+    slow = [enforce_avg_lipschitz(f, mu, eps, seed=r) for _, f, mu, eps in enforcement_instances() for r in range(4)]
     for a, b in zip(fast, slow, strict=True):
         assert (a.steps, a.success, a.budget) == (b.steps, b.success, b.budget)
         assert a.final_forest._table == b.final_forest._table

@@ -1,6 +1,7 @@
 """Verifier behavior on closed-form instances and guard paths."""
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -27,11 +28,14 @@ from forestlab import (
     coupled_sample,
     cube_distances_to_set,
     derive_seed,
+    dumps_forest,
     enforce_avg_lipschitz,
     entropy,
     eval_forest,
     expected_query_counts,
     collision_probability,
+    forest_from_json,
+    forest_to_json,
     output_distribution,
     random_forest,
     restrict,
@@ -75,6 +79,7 @@ from forestlab.harness import (
 
 import numpy as np
 
+import walk_reference
 from cube_reference import eval_forest_on_cube
 
 
@@ -411,6 +416,49 @@ def test_enforcement_parameter_guards():
         enforce_avg_lipschitz(identity_forest(2), mu=1.0, eps=1.0, seed=0)
 
 
+def test_enforcement_walk_tree_matches_the_uncached_walk_at_every_criterion_07_seed(monkeypatch):
+    instances = list(enforcement_instances())
+    seeds = [derive_seed(59, r) for r in range(100)]  # criterion 07's walks
+    want = [walk_reference.enforce_avg_lipschitz(f, mu, eps, seed) for _, f, mu, eps in instances for seed in seeds]
+
+    def compare():
+        got = [enforce_avg_lipschitz(f, mu, eps, seed) for _, f, mu, eps in instances for seed in seeds]
+        for trace, (success, steps, final, budget) in zip(got, want, strict=True):
+            assert (trace.success, trace.steps, trace.budget) == (success, steps, budget)
+            assert trace.final_forest._table == final._table
+
+    compare()
+
+    def no_recompute(*args):
+        raise AssertionError("a repeated walk recomputed a node")
+
+    # every step of a repeated walk is a node the first pass built
+    monkeypatch.setattr(harness, "restrict", no_recompute)
+    monkeypatch.setattr(harness, "expected_query_counts", no_recompute)
+    compare()
+
+
+def test_walking_a_forest_leaves_its_equality_json_and_pickle_unchanged():
+    for _, forest, mu, eps in itertools.islice(enforcement_instances(), 10):
+        twin = forest_from_json(forest_to_json(forest))
+        text, data = dumps_forest(forest), pickle.dumps(forest)
+        traces = [enforce_avg_lipschitz(forest, mu, eps, seed=r) for r in range(100)]
+        assert "_heaviest_step" in vars(forest)
+        assert forest == twin and hash(forest) == hash(twin)
+        assert dumps_forest(forest) == text
+        assert pickle.dumps(forest) == data
+        assert pickle.loads(data) == forest
+        for trace in traces:  # restricted forests, built from node tables, round-trip too
+            final = trace.final_forest
+            copy = pickle.loads(pickle.dumps(final))
+            assert copy._table == final._table and copy == final
+            assert "_heaviest_step" not in vars(copy)
+    # a 200-step walk: pickling its chain of restricted forests would nest past the recursion limit
+    deep = identity_forest(200)
+    assert len(enforce_avg_lipschitz(deep, mu=0.5, eps=0.5, seed=0).steps) == 200
+    assert pickle.loads(pickle.dumps(deep)) == deep
+
+
 # ---------------------------------------------------------------------------
 # restrictions keep tails small
 
@@ -445,6 +493,31 @@ def test_sliced_conditioning_counts_every_draw_like_a_restrict_loop():
             tail = float((counts > mu).mean(axis=0).max()) if counts.size else 0.0
             failures += tail > math.sqrt(delta) + 1e-12
         assert report.details["failures"] == failures, instance_id
+
+
+@pytest.mark.parametrize("seed", [61, 62])
+def test_conditioning_slices_each_distinct_draw_once_and_counts_every_draw(monkeypatch, seed):
+    sliced = []
+
+    def counted(forest, counts, order, mu, assignment={}):
+        sliced.append(tuple(assignment.items()))
+        return _cube_tails(forest, counts, order, mu, assignment)
+
+    monkeypatch.setattr(harness, "_cube_tails", counted)
+    for instance_id, forest, mu, delta in restriction_instances():
+        sliced.clear()
+        report = verify_lipschitz_after_conditioning(forest, mu, delta, trials=1000, seed=seed)
+        s, lam = forest.input_space.cells, forest.input_space.alphabet
+        counts, order = query_counts_on_cube(forest)
+        failures, draws = 0, set()
+        for t in range(1000):  # the verifier's draws, each sliced afresh
+            rng = random.Random(derive_seed(seed, t))
+            assignment = {c: rng.randrange(lam) for c in sorted(rng.sample(range(s), max(1, s // 2)))}
+            draws.add(tuple(assignment.items()))
+            failures += float(_cube_tails(forest, counts, order, mu, assignment).max()) > math.sqrt(delta) + 1e-12
+        assert report.details["failures"] == failures, instance_id
+        # the base tail, then one slice per distinct draw
+        assert sliced[0] == () and len(sliced) == 1 + len(draws) and set(sliced[1:]) == draws, instance_id
 
 
 def restricted_tails(forest: DecisionForest, assignment: dict, mu: float) -> np.ndarray:
