@@ -10,6 +10,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -366,6 +367,20 @@ def tv_distance(a: Distribution, b: Distribution) -> float:
     _, in_a, in_b = np.intersect1d(keys_a, keys_b, assume_unique=True, return_indices=True)
     terms = [np.abs(p[in_a] - q[in_b]), np.abs(np.delete(p, in_a)), np.abs(np.delete(q, in_b))]
     return 0.5 * math.fsum(np.concatenate(terms).tolist())
+
+
+def _tv_to_uniform_perm(law: Distribution) -> float:
+    """TV to the uniform law on the n! decks of n = law.arity cards, from the law's own rows.
+
+    TV = 1 - sum of min(p, 1/n!) over the rows that are decks (a blank is no card);
+    integer counts make the sum an integer over total * n!, so one Fraction rounds it.
+    """
+    n, decks = law.arity, math.factorial(law.arity)
+    perm = (np.sort(law.rows, axis=1) == np.arange(n)).all(axis=1)
+    if law.bot is not None:
+        perm &= (law.rows != law.bot).all(axis=1)
+    overlap = sum(min(count * decks, law.total) for count in law.weights[perm].tolist())
+    return float(1 - Fraction(overlap, law.total * decks))
 
 
 def _row_keys(a: np.ndarray, b: np.ndarray) -> tuple:

@@ -25,6 +25,7 @@ from .analysis import (
     IndependentEnsemble,
     OutcomeSet,
     _check_seed_steps,
+    _tv_to_uniform_perm,
     collision_probability,
     conditional_entropy_detail,
     derive_seed,
@@ -78,7 +79,6 @@ from .samplers import (
     random_forest,
     thorp_bucket_structure,
     thorp_forest,
-    uniform_perm_distribution,
 )
 
 
@@ -281,10 +281,6 @@ def _load_buckets(cfg: RunConfig) -> BucketStructure:
 
 def _target_distribution(cfg: RunConfig, forest=None) -> Distribution:
     _need(cfg, "target")
-    if cfg.target == "uniform-perm":
-        if forest is None:
-            raise UsageError("missing_argument", "uniform-perm target needs --forest")
-        return uniform_perm_distribution(forest.output_space.cells)
     bot = forest.output_space.bot if forest is not None else cfg.sigma
     return parse_distribution(_read_text(cfg.target), bot=bot)
 
@@ -378,6 +374,8 @@ def _output_law(cfg: RunConfig, forest) -> Distribution:
 def _analyze_tv(cfg: RunConfig) -> tuple:
     _need(cfg, "forest", "target")
     forest = _load_forest(cfg)
+    if cfg.target == "uniform-perm":
+        return _tv_to_uniform_perm(_output_law(cfg, forest)), cfg.trials
     target = _target_distribution(cfg, forest)
     return tv_distance(_output_law(cfg, forest), target), cfg.trials
 

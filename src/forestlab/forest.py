@@ -222,9 +222,9 @@ class DecisionForest:
         kids = np.array([kid for c in children for kid in c], dtype=np.intp)
         return np.array(cell, dtype=np.intp), np.array(value, dtype=np.intp), kids, np.cumsum(sizes) - sizes
 
-    @property
+    @functools.cached_property
     def depth(self) -> int:
-        """Length of the longest root-to-leaf path."""
+        """Length of the longest root-to-leaf path, found on first read."""
         return max(depth for _, _, depth, _ in self._table.rows)
 
     def mentioned_cells(self) -> list:

@@ -29,6 +29,7 @@ from .analysis import (
     _cube_law,
     _entropy_bits,
     _group_entropies,
+    _tv_to_uniform_perm,
     collision_probability,
     conditional_entropy_detail,
     cube_distances_to_set,
@@ -36,7 +37,6 @@ from .analysis import (
     entropy,
     hoeffding_halfwidth,
     output_distribution,
-    tv_distance,
     tv_lower_bound_via_collision,
 )
 from .forest import (
@@ -57,7 +57,6 @@ from .forest import (
     restrict,
 )
 from .report import ExperimentReport
-from .samplers import uniform_perm_distribution
 
 TOL = 1e-9
 
@@ -691,18 +690,18 @@ def collision_ensemble_report(
 
 
 def verify_collision_tv(forest: DecisionForest, budget: int = DEFAULT_STATE_BUDGET) -> ExperimentReport:
-    """Collision-or-blank mass never exceeds the distance to uniform shuffles.
+    """Collision-or-blank mass never exceeds the exact TV distance to the uniform deck.
 
-    The forest must have as many output cells as output symbols; the exact
-    chance of a repeated or blank output is compared with the exact total
-    variation distance to the uniform permutation law.
+    With at most n output symbols on n output cells, a row fails to be a
+    permutation exactly when it repeats a symbol or holds a blank, so
+    measured = bound + the sum of (p - 1/n!)+ over the permutation rows.
     """
     n = forest.output_space.cells
     if forest.output_space.alphabet > n:
         raise UsageError("mismatched_spaces", "output alphabet exceeds the deck size")
     law = output_distribution(forest, budget=budget)
     lower = tv_lower_bound_via_collision(law)
-    measured = tv_distance(law, uniform_perm_distribution(n))
+    measured = _tv_to_uniform_perm(law)
     return ExperimentReport(
         lemma_id="collision-tv",
         bound=lower,

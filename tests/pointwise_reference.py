@@ -2,12 +2,16 @@
 
 The library counts collisions over whole output matrices
 (`analysis._rows_have_collision`) and measures distances to a set over the
-whole cube (`analysis.cube_distances_to_set`); these score a single row or
-point by direct loops, so tests can check the array forms against them.
+whole cube (`analysis.cube_distances_to_set`), and reads TV to the uniform
+deck off a law's rows (`analysis._tv_to_uniform_perm`); these score a single
+row or point by direct loops, so tests can check the array forms against them.
 """
 from __future__ import annotations
 
-from forestlab.analysis import OutcomeSet
+import math
+from fractions import Fraction
+
+from forestlab.analysis import Distribution, OutcomeSet
 from forestlab.forest import UsageError
 
 
@@ -36,3 +40,17 @@ def hamming_dist_to_set(x, outcome_set: OutcomeSet) -> int:
             if best == 0:
                 break
     return best
+
+
+def exact_tv_to_uniform_perm(law: Distribution) -> Fraction:
+    """Half of: |p - 1/n!| over the law's rows that are decks, p over its other rows, 1/n! per missing deck."""
+    n = law.arity
+    deck = Fraction(1, math.factorial(n))
+    gaps, seen = Fraction(0), 0
+    for row, count in zip(law.rows.tolist(), law.weights.tolist()):
+        p = Fraction(count, law.total)
+        if sorted(row) == list(range(n)) and law.bot not in row:
+            gaps, seen = gaps + abs(p - deck), seen + 1
+        else:
+            gaps += p
+    return (gaps + (math.factorial(n) - seen) * deck) / 2

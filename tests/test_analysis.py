@@ -2,6 +2,7 @@
 import collections
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -49,7 +50,7 @@ from forestlab import analysis
 from forestlab.cli import _dump_outcome_set
 from forestlab.samplers import thorp_network_permutation
 
-from pointwise_reference import collision_stat, hamming_dist_to_set
+from pointwise_reference import collision_stat, exact_tv_to_uniform_perm, hamming_dist_to_set
 
 
 def identity_forest(s: int, lam: int = 2) -> DecisionForest:
@@ -268,6 +269,70 @@ def test_collision_lower_bound_stays_below_the_true_distance():
         law = output_distribution(f)
         tv = tv_distance(law, uniform_perm_distribution(4))
         assert tv_lower_bound_via_collision(law) <= tv + 1e-9
+
+
+def seeded_deck_forests(count: int = 400, seed: int = 27):
+    """Random forests with 1-6 outputs, blanks in about half, output alphabets from n - 1 to n + 1."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, 6)
+        spec = ForestGenSpec(
+            cells=rng.randint(2, 5), alphabet=rng.randint(2, 3), out_cells=m,
+            out_alphabet=rng.randint(max(1, m - 1), m + 1), depth=rng.randint(1, 3),
+            seed=rng.randrange(2**31), bot_allowed=rng.random() < 0.5, stop_prob=rng.choice([0.0, 0.2, 0.5]),
+        )
+        yield random_forest(spec)
+
+
+def test_tv_to_uniform_decks_is_the_correctly_rounded_exact_tv_on_random_forests():
+    seen = collections.Counter()
+    for forest in seeded_deck_forests():
+        law = output_distribution(forest)
+        n, tv = law.arity, analysis._tv_to_uniform_perm(law)
+        assert tv == float(exact_tv_to_uniform_perm(law))
+        seen["blank"] += law.bot is not None
+        seen["short alphabet"] += forest.output_space.alphabet < n
+        seen["some deck"] += tv < 1.0
+        if law.bot is None or law.bot >= n:  # else the materialized law reads the blank's code n - 1 as a card
+            assert abs(tv - tv_distance(law, uniform_perm_distribution(n))) <= math.ulp(tv)
+            seen["checked against tv_distance"] += 1
+    assert min(seen.values()) >= 90, seen
+
+
+def test_tv_to_uniform_decks_matches_the_materialized_law_at_every_shuffle_round():
+    uniform = uniform_perm_distribution(8)
+    for rounds in range(1, 7):
+        law = output_distribution(thorp_forest(ThorpSpec(3, rounds)))
+        assert analysis._tv_to_uniform_perm(law) == tv_distance(law, uniform)
+
+
+def test_tv_to_uniform_decks_reaches_past_the_materialized_law():
+    # nine cards: four coins each swap a pair of positions, a fifth blanks the last card or keeps it
+    swap = lambda coin, a, b: Internal(coin, (Leaf(a), Leaf(b)))
+    trees = [swap(c, 2 * c + d, 2 * c + 1 - d) for c in range(4) for d in (0, 1)] + [swap(4, 8, 9)]
+    forest = DecisionForest(InputSpace(5, 2), OutputSpace(9, 9, bot_allowed=True), tuple(map(DecisionTree, trees)))
+    law = output_distribution(forest)
+    assert len(law.rows) == 32
+    tv = analysis._tv_to_uniform_perm(law)
+    assert tv == float(exact_tv_to_uniform_perm(law)) == float(1 - Fraction(16, math.factorial(9)))
+    with pytest.raises(UsageError) as err:
+        uniform_perm_distribution(9)
+    assert err.value.reason == "bad_spec"
+
+
+def test_neighborhood_stops_with_set_budget_once_the_grown_set_passes_it():
+    point = OutcomeSet(frozenset({(0, 0, 0)}), 3, 2)
+    assert len(neighborhood(point, 1, budget=4)) == 4
+    with pytest.raises(BudgetError) as err:
+        neighborhood(point, 2, budget=4)
+    assert err.value.reason == "set_budget"
+
+
+def test_exact_ensemble_collision_stops_with_enum_budget_past_20_variables():
+    assert analysis.ENSEMBLE_EXACT_LIMIT == 20
+    with pytest.raises(BudgetError) as err:
+        ensemble_collision_probability(uniform_ensemble(21, 2))
+    assert err.value.reason == "enum_budget"
 
 
 def test_neighborhood_growth_around_a_single_point():

@@ -2,11 +2,13 @@
 import dataclasses
 import inspect
 import json
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from forestlab import (
@@ -28,7 +30,8 @@ from forestlab import (
     tv_distance,
     uniform_perm_distribution,
 )
-from forestlab import cli, corpus, harness
+import forestlab
+from forestlab import analysis, cli, corpus, harness, samplers
 from forestlab.analysis import hoeffding_halfwidth
 from forestlab.cli import _ANALYZERS, _COMMANDS, _MODES, _VERIFIERS, RunConfig, _build_config, build_parser, main
 from forestlab.forest import UsageError
@@ -700,6 +703,106 @@ def test_lipschitz_restriction_runs_monte_carlo_with_or_without_the_mode_flag(tm
     first, second = capsys.readouterr().out.splitlines()
     assert first == second
     assert first.startswith("pass lipschitz-restriction measured=0 ")
+
+
+def write_verifier_inputs(tmp_path) -> dict:
+    """One small input file per kind a verifier reads, by the placeholder that names it."""
+    bit = lambda i: {"query": i, "children": [{"leaf": 0}, {"query": (i + 1) % 3, "children": [{"leaf": 0}, {"leaf": 1}]}]}
+    docs = {
+        "GATE": ("gate.json", json.dumps(GATE_FOREST)),
+        "BITS": ("bits.json", json.dumps({**GATE_FOREST, "input_arity": 3, "trees": [bit(i) for i in range(3)]})),
+        "BUCKETS": ("buckets.json", json.dumps({"buckets": [list(b) for b in thorp_bucket_structure(ThorpSpec(2, 2)).buckets]})),
+        "SET": ("set.json", json.dumps({"arity": 3, "alphabet": 2, "members": [[0, 0, 0], [0, 0, 1]]})),
+        "ENSEMBLE": ("ensemble.json", json.dumps({"rows": [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.5, 0.25, 0.25]]})),
+        "PROBS": ("probs.txt", " ".join(["0.0625"] * 16) + "\n"),
+        "SUMS": ("sums.txt", "1,2,3\n3,2,1\n"),
+        "SHUFFLE": ("shuffle.json", dumps_forest(thorp_forest(ThorpSpec(2, 2)))),
+    }
+    for name, text in docs.values():
+        (tmp_path / name).write_text(text)
+    return {key: str(tmp_path / name) for key, (name, _) in docs.items()}
+
+
+# (lemma id, flags, verdict line) for each verifier, on the inputs of write_verifier_inputs
+VERIFIER_RUNS = [
+    ("containment", ["--forest", "SHUFFLE", "--k", "1.5"], "pass containment measured=0 bound=0.5"),
+    ("mixture-bound", ["--forest", "SHUFFLE", "--sigma", "4"], "pass mixture-bound measured=4 bound=18.3219280949"),
+    ("chain-bound", ["--forest", "SHUFFLE", "--buckets", "BUCKETS"], "pass chain-bound measured=4 bound=4"),
+    ("entropy-deviation", ["--forest", "SHUFFLE", "--cell", "0"], "pass entropy-deviation measured=1 bound=10.3219280949"),
+    ("second-moment-tail", ["--forest", "BITS"], "pass second-moment-tail measured=-0.125 bound=0"),
+    ("avg-to-tail-lipschitz", ["--forest", "BITS"], "pass avg-to-tail-lipschitz measured=-0.125 bound=0"),
+    (
+        "lipschitz-restriction", ["--forest", "BITS", "--mu", "1", "--delta", "0.5", "--trials", "50", "--seed", "4"],
+        "pass lipschitz-restriction measured=0.58 bound=0.937287522487 trials=50 seed=4",
+    ),
+    ("coupling", ["--forest", "GATE"], "pass coupling measured=0.5 bound=1.66510922232"),
+    ("at-least-two", ["--q", "0.04,0.04", "--alpha", "0.04"], "pass at-least-two measured=0.0016 bound=-0.0048"),
+    ("light-mass", ["--target", "PROBS", "--c", "0.5"], "pass light-mass measured=1 bound=0.0625"),
+    ("harper", ["--set", "SET", "--k", "1"], "pass harper measured=0.75 bound=-2.38592689956"),
+    ("ensemble-collision", ["--target", "ENSEMBLE"], "pass ensemble-collision measured=0.75 bound=0.0799555853707"),
+    ("collision-tv", ["--forest", "SHUFFLE"], "pass collision-tv measured=0.333333333333 bound=0"),
+    ("taylor-bound", [], "pass taylor-bound measured=-2.49999999999e-05 bound=0"),
+    ("sum-ratio", ["--target", "SUMS"], "pass sum-ratio measured=4.33333333333 bound=3.6"),
+]
+
+
+def test_every_verifier_has_a_run():
+    assert [lemma for lemma, _, _ in VERIFIER_RUNS] == list(_VERIFIERS)
+
+
+@pytest.mark.parametrize("lemma, flags, line", VERIFIER_RUNS, ids=[run[0] for run in VERIFIER_RUNS])
+def test_every_verifier_runs_through_main_to_a_verdict_and_a_ledger_row(tmp_path, capsys, isolated_ledger, lemma, flags, line):
+    paths = write_verifier_inputs(tmp_path)
+    files = [flag for flag in flags if flag in paths]
+    assert main(["verify", lemma] + [paths.get(flag, flag) for flag in flags]) == 0
+    assert capsys.readouterr().out == line + "\n"
+    # the row holds the line's numbers, named by the first input file's stem
+    values = dict(field.split("=") for field in line.split()[2:])
+    stem = os.path.splitext(os.path.basename(paths[files[0]]))[0] if files else "cli"
+    row = f"{lemma},{stem},{values['bound']},{values['measured']},pass,{values.get('trials', '')},{values.get('seed', '')}"
+    assert strip_timestamps(ledger_lines(isolated_ledger)) == [row]
+
+
+def test_tv_to_uniform_decks_reaches_a_16_card_shuffle(tmp_path, capsys, isolated_ledger):
+    forest_path = tmp_path / "t16.json"
+    assert main(["gen-thorp", "--log2n", "4", "--rounds", "2", "-o", str(forest_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "collision-tv", "--forest", str(forest_path)]) == 0
+    assert capsys.readouterr().out == "pass collision-tv measured=0.999999996868 bound=0\n"
+    assert main(["analyze", "tv", "--forest", str(forest_path), "--target", "uniform-perm"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 0.9999999968677218
+    assert strip_timestamps(ledger_lines(isolated_ledger)) == [
+        "collision-tv,t16,0,0.999999996868,pass,,", "analyze-tv,t16,,0.999999996868,pass,,"
+    ]
+
+
+def test_no_command_materializes_the_uniform_deck_law(tmp_path, capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError("the n!-row law was built")
+
+    for module in (forestlab, samplers, cli, harness, analysis):
+        monkeypatch.setattr(module, "uniform_perm_distribution", refuse, raising=False)
+    forest_path = tmp_path / "f.json"
+    main(["gen-thorp", "--log2n", "2", "--rounds", "2", "-o", str(forest_path)])
+    assert main(["verify", "collision-tv", "--forest", str(forest_path)]) == 0
+    tv = ["analyze", "tv", "--forest", str(forest_path), "--target", "uniform-perm"]
+    assert main(tv) == 0
+    assert main(tv + ["--mode", "monte_carlo", "--trials", "200", "--seed", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "pass collision-tv measured=0.333333333333 bound=0"
+    assert json.loads(out[2])["value"] == 1 / 3
+    sampled = Distribution._from_counts(*np.unique(sample_forest_outputs(thorp_forest(ThorpSpec(2, 2)), 200, 1), axis=0, return_counts=True), None)
+    assert json.loads(out[3])["value"] == pytest.approx(tv_distance(sampled, uniform_perm_distribution(4)), abs=1e-12)
+
+
+def test_outside_analyze_tv_uniform_perm_names_a_dump_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = ["verify", "containment", "--target", "uniform-perm", "--k", "1"]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: missing_file: ")
+    (tmp_path / "uniform-perm").write_text("0,1\t0.5\n1,0\t0.5\n")
+    assert main(args) == 0
+    assert capsys.readouterr().out.startswith("pass containment ")
 
 
 # (argv, modes) for each entry of the three dispatch tables

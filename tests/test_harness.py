@@ -41,10 +41,8 @@ from forestlab import (
     restrict,
     thorp_bucket_structure,
     thorp_forest,
-    tv_distance,
     tv_lower_bound_via_collision,
     uniform_ensemble,
-    uniform_perm_distribution,
     verify_at_least_two,
     verify_avg_to_tail_lipschitz,
     verify_chain_bound,
@@ -65,6 +63,7 @@ from forestlab.corpus import (
     _random_forest_instance,
     collision_tv_family,
     coupling_instances,
+    enforcement_family,
     enforcement_instances,
     entropy_deviation_family,
     harper_family,
@@ -81,6 +80,7 @@ import numpy as np
 
 import walk_reference
 from cube_reference import eval_forest_on_cube
+from pointwise_reference import exact_tv_to_uniform_perm
 
 
 def identity_forest(s: int, lam: int = 2) -> DecisionForest:
@@ -438,16 +438,28 @@ def test_enforcement_walk_tree_matches_the_uncached_walk_at_every_criterion_07_s
     compare()
 
 
+def test_the_enforcement_family_passes_every_instance_within_three_half_widths():
+    rows = list(enforcement_family())
+    assert len(rows) == 50
+    for (instance_id, report), (expected_id, _, mu, eps) in zip(rows, enforcement_instances(), strict=True):
+        assert instance_id == expected_id
+        assert report.bound == eps + 3.0 * analysis.hoeffding_halfwidth(100)
+        assert report.measured == report.details["failures"] / 100
+        assert (report.details["mu"], report.details["eps"]) == (mu, eps)
+        assert report.csv_status == "pass"
+
+
 def test_walking_a_forest_leaves_its_equality_json_and_pickle_unchanged():
     for _, forest, mu, eps in itertools.islice(enforcement_instances(), 10):
         twin = forest_from_json(forest_to_json(forest))
         text, data = dumps_forest(forest), pickle.dumps(forest)
         traces = [enforce_avg_lipschitz(forest, mu, eps, seed=r) for r in range(100)]
-        assert "_heaviest_step" in vars(forest)
+        assert "_heaviest_step" in vars(forest) and vars(forest)["depth"] == forest.depth
         assert forest == twin and hash(forest) == hash(twin)
         assert dumps_forest(forest) == text
         assert pickle.dumps(forest) == data
         assert pickle.loads(data) == forest
+        assert "depth" not in vars(pickle.loads(data))
         for trace in traces:  # restricted forests, built from node tables, round-trip too
             final = trace.final_forest
             copy = pickle.loads(pickle.dumps(final))
@@ -929,9 +941,16 @@ def test_the_collision_tv_family_computes_one_law_per_forest(monkeypatch):
         forests.append(_random_forest_instance(rng, out_alphabet=n, out_cells=n))
     assert laws == forests
     for (_, report), forest in zip(rows, forests, strict=True):
-        n = forest.output_space.cells
         assert report.bound == tv_lower_bound_via_collision(output_distribution(forest))
-        assert report.measured == tv_distance(output_distribution(forest), uniform_perm_distribution(n))
+        assert report.measured == float(exact_tv_to_uniform_perm(output_distribution(forest)))
+
+
+def test_collision_tv_counts_a_blank_as_no_card():
+    # the blank of output alphabet {0} is encoded as 1, the code of the card the alphabet lacks
+    f = DecisionForest(InputSpace(1, 2), OutputSpace(2, 1, bot_allowed=True), (DecisionTree(Leaf(0)), DecisionTree(Leaf(1))))
+    report = verify_collision_tv(f)
+    assert (report.bound, report.measured) == (1.0, 1.0)
+    assert report.passed
 
 
 def test_collision_tv_refuses_an_output_alphabet_past_the_deck_before_any_law(monkeypatch):
@@ -1005,6 +1024,25 @@ def test_depth_reduction_with_no_requeries_keeps_the_subforest():
     assert report.h_selected == pytest.approx(report.h_pruned)
     for u in itertools.product((0, 1), repeat=4):
         assert eval_forest(report.pruned, u) == eval_forest(f, u)
+
+
+def test_depth_reduction_counts_deeper_probes_of_selected_cells_pointwise():
+    # tree 0 probes cell 1 again below its root; tree 1 probes cell 2, which is not selected, then cell 0
+    t0 = Internal(0, (Internal(1, (Leaf(0), Leaf(1))), Leaf(1)))
+    t1 = Internal(1, (Internal(2, (Leaf(1), Internal(0, (Leaf(0), Leaf(1))))), Leaf(0)))
+    f = DecisionForest(InputSpace(3, 2), OutputSpace(2, 2), (DecisionTree(t0), DecisionTree(t1)))
+    report = depth_reduction_step(f, 1.0, seed=0)
+    assert report.selected_cells == (0, 1)
+    deep = blanks = 0
+    for u in itertools.product((0, 1), repeat=3):
+        for tree in f.trees:
+            node, depth = tree.root, 0
+            while isinstance(node, Internal):
+                deep += depth >= 1 and node.query in report.selected_cells
+                node, depth = node.children[u[node.query]], depth + 1
+        blanks += eval_forest(report.pruned, u).count(report.pruned.output_space.bot)
+    assert deep == blanks == 6
+    assert report.expected_extra_queries == report.expected_blank_outputs == deep / 8
 
 
 def test_depth_reduction_on_the_three_round_shuffle_is_frozen():
