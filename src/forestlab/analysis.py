@@ -22,16 +22,15 @@ from .forest import (
     DecisionForest,
     UsageError,
     _check_enum_budget,
+    _cube_slabs,
     _draw_generator,
+    _slab,
     _tree_on_cube,
     _uniform_inputs,
     _walk,
-    cube_order,
 )
 
 SUM_TOLERANCE = 1e-9
-# cube points an exact law fills and sorts at once
-CUBE_SLAB = 1 << 20
 # steps derive_seed numbers per seed
 SEED_STEPS = 1 << 20
 
@@ -173,33 +172,23 @@ def _cube_law(forest: DecisionForest, budget: int, cells: tuple = ()) -> tuple:
     symbol (b // alphabet**rank) % alphabet for the cell at position rank.
     Rows come in (b, row) order, decoded from the keys b * (sigma+1)**m +
     packed outputs, or from the output matrix led by b when keys overflow int64.
-    The cube is walked in slabs of at most CUBE_SLAB points that fix the
-    leading axes, so memory is one slab plus the distinct rows.
+    The cube is walked in `_cube_slabs`'s slabs, so memory is one slab plus
+    the distinct rows.
     """
-    order = cube_order(forest, cells)
+    order, rank_of, group, inner = _cube_slabs(forest, cells, budget)
     lam, k = forest.input_space.alphabet, len(order)
     base, m = forest.output_space.alphabet + 1, forest.output_space.cells
     span = base ** m
-    _check_enum_budget(lam, k, budget)
-    rank_of = {c: r for r, c in enumerate(order)}
-    # one arange per named cell on that cell's axis; the cell at rank r sits on axis k-1-r
-    group = sum(
-        (np.arange(lam, dtype=np.int64).reshape([lam if a == k - 1 - rank_of[c] else 1 for a in range(k)]) * lam**r
-         for r, c in enumerate(cells)),
-        np.zeros((1,) * k, dtype=np.int64),
-    ).astype(np.min_scalar_type(lam ** len(cells) - 1))
     dtype = np.uint8 if base <= 255 else np.int32
     tables = [group] + [_tree_on_cube(forest, tree, rank_of, dtype) for tree in range(m)]
     wide = lam ** len(cells) * span >= 1 << 62
-    inner = next(t for t in range(k, -1, -1) if lam**t <= CUBE_SLAB)
     if wide:  # b in its narrowest type, so the matrix keeps the outputs' type when b fits it
         slab = np.empty((lam,) * inner + (m + 1,), dtype=np.result_type(group.dtype, dtype))
     else:
         slab = np.empty((lam,) * inner, dtype=np.int64 if lam ** len(cells) * span >= 1 << 31 else np.int32)
     parts, merged, waiting = [], 0, 0
     for lead in itertools.product(range(lam), repeat=k - inner):
-        # restriction as indexing: each table at the slab's symbols, or at 0 on axes it spans once
-        cut = [table[tuple(v if n > 1 else 0 for v, n in zip(lead, table.shape))] for table in tables] if lead else tables
+        cut = [_slab(table, lead) for table in tables]
         if wide:
             for column, values in enumerate(cut):
                 slab[..., column] = values
@@ -214,7 +203,7 @@ def _cube_law(forest: DecisionForest, budget: int, cells: tuple = ()) -> tuple:
             edges = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
             parts.append((keys[edges[:-1]], edges[1:] - edges[:-1]))
         waiting += len(parts[-1][0])
-        if waiting >= max(CUBE_SLAB, merged):  # so each row is merged O(log) times
+        if waiting >= max(lam**inner, merged):  # so each row is merged O(log) times
             parts = [_merge(parts)]
             merged, waiting = len(parts[0][0]), 0
     keys, counts = _merge(parts) if len(parts) > 1 else parts[0]

@@ -10,8 +10,8 @@ allows it.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Union
 
@@ -19,6 +19,8 @@ import numpy as np
 
 DEFAULT_STATE_BUDGET = 1 << 26
 DEFAULT_SET_BUDGET = 1 << 22
+# cube points a slab walk fills at once
+CUBE_SLAB = 1 << 20
 
 # Partial assignments bind a subset of input cells to fixed symbols.
 PartialAssignment = Mapping[int, int]
@@ -459,48 +461,74 @@ def _tree_on_cube(forest: DecisionForest, tree: int, rank_of: dict, dtype) -> np
     return table
 
 
-def query_counts_on_cube(
-    forest: DecisionForest,
-    budget: int = DEFAULT_STATE_BUDGET,
-) -> tuple:
-    """Per-assignment probe counts for every cell of the cube.
+def _cube_slabs(forest: DecisionForest, cells: tuple, budget: int) -> tuple:
+    """(order, rank_of, group, inner) of a slab walk over the cube (lam,)*k, order = cube_order(forest, cells).
 
-    Returns (counts, order), with order = cube_order(forest), where
-    counts[i, r] is the number of trees probing order[r] on assignment i.
+    The cell at rank r sits on axis k-1-r.  `group` broadcasts over the cube and holds each point's index b
+    of the sorted `cells`, symbol (b // lam**rank) % lam at position rank.  A slab fixes k - inner leading axes.
     """
-    order = cube_order(forest)
-    lam = forest.input_space.alphabet
-    n = _check_enum_budget(lam, len(order), budget)
-    if n * max(1, len(order)) > (1 << 28):
-        raise BudgetError(
-            "enum_budget",
-            f"probe-count table of {n} points x {len(order)} cells passes its fixed cap of 2**28 entries",
-        )
+    order = cube_order(forest, cells)
+    lam, k = forest.input_space.alphabet, len(order)
+    _check_enum_budget(lam, k, budget)
     rank_of = {c: r for r, c in enumerate(order)}
-    counts = np.zeros((n, len(order)), dtype=np.uint16)
-    view = counts.reshape((lam,) * len(order) + (len(order),))
-    for tree in range(forest.output_space.cells):
+    # one arange per named cell on that cell's axis
+    group = sum(
+        (np.arange(lam, dtype=np.int64).reshape([lam if a == k - 1 - rank_of[c] else 1 for a in range(k)]) * lam**r
+         for r, c in enumerate(cells)),
+        np.zeros((1,) * k, dtype=np.int64),
+    ).astype(np.min_scalar_type(lam ** len(cells) - 1))
+    inner = next(t for t in range(k, -1, -1) if lam**t <= CUBE_SLAB)
+    return order, rank_of, group, inner
+
+
+def _slab(table: np.ndarray, lead: tuple) -> np.ndarray:
+    """Restriction as indexing: a table that broadcasts over the cube, at the slab whose leading axes hold `lead`."""
+    return table[tuple(v if n > 1 else 0 for v, n in zip(lead, table.shape))] if lead else table
+
+
+def _probe_histograms(forest: DecisionForest, cells: tuple = (), budget: int = DEFAULT_STATE_BUDGET) -> tuple:
+    """(hist, order): hist[b, r, c] counts the cube points with assignment index b that c trees probe order[r] on.
+
+    The cube, its order and b are `_cube_slabs`'s for the sorted `cells`.  It
+    is walked one slab at a time: per cell, each probe of it adds 1 to its
+    block's part of the slab's counts, whose histogram by b is added to hist.
+    """
+    order, rank_of, group, inner = _cube_slabs(forest, cells, budget)
+    lam, k, m = forest.input_space.alphabet, len(order), forest.output_space.cells
+    outer = k - inner
+    # per cell, each probe's block as (the leading symbols it fixes, its index into a slab)
+    blocks = [[] for _ in order]
+    for tree in range(m):
         for cell, _, index in _blocks(forest, tree, rank_of):
             if cell >= 0:
-                view[index + (rank_of[cell],)] += 1
-    return counts, order
+                fixed = tuple((a, v) for a, v in enumerate(index[:outer]) if not isinstance(v, slice))
+                blocks[rank_of[cell]].append((fixed, index[outer:]))
+    groups = lam ** len(cells)
+    hist = np.zeros((groups, k, m + 1), dtype=np.int64)
+    keys = group.astype(np.intp) * (m + 1)
+    count = np.empty((lam,) * inner, dtype=np.min_scalar_type(m))
+    for lead in itertools.product(range(lam), repeat=outer):
+        base = _slab(keys, lead)
+        for r in range(k):
+            count.fill(0)
+            for fixed, index in blocks[r]:
+                if all(lead[a] == v for a, v in fixed):
+                    count[index] += 1
+            hist[:, r] += np.bincount((base + count).reshape(-1), minlength=groups * (m + 1)).reshape(groups, m + 1)
+    return hist, order
 
 
-def _cube_tails(
-    forest: DecisionForest, counts: np.ndarray, order: list, threshold: float, assignment: PartialAssignment = {}
-) -> np.ndarray:
-    """Pr[count_j > threshold] per input cell j over the cube points that agree with `assignment`.
+def _cell_tails(hist: np.ndarray, order: list, cells: int, threshold: float, fixed: tuple = ()) -> np.ndarray:
+    """tail[b, j] = Pr[count_j > threshold] over group b's points per input cell j; 0 off `order` and at `fixed`.
 
-    (counts, order) is query_counts_on_cube's table.  These are the exact tails of restrict(forest,
-    assignment), which never probes an assigned cell and probes every other cell as the forest does there.
+    With hist grouped by `fixed`, row b is the exact tail vector of restrict(forest, b's assignment), which never
+    probes an assigned cell and probes every other cell as the forest does on the points that agree with it.
     """
-    index = tuple([assignment.get(cell, slice(None)) for cell in reversed(order)])  # rank r sits on axis K-1-r
-    above = counts.reshape((forest.input_space.alphabet,) * len(order) + (len(order),))[index] > threshold
-    points = math.prod(above.shape[:-1])
-    tail = np.zeros(forest.input_space.cells)
-    # np.mean's sum and division without its per-call cost, which criterion 08 pays once per draw
-    tail[order] = np.add.reduce(above, axis=tuple(range(above.ndim - 1)), dtype=np.float64) / points
-    tail[list(assignment)] = 0.0
+    free = [r for r, c in enumerate(order) if c not in fixed]
+    counts = hist[:, free]
+    tail = np.zeros((len(hist), cells))
+    above = counts[..., np.arange(hist.shape[-1]) > threshold].sum(axis=-1)
+    tail[:, [order[r] for r in free]] = above / counts.sum(axis=-1)
     return tail
 
 
@@ -594,16 +622,16 @@ def query_profile(
     """
     s = forest.input_space.cells
     if mode == "exact":
-        counts, order = query_counts_on_cube(forest, budget=budget)
+        hist, order = _probe_histograms(forest, budget=budget)
         expected = np.zeros(s)
-        expected[order] = counts.mean(axis=0)
-        return QueryProfile(tuple(expected), tuple(_cube_tails(forest, counts, order, mu)), float(mu), "exact")
+        expected[order] = hist[0] @ np.arange(hist.shape[-1]) / hist[0].sum(axis=-1)
+        return QueryProfile(tuple(expected), tuple(_cell_tails(hist, order, s, mu)[0]), float(mu), "exact")
     if mode != "monte_carlo":
         raise UsageError("bad_mode", f"unknown profile mode {mode!r}")
     if trials < 1:
         raise UsageError("bad_trials", f"trials must be at least 1, got {trials}")
     inputs = _uniform_inputs(forest.input_space, trials, seed)
-    counts = np.zeros((trials, s), dtype=np.uint16)
+    counts = np.zeros((trials, s), dtype=np.min_scalar_type(forest.output_space.cells))
     for tree in range(forest.output_space.cells):
         _walk(forest, tree, inputs, counts)
     return QueryProfile(

@@ -45,15 +45,15 @@ from .forest import (
     DecisionForest,
     OutputSpace,
     UsageError,
+    _cell_tails,
     _copy_table,
-    _cube_tails,
     _deep_probe_mass,
     _leaf_labels,
     _leaf_mass,
+    _probe_histograms,
     expected_query_counts,
     is_bucketed,
     prune_on_query_set,
-    query_counts_on_cube,
     restrict,
 )
 from .report import ExperimentReport
@@ -252,9 +252,9 @@ def verify_avg_to_tail_lipschitz(
     ec = expected_query_counts(forest)
     mu = float(ec.max())
     d = forest.depth
-    counts, order = query_counts_on_cube(forest, budget=budget)
+    hist, order = _probe_histograms(forest, budget=budget)
     thresholds = [3.0 * mu * d * d * math.log2(1.0 / eps) for eps in DEFAULT_EPSILONS]
-    tails = [float(_cube_tails(forest, counts, order, t).max()) for t in thresholds]
+    tails = [float(_cell_tails(hist, order, forest.input_space.cells, t).max()) for t in thresholds]
     cases, worst = _tail_cases(thresholds, tails)
     return ExperimentReport(
         lemma_id="avg-to-tail-lipschitz",
@@ -363,31 +363,46 @@ def verify_lipschitz_after_conditioning(
     are then drawn, each fixing a uniform half of the cells (at least one)
     to uniform values, and each restricted forest is tested exactly against
     the (mu, sqrt(delta)) tail; the failure fraction is compared with
-    sqrt(delta) plus one Monte-Carlo half-width.
+    sqrt(delta) plus one Monte-Carlo half-width.  The draws of one subset read
+    their flags from one probe-count histogram grouped by its probed cells,
+    unless they cover under 1/16 of those cells' assignments; then each
+    distinct draw's restricted forest is walked over its own, smaller cube.
     """
     if not 0.0 <= delta <= 1.0:
         raise UsageError("bad_parameter", "delta must sit in [0, 1]")
     halfwidth = hoeffding_halfwidth(trials)
     _check_seed_steps(trials, "conditioning trials")
-    counts, order = query_counts_on_cube(forest, budget=budget)
-    base_tail = float(_cube_tails(forest, counts, order, mu).max())
+    s = forest.input_space.cells
+    hist, order = _probe_histograms(forest, budget=budget)
+    base_tail = float(_cell_tails(hist, order, s, mu).max())
     if base_tail > delta + 1e-12:
         raise UsageError(
             "precondition",
             f"forest tail {base_tail:.6g} exceeds delta {delta:.6g} before conditioning",
         )
     sqrt_delta = math.sqrt(delta)
-    s = forest.input_space.cells
     lam = forest.input_space.alphabet
-    failures = 0
-    failed = {}  # each distinct draw, as its sorted (cell, value) items, is sliced once
+    probed = set(order)
+    draws = {}  # per distinct drawn subset, the values of each of its draws in increasing cell order
     for t in range(trials):
         rng = random.Random(derive_seed(seed, t))
-        assignment = {c: rng.randrange(lam) for c in sorted(rng.sample(range(s), max(1, s // 2)))}
-        key = tuple(assignment.items())
-        if key not in failed:
-            failed[key] = float(_cube_tails(forest, counts, order, mu, assignment).max()) > sqrt_delta + 1e-12
-        failures += failed[key]
+        subset = tuple(sorted(rng.sample(range(s), max(1, s // 2))))
+        draws.setdefault(subset, []).append([rng.randrange(lam) for _ in subset])
+    failures = 0
+    for subset, values in draws.items():
+        keep = [i for i, c in enumerate(subset) if c in probed]  # an unprobed cell changes no count
+        cells = tuple(subset[i] for i in keep)
+        indices = np.array(values, dtype=np.int64)[:, keep] @ lam ** np.arange(len(keep), dtype=np.int64)
+        drawn, times = np.unique(indices, return_counts=True)
+        if lam ** len(cells) <= 16 * len(drawn):  # most assignments drawn: one cube walk grouped by them
+            hist, _ = _probe_histograms(forest, cells, budget)
+            failed = _cell_tails(hist, order, s, mu, cells).max(axis=1) > sqrt_delta + 1e-12
+            failures += int(failed[indices].sum())
+            continue
+        for b, n in zip(drawn.tolist(), times.tolist()):  # few drawn: each restricted forest over its own cube
+            restricted = restrict(forest, {c: b // lam**i % lam for i, c in enumerate(cells)})
+            hist, kept = _probe_histograms(restricted, budget=budget)
+            failures += n * (float(_cell_tails(hist, kept, s, mu).max()) > sqrt_delta + 1e-12)
     measured = failures / trials
     bound = sqrt_delta + halfwidth
     return ExperimentReport(

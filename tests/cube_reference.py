@@ -1,8 +1,9 @@
 """Whole-cube slow references: every cube point in memory at once.
 
-`analysis._cube_law` walks the cube in slabs; these build the full output
-matrix, the full packed-key vector and the law from them in one step, so
-tests can check the slab walk against them.
+`analysis._cube_law` and `forest._probe_histograms` walk the cube in slabs;
+these build the full output matrix, the full packed-key vector, the law from
+them and the points x cells probe-count table in one step, so tests can check
+the slab walks against them.
 """
 from __future__ import annotations
 
@@ -13,9 +14,11 @@ import numpy as np
 from forestlab.forest import (
     DEFAULT_STATE_BUDGET,
     DecisionForest,
+    _blocks,
     _check_enum_budget,
     _tree_on_cube,
     cube_order,
+    restrict,
 )
 
 
@@ -93,3 +96,31 @@ def whole_cube_law(forest: DecisionForest, budget: int = DEFAULT_STATE_BUDGET, c
     keys, counts = np.unique(group * span + packed.reshape((lam,) * k) if cells else packed, return_counts=True)
     rows = keys[:, None] // base ** np.arange(m - 1, -1, -1, dtype=np.int64) % base
     return rows, counts, keys // span if cells else np.zeros(len(keys), dtype=np.int64)
+
+
+def query_counts_on_cube(forest: DecisionForest, cells: tuple = (), budget: int = DEFAULT_STATE_BUDGET) -> tuple:
+    """Per-assignment probe counts for every cell of the cube of the probed cells and `cells`.
+
+    Returns (counts, order), with order = cube_order(forest, cells), where
+    counts[i, r] is the number of trees probing order[r] on assignment i:
+    each probe adds 1 to its block of the whole table.
+    """
+    order = cube_order(forest, cells)
+    lam = forest.input_space.alphabet
+    n = _check_enum_budget(lam, len(order), budget)
+    rank_of = {c: r for r, c in enumerate(order)}
+    counts = np.zeros((n, len(order)), dtype=np.int64)
+    view = counts.reshape((lam,) * len(order) + (len(order),))
+    for tree in range(forest.output_space.cells):
+        for cell, _, index in _blocks(forest, tree, rank_of):
+            if cell >= 0:
+                view[index + (rank_of[cell],)] += 1
+    return counts, order
+
+
+def restricted_tails(forest: DecisionForest, assignment: dict, mu: float) -> np.ndarray:
+    """Exact tails Pr[count_j > mu] per input cell j of restrict(forest, assignment), from its whole table."""
+    counts, order = query_counts_on_cube(restrict(forest, assignment))
+    tail = np.zeros(forest.input_space.cells)
+    tail[order] = (counts > mu).mean(axis=0)
+    return tail

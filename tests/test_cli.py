@@ -344,15 +344,14 @@ def test_gen_random_refuses_more_forests_than_seed_steps_before_writing_any(tmp_
     assert not list(tmp_path.glob("batch*"))
 
 
-def test_the_probe_count_cap_names_itself_not_the_state_budget(tmp_path, capsys):
+def test_exact_lipschitz_on_the_six_round_shuffle_is_bounded_by_the_state_budget_alone(tmp_path, capsys):
     shuffle = tmp_path / "shuffle.json"
-    shuffle.write_text(dumps_forest(thorp_forest(ThorpSpec(3, 6))))  # 24 coins: 2**24 points x 24 cells
-    argv = ["analyze", "lipschitz", "--forest", str(shuffle), "--mu", "2", "--budget-states", str(1 << 30)]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: enum_budget: ")
-    assert "cap of 2**28 entries" in err
-    assert "state budget" not in err
+    shuffle.write_text(dumps_forest(thorp_forest(ThorpSpec(3, 6))))  # 24 coins, each probed by 2 trees: 2**24 points
+    argv = ["analyze", "lipschitz", "--forest", str(shuffle), "--mu", "1.5"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 1.0
+    assert main(argv + ["--budget-states", str(1 << 23)]) == 2
+    assert capsys.readouterr().err == "error: enum_budget: 2^24 states exceed the enumeration budget 8388608\n"
 
 
 def test_sweep_runs_selected_families_and_summarizes(tmp_path, capsys, isolated_ledger):

@@ -47,12 +47,19 @@ from forestlab.analysis import (
     tv_lower_bound_via_collision,
 )
 from forestlab.corpus import enforcement_instances, restriction_instances
-from forestlab.forest import _uniform_inputs, query_counts_on_cube
+from forestlab.forest import _NodeTable, _cell_tails, _probe_histograms, _uniform_inputs
 from forestlab import analysis, harness
+from forestlab import forest as forest_module
 from forestlab.harness import _expected_blanks, enforce_avg_lipschitz
 from forestlab.samplers import ThorpSpec, thorp_forest, uniform_perm_distribution
 
-from cube_reference import eval_forest_on_cube, packed_outputs_on_cube, whole_cube_law
+from cube_reference import (
+    eval_forest_on_cube,
+    packed_outputs_on_cube,
+    query_counts_on_cube,
+    restricted_tails,
+    whole_cube_law,
+)
 from pointwise_reference import collision_stat
 
 
@@ -352,6 +359,15 @@ def test_monte_carlo_profile_tracks_the_exact_one():
         assert abs(a - b) < 0.03
 
 
+@pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+def test_probe_counts_hold_more_trees_than_uint16_counts(mode):
+    m = (1 << 16) + 1  # one-probe trees, all on cell 0
+    rows = [row for t in range(m) for row in [(0, -1, 0, (3 * t + 1, 3 * t + 2)), (-1, 0, 1, ()), (-1, 1, 1, ())]]
+    f = DecisionForest._from_table(InputSpace(1, 2), OutputSpace(m, 2), _NodeTable(rows, list(range(0, 3 * m, 3))))
+    profile = query_profile(f, mu=2.0, mode=mode, trials=4)
+    assert profile.expected == (float(m),) and profile.tail == (1.0,)
+
+
 @pytest.mark.parametrize("trials", [0, -1])
 def test_monte_carlo_profile_needs_at_least_one_trial(trials):
     with pytest.raises(UsageError) as err:
@@ -495,18 +511,68 @@ def _same_law(got: tuple, want: tuple) -> bool:
 
 
 def test_slab_walk_matches_the_whole_cube_law(monkeypatch):
-    monkeypatch.setattr(analysis, "CUBE_SLAB", 4)
+    monkeypatch.setattr(forest_module, "CUBE_SLAB", 4)
     wide = wide_output_forest()
     for f in differential_corpus() + [wide]:
         probed = f.mentioned_cells()
         unprobed = sorted(set(range(f.input_space.cells)) - set(probed))
         for cells in [(), tuple(probed[:1]), tuple(unprobed[:1])]:
             assert _same_law(analysis._cube_law(f, 1 << 26, cells), whole_cube_law(f, 1 << 26, cells)), (f, cells)
-    monkeypatch.setattr(analysis, "CUBE_SLAB", 1 << 12)
+    monkeypatch.setattr(forest_module, "CUBE_SLAB", 1 << 12)
     for rounds in range(1, 6):
         f = thorp_forest(ThorpSpec(3, rounds))
         for cells in [(), tuple(f.mentioned_cells()[-3:])]:
             assert _same_law(analysis._cube_law(f, 1 << 26, cells), whole_cube_law(f, 1 << 26, cells)), (rounds, cells)
+
+
+def test_probe_histograms_match_the_whole_table_slab_by_slab(monkeypatch):
+    slabs = []
+    cube_slabs = forest_module._cube_slabs
+
+    def counted(forest, cells, budget):
+        walk = cube_slabs(forest, cells, budget)
+        slabs.append(forest.input_space.alphabet ** (len(walk[0]) - walk[3]))
+        return walk
+
+    monkeypatch.setattr(forest_module, "CUBE_SLAB", 4)
+    monkeypatch.setattr(forest_module, "_cube_slabs", counted)
+    forests = differential_corpus() + [f for _, f, _, _ in enforcement_instances() if f.input_space.alphabet == 3]
+    for f in forests:
+        s, lam = f.input_space.cells, f.input_space.alphabet
+        probed = f.mentioned_cells()
+        unprobed = sorted(set(range(s)) - set(probed))
+        subset = tuple(sorted(random.Random(61).sample(range(s), max(1, s // 2))))  # a criterion-08 draw
+        for cells in [(), tuple(probed[:1]), tuple(unprobed[:1]), subset]:
+            hist, order = _probe_histograms(f, cells)
+            counts, counted_order = query_counts_on_cube(f, cells)
+            assert order == counted_order
+            # point i holds (i // lam**r) % lam at the cell of rank r, and b weighs cells[j] by lam**j
+            points = np.arange(len(counts))
+            b = sum(((points // lam ** order.index(c)) % lam * lam**j for j, c in enumerate(cells)), 0 * points)
+            want = np.zeros_like(hist)
+            np.add.at(want, (b[:, None], np.arange(len(order)), counts), 1)
+            assert hist.dtype == np.int64 and np.array_equal(hist, want), (f, cells)
+            for mu in (0.5, 1.0, 2.0):
+                tails = _cell_tails(hist, order, s, mu, cells)
+                for group, tail in enumerate(tails):
+                    assignment = {c: group // lam**j % lam for j, c in enumerate(cells)}
+                    assert np.array_equal(tail, restricted_tails(f, assignment, mu)), (f, cells, assignment)
+        profile = query_profile(f, mu=1.0)
+        counts, order = query_counts_on_cube(f)
+        assert np.array_equal(np.asarray(profile.expected)[order], counts.mean(axis=0))
+        assert profile.tail == tuple(restricted_tails(f, {}, 1.0))
+    assert max(slabs) > 1
+
+
+def test_every_shuffle_coin_is_probed_by_exactly_two_trees():
+    for rounds in range(1, 6):
+        f = thorp_forest(ThorpSpec(3, rounds))
+        hist, order = _probe_histograms(f)
+        assert order == list(range(4 * rounds))
+        assert (hist[0, :, 2] == 1 << len(order)).all() and hist.sum() == len(order) << len(order)
+        assert query_profile(f, 1.5).expected == (2.0,) * len(order)
+        for mu, tail in [(0.0, 1.0), (1.5, 1.0), (1.999, 1.0), (2.0, 0.0), (3.0, 0.0)]:
+            assert (_cell_tails(hist, order, len(order), mu) == tail).all(), (rounds, mu)
 
 
 def test_the_round6_shuffle_law_stays_under_80_mib():

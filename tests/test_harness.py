@@ -69,7 +69,7 @@ from forestlab.corpus import (
     harper_family,
     restriction_instances,
 )
-from forestlab.forest import _cube_tails, _leaf_mass, query_counts_on_cube, query_profile
+from forestlab.forest import _cell_tails, _leaf_mass, _probe_histograms, query_profile
 from forestlab.harness import (
     _optimal_symbol_coupling,
     bucketed_dichotomy_experiment,
@@ -77,6 +77,8 @@ from forestlab.harness import (
 )
 
 import numpy as np
+
+from cube_reference import query_counts_on_cube, restricted_tails
 
 import walk_reference
 from cube_reference import eval_forest_on_cube
@@ -492,9 +494,23 @@ def test_conditioning_precondition_is_checked_exactly():
     assert err.value.reason == "precondition"
 
 
-def test_sliced_conditioning_counts_every_draw_like_a_restrict_loop():
-    for instance_id, forest, mu, delta in restriction_instances():
+def test_sliced_conditioning_counts_every_draw_like_a_restrict_loop(monkeypatch):
+    restricted = []
+
+    def counted(forest, assignment):
+        restricted.append(assignment)
+        return restrict(forest, assignment)
+
+    monkeypatch.setattr(harness, "restrict", counted)
+    cases = list(restriction_instances())
+    for seed in (0, 7):  # 12 cells, 9 to 12 of them probed: most drawn subsets are drawn once
+        forest = random_forest(ForestGenSpec(cells=12, alphabet=2, out_cells=8, out_alphabet=2, depth=3, seed=seed))
+        cases.append((f"wide-{seed}", forest, 2.0, float(max(query_profile(forest, 2.0).tail))))
+    for instance_id, forest, mu, delta in cases:
+        restricted.clear()
         report = verify_lipschitz_after_conditioning(forest, mu, delta, trials=300, seed=9)
+        # criterion 08's instances draw most assignments of each subset; the wide forests few
+        assert bool(restricted) == instance_id.startswith("wide"), instance_id
         s, lam = forest.input_space.cells, forest.input_space.alphabet
         failures = 0
         for t in range(300):
@@ -507,37 +523,48 @@ def test_sliced_conditioning_counts_every_draw_like_a_restrict_loop():
         assert report.details["failures"] == failures, instance_id
 
 
+def drawn_tails(forest: DecisionForest, assignment: dict, mu: float, cache: dict) -> np.ndarray:
+    """The verifier's tails for one draw: row b of the histogram grouped by the draw's probed cells."""
+    probed = forest.mentioned_cells()
+    named = sorted((c, v) for c, v in assignment.items() if c in probed)
+    cells = tuple(c for c, _ in named)
+    if cells not in cache:
+        cache[cells] = _probe_histograms(forest, cells)[0]
+    b = sum(v * forest.input_space.alphabet**i for i, (_, v) in enumerate(named))
+    return _cell_tails(cache[cells], probed, forest.input_space.cells, mu, cells)[b]
+
+
 @pytest.mark.parametrize("seed", [61, 62])
-def test_conditioning_slices_each_distinct_draw_once_and_counts_every_draw(monkeypatch, seed):
-    sliced = []
+def test_conditioning_builds_one_histogram_per_distinct_drawn_subset_and_counts_every_draw(monkeypatch, seed):
+    grouped = []
 
-    def counted(forest, counts, order, mu, assignment={}):
-        sliced.append(tuple(assignment.items()))
-        return _cube_tails(forest, counts, order, mu, assignment)
+    def counted(forest, cells=(), budget=1 << 26):
+        grouped.append(cells)
+        return _probe_histograms(forest, cells, budget)
 
-    monkeypatch.setattr(harness, "_cube_tails", counted)
+    monkeypatch.setattr(harness, "_probe_histograms", counted)
+    subsets = 0
     for instance_id, forest, mu, delta in restriction_instances():
-        sliced.clear()
+        grouped.clear()
         report = verify_lipschitz_after_conditioning(forest, mu, delta, trials=1000, seed=seed)
         s, lam = forest.input_space.cells, forest.input_space.alphabet
-        counts, order = query_counts_on_cube(forest)
-        failures, draws = 0, set()
-        for t in range(1000):  # the verifier's draws, each sliced afresh
+        probed = forest.mentioned_cells()
+        failures, drawn, tails = 0, set(), {}
+        for t in range(1000):  # the verifier's draws, each checked against its restricted forest
             rng = random.Random(derive_seed(seed, t))
             assignment = {c: rng.randrange(lam) for c in sorted(rng.sample(range(s), max(1, s // 2)))}
-            draws.add(tuple(assignment.items()))
-            failures += float(_cube_tails(forest, counts, order, mu, assignment).max()) > math.sqrt(delta) + 1e-12
+            drawn.add(tuple(assignment))
+            key = tuple(assignment.items())
+            if key not in tails:
+                tails[key] = restricted_tails(forest, assignment, mu)
+            failures += float(tails[key].max()) > math.sqrt(delta) + 1e-12
         assert report.details["failures"] == failures, instance_id
-        # the base tail, then one slice per distinct draw
-        assert sliced[0] == () and len(sliced) == 1 + len(draws) and set(sliced[1:]) == draws, instance_id
-
-
-def restricted_tails(forest: DecisionForest, assignment: dict, mu: float) -> np.ndarray:
-    """Exact tails of restrict(forest, assignment) over its own cube: the reference for slicing."""
-    counts, order = query_counts_on_cube(restrict(forest, assignment))
-    tail = np.zeros(forest.input_space.cells)
-    tail[order] = (counts > mu).mean(axis=0)
-    return tail
+        assert len(drawn) == math.comb(s, max(1, s // 2)), instance_id  # every subset is drawn
+        subsets += len(drawn)
+        # the base histogram, then one per distinct drawn subset, grouped by its probed cells
+        named = sorted(tuple(c for c in subset if c in probed) for subset in drawn)
+        assert grouped[0] == () and sorted(grouped[1:]) == named, instance_id
+    assert subsets == 86
 
 
 def test_sliced_tails_equal_the_tails_of_the_restricted_forest():
@@ -558,19 +585,19 @@ def test_sliced_tails_equal_the_tails_of_the_restricted_forest():
             ]
         for size in range(s + 1):
             draws += [{c: rng.randrange(lam) for c in rng.sample(range(s), size)} for _ in range(4)]
-        counts, order = query_counts_on_cube(forest)
+        cache = {}
         for assignment in draws:
-            got = _cube_tails(forest, counts, order, mu, assignment)
+            got = drawn_tails(forest, assignment, mu, cache)
             assert np.array_equal(got, restricted_tails(forest, assignment, mu)), assignment
             assert float(got.max()) == max(query_profile(restrict(forest, assignment), mu).tail), assignment
 
 
 @pytest.mark.parametrize("trials", [0, -3, (1 << 20) + 1])
 def test_conditioning_rejects_a_trial_count_before_any_draw(monkeypatch, trials):
-    def counts(*args, **kwargs):
-        raise AssertionError("built the probe-count table")
+    def histograms(*args, **kwargs):
+        raise AssertionError("walked the cube")
 
-    monkeypatch.setattr(harness, "query_counts_on_cube", counts)
+    monkeypatch.setattr(harness, "_probe_histograms", histograms)
     with pytest.raises(UsageError) as err:
         verify_lipschitz_after_conditioning(identity_forest(3), mu=1.0, delta=0.0, trials=trials)
     assert err.value.reason == "bad_trials"
