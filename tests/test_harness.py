@@ -535,7 +535,7 @@ def drawn_tails(forest: DecisionForest, assignment: dict, mu: float, cache: dict
 
 
 @pytest.mark.parametrize("seed", [61, 62])
-def test_conditioning_builds_one_histogram_per_distinct_drawn_subset_and_counts_every_draw(monkeypatch, seed):
+def test_conditioning_slices_each_distinct_draw_once_and_counts_every_draw(monkeypatch, seed):
     grouped = []
 
     def counted(forest, cells=(), budget=1 << 26):
