@@ -22,12 +22,12 @@ from .forest import (
     DecisionForest,
     UsageError,
     _check_enum_budget,
-    _cube_slabs,
     _draw_generator,
-    _slab,
+    _slab_axes,
     _tree_on_cube,
     _uniform_inputs,
     _walk,
+    cube_order,
 )
 
 SUM_TOLERANCE = 1e-9
@@ -172,23 +172,33 @@ def _cube_law(forest: DecisionForest, budget: int, cells: tuple = ()) -> tuple:
     symbol (b // alphabet**rank) % alphabet for the cell at position rank.
     Rows come in (b, row) order, decoded from the keys b * (sigma+1)**m +
     packed outputs, or from the output matrix led by b when keys overflow int64.
-    The cube is walked in `_cube_slabs`'s slabs, so memory is one slab plus
-    the distinct rows.
+    The cube is walked in slabs of `_slab_axes` trailing axes, each at one
+    symbol of the leading ones, so memory is one slab plus the distinct rows.
     """
-    order, rank_of, group, inner = _cube_slabs(forest, cells, budget)
+    order = cube_order(forest, cells)
     lam, k = forest.input_space.alphabet, len(order)
     base, m = forest.output_space.alphabet + 1, forest.output_space.cells
     span = base ** m
+    _check_enum_budget(lam, k, budget)
+    rank_of = {c: r for r, c in enumerate(order)}
+    # one arange per named cell on that cell's axis; the cell at rank r sits on axis k-1-r
+    group = sum(
+        (np.arange(lam, dtype=np.int64).reshape([lam if a == k - 1 - rank_of[c] else 1 for a in range(k)]) * lam**r
+         for r, c in enumerate(cells)),
+        np.zeros((1,) * k, dtype=np.int64),
+    ).astype(np.min_scalar_type(lam ** len(cells) - 1))
     dtype = np.uint8 if base <= 255 else np.int32
     tables = [group] + [_tree_on_cube(forest, tree, rank_of, dtype) for tree in range(m)]
     wide = lam ** len(cells) * span >= 1 << 62
+    inner = _slab_axes(lam, k)
     if wide:  # b in its narrowest type, so the matrix keeps the outputs' type when b fits it
         slab = np.empty((lam,) * inner + (m + 1,), dtype=np.result_type(group.dtype, dtype))
     else:
         slab = np.empty((lam,) * inner, dtype=np.int64 if lam ** len(cells) * span >= 1 << 31 else np.int32)
     parts, merged, waiting = [], 0, 0
     for lead in itertools.product(range(lam), repeat=k - inner):
-        cut = [_slab(table, lead) for table in tables]
+        # restriction as indexing: each table at the slab's symbols, or at 0 on axes it spans once
+        cut = [table[tuple(v if n > 1 else 0 for v, n in zip(lead, table.shape))] for table in tables] if lead else tables
         if wide:
             for column, values in enumerate(cut):
                 slab[..., column] = values

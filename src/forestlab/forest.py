@@ -403,25 +403,33 @@ def _walk(forest: DecisionForest, tree: int, inputs: np.ndarray, counts: np.ndar
     return node
 
 
-def _blocks(forest: DecisionForest, tree: int, rank_of: dict):
+def _blocks(forest: DecisionForest, tree: int, rank_of: dict, rows: list | None = None, column: dict = {}):
     """Walk one tree in preorder, yielding (query, value, index) per node.
 
     The cube is C-order over (lam,)*K with K = len(rank_of), so the cell at
     rank r sits on axis K-1-r.  `index` is a basic index that fixes the
     symbol of each cell on the node's path and spans every other axis:
-    cube[index] is the block of points that reach the node.
+    cube[index] is the block of points that reach the node.  With `rows`,
+    the cube gets a leading axis over them and a cell in `column` is read
+    as rows[i][column[cell]]: index[0] is the row, or the list of rows,
+    that agree with the node's path there, and a node no row reaches is
+    skipped with its subtree.
     """
     table = forest._table.rows
-    k = len(rank_of)
-    stack = [(forest._table.roots[tree], (slice(None),) * k)]
+    stack = [(forest._table.roots[tree], (slice(None),) * len(rank_of), None if rows is None else range(len(rows)))]
     while stack:
-        node, index = stack.pop()
+        node, index, at = stack.pop()
         cell, value, _, kids = table[node]
-        yield cell, value, index
-        if cell >= 0:
-            axis = k - 1 - rank_of[cell]
+        yield cell, value, index if at is None else (at[0] if len(at) == 1 else list(at),) + index
+        if cell in column:
+            j = column[cell]
             for v in range(len(kids) - 1, -1, -1):
-                stack.append((kids[v], index[:axis] + (v,) + index[axis + 1 :]))
+                if agree := [i for i in at if rows[i][j] == v]:
+                    stack.append((kids[v], index, agree))
+        elif cell >= 0:
+            axis = len(index) - 1 - rank_of[cell]
+            for v in range(len(kids) - 1, -1, -1):
+                stack.append((kids[v], index[:axis] + (v,) + index[axis + 1 :], at))
 
 
 def _draw_generator(trials: int, seed: int) -> np.random.Generator:
@@ -461,74 +469,47 @@ def _tree_on_cube(forest: DecisionForest, tree: int, rank_of: dict, dtype) -> np
     return table
 
 
-def _cube_slabs(forest: DecisionForest, cells: tuple, budget: int) -> tuple:
-    """(order, rank_of, group, inner) of a slab walk over the cube (lam,)*k, order = cube_order(forest, cells).
+def _slab_axes(lam: int, k: int) -> int:
+    """How many trailing axes of the cube (lam,)*k one slab spans: the most whose points fit in CUBE_SLAB."""
+    return next(t for t in range(k, -1, -1) if lam**t <= CUBE_SLAB)
 
-    The cell at rank r sits on axis k-1-r.  `group` broadcasts over the cube and holds each point's index b
-    of the sorted `cells`, symbol (b // lam**rank) % lam at position rank.  A slab fixes k - inner leading axes.
+
+def _probe_histograms(forest: DecisionForest, cells: tuple = (), drawn: list | None = None, budget: int = DEFAULT_STATE_BUDGET):
+    """(hist, free): hist[i, r, c] counts the points of the cube of `free` on which c trees probe free[r] once
+    cells[j] holds drawn[i][j].
+
+    free lists the probed cells outside the sorted `cells`; by default row b of `drawn` holds (b // lam**j) % lam
+    at cells[j], for every b.  A slab is some rows, each also fixing the leading free cells, times the cube of the
+    `_slab_axes` trailing ones, so only the drawn sub-cubes are walked.
     """
-    order = cube_order(forest, cells)
-    lam, k = forest.input_space.alphabet, len(order)
-    _check_enum_budget(lam, k, budget)
-    rank_of = {c: r for r, c in enumerate(order)}
-    # one arange per named cell on that cell's axis
-    group = sum(
-        (np.arange(lam, dtype=np.int64).reshape([lam if a == k - 1 - rank_of[c] else 1 for a in range(k)]) * lam**r
-         for r, c in enumerate(cells)),
-        np.zeros((1,) * k, dtype=np.int64),
-    ).astype(np.min_scalar_type(lam ** len(cells) - 1))
-    inner = next(t for t in range(k, -1, -1) if lam**t <= CUBE_SLAB)
-    return order, rank_of, group, inner
+    lam, m = forest.input_space.alphabet, forest.output_space.cells
+    free = [c for c in cube_order(forest) if c not in cells]
+    _check_enum_budget(lam, len(free), budget)
+    inner = _slab_axes(lam, len(free))
+    drawn = [b[::-1] for b in itertools.product(range(lam), repeat=len(cells))] if drawn is None else drawn
+    leads = list(itertools.product(range(lam), repeat=len(free) - inner))
+    rows = [tuple(fixed) + lead for fixed in drawn for lead in leads]
+    column = {c: j for j, c in enumerate(tuple(cells) + tuple(free[inner:]))}
+    rank = {c: r for r, c in enumerate(free)}
+    hist = np.zeros((len(drawn), len(free), m + 1), dtype=np.int64)
+    step = max(1, CUBE_SLAB // lam**inner)
+    for start in range(0, len(rows), step):
+        slab = rows[start : start + step]
+        count = np.zeros((len(free), len(slab)) + (lam,) * inner, dtype=np.min_scalar_type(m))
+        for tree in range(m):
+            for cell, _, index in _blocks(forest, tree, {c: rank[c] for c in free[:inner]}, slab, column):
+                if cell in rank:
+                    count[rank[cell]][index] += 1
+        keys = ((start + np.arange(len(slab))) // len(leads) * (m + 1)).reshape((-1,) + (1,) * inner)
+        for r in range(len(free)):
+            hist[:, r] += np.bincount((keys + count[r]).reshape(-1), minlength=hist[:, r].size).reshape(-1, m + 1)
+    return hist, free
 
 
-def _slab(table: np.ndarray, lead: tuple) -> np.ndarray:
-    """Restriction as indexing: a table that broadcasts over the cube, at the slab whose leading axes hold `lead`."""
-    return table[tuple(v if n > 1 else 0 for v, n in zip(lead, table.shape))] if lead else table
-
-
-def _probe_histograms(forest: DecisionForest, cells: tuple = (), budget: int = DEFAULT_STATE_BUDGET) -> tuple:
-    """(hist, order): hist[b, r, c] counts the cube points with assignment index b that c trees probe order[r] on.
-
-    The cube, its order and b are `_cube_slabs`'s for the sorted `cells`.  It
-    is walked one slab at a time: per cell, each probe of it adds 1 to its
-    block's part of the slab's counts, whose histogram by b is added to hist.
-    """
-    order, rank_of, group, inner = _cube_slabs(forest, cells, budget)
-    lam, k, m = forest.input_space.alphabet, len(order), forest.output_space.cells
-    outer = k - inner
-    # per cell, each probe's block as (the leading symbols it fixes, its index into a slab)
-    blocks = [[] for _ in order]
-    for tree in range(m):
-        for cell, _, index in _blocks(forest, tree, rank_of):
-            if cell >= 0:
-                fixed = tuple((a, v) for a, v in enumerate(index[:outer]) if not isinstance(v, slice))
-                blocks[rank_of[cell]].append((fixed, index[outer:]))
-    groups = lam ** len(cells)
-    hist = np.zeros((groups, k, m + 1), dtype=np.int64)
-    keys = group.astype(np.intp) * (m + 1)
-    count = np.empty((lam,) * inner, dtype=np.min_scalar_type(m))
-    for lead in itertools.product(range(lam), repeat=outer):
-        base = _slab(keys, lead)
-        for r in range(k):
-            count.fill(0)
-            for fixed, index in blocks[r]:
-                if all(lead[a] == v for a, v in fixed):
-                    count[index] += 1
-            hist[:, r] += np.bincount((base + count).reshape(-1), minlength=groups * (m + 1)).reshape(groups, m + 1)
-    return hist, order
-
-
-def _cell_tails(hist: np.ndarray, order: list, cells: int, threshold: float, fixed: tuple = ()) -> np.ndarray:
-    """tail[b, j] = Pr[count_j > threshold] over group b's points per input cell j; 0 off `order` and at `fixed`.
-
-    With hist grouped by `fixed`, row b is the exact tail vector of restrict(forest, b's assignment), which never
-    probes an assigned cell and probes every other cell as the forest does on the points that agree with it.
-    """
-    free = [r for r, c in enumerate(order) if c not in fixed]
-    counts = hist[:, free]
+def _cell_tails(hist: np.ndarray, order: list, cells: int, threshold: float) -> np.ndarray:
+    """tail[i, j] = Pr[count_j > threshold] over hist[i]'s points per input cell j, and 0 for j off `order`."""
     tail = np.zeros((len(hist), cells))
-    above = counts[..., np.arange(hist.shape[-1]) > threshold].sum(axis=-1)
-    tail[:, [order[r] for r in free]] = above / counts.sum(axis=-1)
+    tail[:, order] = hist[..., np.arange(hist.shape[-1]) > threshold].sum(axis=-1) / hist.sum(axis=-1)
     return tail
 
 

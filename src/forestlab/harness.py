@@ -9,6 +9,7 @@ Exact modes enumerate, Monte-Carlo modes record their trial count and seed.
 """
 from __future__ import annotations
 
+import collections
 import math
 import random
 import sys
@@ -363,10 +364,9 @@ def verify_lipschitz_after_conditioning(
     are then drawn, each fixing a uniform half of the cells (at least one)
     to uniform values, and each restricted forest is tested exactly against
     the (mu, sqrt(delta)) tail; the failure fraction is compared with
-    sqrt(delta) plus one Monte-Carlo half-width.  The draws of one subset read
-    their flags from one probe-count histogram grouped by its probed cells,
-    unless they cover under 1/16 of those cells' assignments; then each
-    distinct draw's restricted forest is walked over its own, smaller cube.
+    sqrt(delta) plus one Monte-Carlo half-width.  The draws of one subset
+    share one probe-count histogram over their distinct assignments of its
+    probed cells, reduced to one failure flag each, which every draw reads.
     """
     if not 0.0 <= delta <= 1.0:
         raise UsageError("bad_parameter", "delta must sit in [0, 1]")
@@ -381,9 +381,8 @@ def verify_lipschitz_after_conditioning(
             f"forest tail {base_tail:.6g} exceeds delta {delta:.6g} before conditioning",
         )
     sqrt_delta = math.sqrt(delta)
-    lam = forest.input_space.alphabet
-    probed = set(order)
-    draws = {}  # per distinct drawn subset, the values of each of its draws in increasing cell order
+    lam, probed = forest.input_space.alphabet, set(order)
+    draws = {}  # per distinct drawn subset, the symbols of each of its draws in increasing cell order
     for t in range(trials):
         rng = random.Random(derive_seed(seed, t))
         subset = tuple(sorted(rng.sample(range(s), max(1, s // 2))))
@@ -391,18 +390,11 @@ def verify_lipschitz_after_conditioning(
     failures = 0
     for subset, values in draws.items():
         keep = [i for i, c in enumerate(subset) if c in probed]  # an unprobed cell changes no count
-        cells = tuple(subset[i] for i in keep)
-        indices = np.array(values, dtype=np.int64)[:, keep] @ lam ** np.arange(len(keep), dtype=np.int64)
-        drawn, times = np.unique(indices, return_counts=True)
-        if lam ** len(cells) <= 16 * len(drawn):  # most assignments drawn: one cube walk grouped by them
-            hist, _ = _probe_histograms(forest, cells, budget)
-            failed = _cell_tails(hist, order, s, mu, cells).max(axis=1) > sqrt_delta + 1e-12
-            failures += int(failed[indices].sum())
-            continue
-        for b, n in zip(drawn.tolist(), times.tolist()):  # few drawn: each restricted forest over its own cube
-            restricted = restrict(forest, {c: b // lam**i % lam for i, c in enumerate(cells)})
-            hist, kept = _probe_histograms(restricted, budget=budget)
-            failures += n * (float(_cell_tails(hist, kept, s, mu).max()) > sqrt_delta + 1e-12)
+        times = collections.Counter(tuple(v[i] for i in keep) for v in values)
+        if keep:  # else every draw keeps the base tail, at most delta <= sqrt(delta), and none fails
+            hist, free = _probe_histograms(forest, tuple(subset[i] for i in keep), list(times), budget)
+            failed = _cell_tails(hist, free, s, mu).max(axis=1) > sqrt_delta + 1e-12
+            failures += int(np.dot(list(times.values()), failed))
     measured = failures / trials
     bound = sqrt_delta + halfwidth
     return ExperimentReport(

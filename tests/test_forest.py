@@ -527,15 +527,15 @@ def test_slab_walk_matches_the_whole_cube_law(monkeypatch):
 
 def test_probe_histograms_match_the_whole_table_slab_by_slab(monkeypatch):
     slabs = []
-    cube_slabs = forest_module._cube_slabs
+    slab_axes = forest_module._slab_axes
 
-    def counted(forest, cells, budget):
-        walk = cube_slabs(forest, cells, budget)
-        slabs.append(forest.input_space.alphabet ** (len(walk[0]) - walk[3]))
-        return walk
+    def counted(lam, k):
+        inner = slab_axes(lam, k)
+        slabs.append(lam ** (k - inner))
+        return inner
 
     monkeypatch.setattr(forest_module, "CUBE_SLAB", 4)
-    monkeypatch.setattr(forest_module, "_cube_slabs", counted)
+    monkeypatch.setattr(forest_module, "_slab_axes", counted)
     forests = differential_corpus() + [f for _, f, _, _ in enforcement_instances() if f.input_space.alphabet == 3]
     for f in forests:
         s, lam = f.input_space.cells, f.input_space.alphabet
@@ -543,17 +543,21 @@ def test_probe_histograms_match_the_whole_table_slab_by_slab(monkeypatch):
         unprobed = sorted(set(range(s)) - set(probed))
         subset = tuple(sorted(random.Random(61).sample(range(s), max(1, s // 2))))  # a criterion-08 draw
         for cells in [(), tuple(probed[:1]), tuple(unprobed[:1]), subset]:
-            hist, order = _probe_histograms(f, cells)
-            counts, counted_order = query_counts_on_cube(f, cells)
-            assert order == counted_order
+            hist, free = _probe_histograms(f, cells)
+            counts, order = query_counts_on_cube(f, cells)
+            assert free == [c for c in order if c not in cells]
             # point i holds (i // lam**r) % lam at the cell of rank r, and b weighs cells[j] by lam**j
             points = np.arange(len(counts))
             b = sum(((points // lam ** order.index(c)) % lam * lam**j for j, c in enumerate(cells)), 0 * points)
-            want = np.zeros_like(hist)
+            want = np.zeros((lam ** len(cells), len(order), f.output_space.cells + 1), dtype=np.int64)
             np.add.at(want, (b[:, None], np.arange(len(order)), counts), 1)
-            assert hist.dtype == np.int64 and np.array_equal(hist, want), (f, cells)
+            assert hist.dtype == np.int64 and np.array_equal(hist, want[:, [order.index(c) for c in free]]), (f, cells)
+            # a few assignments, drawn in any order, give their own rows of the histogram
+            some = np.arange(len(hist))[::-2]
+            drawn = (some[:, None] // lam ** np.arange(len(cells)) % lam).tolist()
+            assert np.array_equal(_probe_histograms(f, cells, drawn)[0], hist[some])
             for mu in (0.5, 1.0, 2.0):
-                tails = _cell_tails(hist, order, s, mu, cells)
+                tails = _cell_tails(hist, free, s, mu)
                 for group, tail in enumerate(tails):
                     assignment = {c: group // lam**j % lam for j, c in enumerate(cells)}
                     assert np.array_equal(tail, restricted_tails(f, assignment, mu)), (f, cells, assignment)

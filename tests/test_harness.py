@@ -494,23 +494,13 @@ def test_conditioning_precondition_is_checked_exactly():
     assert err.value.reason == "precondition"
 
 
-def test_sliced_conditioning_counts_every_draw_like_a_restrict_loop(monkeypatch):
-    restricted = []
-
-    def counted(forest, assignment):
-        restricted.append(assignment)
-        return restrict(forest, assignment)
-
-    monkeypatch.setattr(harness, "restrict", counted)
+def test_sliced_conditioning_counts_every_draw_like_a_restrict_loop():
     cases = list(restriction_instances())
     for seed in (0, 7):  # 12 cells, 9 to 12 of them probed: most drawn subsets are drawn once
         forest = random_forest(ForestGenSpec(cells=12, alphabet=2, out_cells=8, out_alphabet=2, depth=3, seed=seed))
         cases.append((f"wide-{seed}", forest, 2.0, float(max(query_profile(forest, 2.0).tail))))
     for instance_id, forest, mu, delta in cases:
-        restricted.clear()
         report = verify_lipschitz_after_conditioning(forest, mu, delta, trials=300, seed=9)
-        # criterion 08's instances draw most assignments of each subset; the wide forests few
-        assert bool(restricted) == instance_id.startswith("wide"), instance_id
         s, lam = forest.input_space.cells, forest.input_space.alphabet
         failures = 0
         for t in range(300):
@@ -524,36 +514,36 @@ def test_sliced_conditioning_counts_every_draw_like_a_restrict_loop(monkeypatch)
 
 
 def drawn_tails(forest: DecisionForest, assignment: dict, mu: float, cache: dict) -> np.ndarray:
-    """The verifier's tails for one draw: row b of the histogram grouped by the draw's probed cells."""
+    """The verifier's tails for one draw: row b of the histogram of the draw's probed cells."""
     probed = forest.mentioned_cells()
     named = sorted((c, v) for c, v in assignment.items() if c in probed)
     cells = tuple(c for c, _ in named)
     if cells not in cache:
-        cache[cells] = _probe_histograms(forest, cells)[0]
+        cache[cells] = _probe_histograms(forest, cells)
     b = sum(v * forest.input_space.alphabet**i for i, (_, v) in enumerate(named))
-    return _cell_tails(cache[cells], probed, forest.input_space.cells, mu, cells)[b]
+    return _cell_tails(*cache[cells], forest.input_space.cells, mu)[b]
 
 
 @pytest.mark.parametrize("seed", [61, 62])
 def test_conditioning_slices_each_distinct_draw_once_and_counts_every_draw(monkeypatch, seed):
-    grouped = []
+    walked = []
 
-    def counted(forest, cells=(), budget=1 << 26):
-        grouped.append(cells)
-        return _probe_histograms(forest, cells, budget)
+    def counted(forest, cells=(), drawn=None, budget=1 << 26):
+        walked.append((cells, None if drawn is None else sorted(drawn)))
+        return _probe_histograms(forest, cells, drawn, budget)
 
     monkeypatch.setattr(harness, "_probe_histograms", counted)
     subsets = 0
     for instance_id, forest, mu, delta in restriction_instances():
-        grouped.clear()
+        walked.clear()
         report = verify_lipschitz_after_conditioning(forest, mu, delta, trials=1000, seed=seed)
         s, lam = forest.input_space.cells, forest.input_space.alphabet
         probed = forest.mentioned_cells()
-        failures, drawn, tails = 0, set(), {}
+        failures, drawn, tails = 0, {}, {}
         for t in range(1000):  # the verifier's draws, each checked against its restricted forest
             rng = random.Random(derive_seed(seed, t))
             assignment = {c: rng.randrange(lam) for c in sorted(rng.sample(range(s), max(1, s // 2)))}
-            drawn.add(tuple(assignment))
+            drawn.setdefault(tuple(assignment), set()).add(tuple(v for c, v in assignment.items() if c in probed))
             key = tuple(assignment.items())
             if key not in tails:
                 tails[key] = restricted_tails(forest, assignment, mu)
@@ -561,9 +551,9 @@ def test_conditioning_slices_each_distinct_draw_once_and_counts_every_draw(monke
         assert report.details["failures"] == failures, instance_id
         assert len(drawn) == math.comb(s, max(1, s // 2)), instance_id  # every subset is drawn
         subsets += len(drawn)
-        # the base histogram, then one per distinct drawn subset, grouped by its probed cells
-        named = sorted(tuple(c for c in subset if c in probed) for subset in drawn)
-        assert grouped[0] == () and sorted(grouped[1:]) == named, instance_id
+        # the base histogram, then one per drawn subset that fixes a probed cell, over its distinct assignments
+        want = [(tuple(c for c in subset if c in probed), sorted(values)) for subset, values in drawn.items()]
+        assert walked[0] == ((), None) and sorted(walked[1:]) == sorted(w for w in want if w[0]), instance_id
     assert subsets == 86
 
 
