@@ -1,7 +1,10 @@
 """Command-line front end.
 
-One subcommand per process, whose inputs are its flags.  Verification
-results append to the CSV ledger; the FORESTLAB_LEDGER environment variable
+One subcommand per process.  Each command, analysis and lemma has a
+handler whose keyword parameters are its flags, and a parser built from
+that signature: a parameter without a default is a flag the run needs,
+and a flag the handler does not take is refused.  Verification results
+append to the CSV ledger; the FORESTLAB_LEDGER environment variable
 supplies the default path.  Exit status is 0 for pass or success, 1 for a
 failed verification, 2 for usage and budget errors.
 """
@@ -15,7 +18,6 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,87 +84,16 @@ from .samplers import (
 )
 
 
-@dataclass
-class RunConfig:
-    """The CLI's inputs: each field past the positionals is a flag."""
-
-    command: str
-    analysis: str | None = None
-    lemma: str | None = None
-    corpus_config: str | None = None
-    log2n: int | None = None
-    s: int | None = None
-    lam: int | None = None
-    sigma: int | None = None
-    m: int | None = None
-    depth: int | None = None
-    rounds: int | None = None
-    mu: float | None = None
-    eps: float | None = None
-    delta: float | None = None
-    alpha: float | None = None
-    k: float | None = None
-    c: float | None = None
-    cell: int | None = None
-    cells: str | None = None
-    threshold: float | None = None
-    betas: int = 1
-    count: int | None = None
-    q: str | None = None
-    set_spec: str | None = None
-    input: str | None = None
-    mode: str | None = None
-    trials: int = 100_000
-    seed: int = 0
-    forest: str | None = None
-    target: str | None = None
-    buckets: str | None = None
-    out: str | None = None
-    ledger: str | None = None
-    fresh: bool = False
-    budget_states: int = DEFAULT_STATE_BUDGET
-    budget_set: int = DEFAULT_SET_BUDGET
-
-
-_CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_POSITIONAL = ("command", "analysis", "lemma", "corpus_config")
-# flag names that differ from the field name
+# flag names that differ from the parameter name
 _SPELLINGS = {"lam": "lambda", "set_spec": "set"}
+# inputs that name a file, where an empty value is no value
+_PATHS = ("forest", "target", "buckets", "set_spec", "out")
+# the --trials of a sampled run that gives none
+_TRIALS = 100_000
 
 
 def _flag(name: str) -> str:
     return "--" + _SPELLINGS.get(name, name).replace("_", "-")
-
-
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(**{key: value for key, value in vars(args).items() if value is not None})
-    for name, kind in _CONFIG_TYPES.items():
-        if "float" in kind and getattr(cfg, name) != getattr(cfg, name):  # only NaN is unequal to itself
-            raise UsageError("bad_parameter", f"{_flag(name)} must be a number, got nan")
-    if cfg.seed < 0:
-        raise UsageError("bad_seed", f"seed must be non-negative, got {cfg.seed}")
-    if cfg.trials < 1:
-        raise UsageError("bad_trials", f"trials must be at least 1, got {cfg.trials}")
-    return cfg
-
-
-# inputs that name a file, where an empty value is no value
-_PATHS = ("forest", "target", "buckets", "set_spec", "out")
-
-
-def _command_name(cfg: RunConfig) -> str:
-    return {"analyze": cfg.analysis, "verify": cfg.lemma}.get(cfg.command, cfg.command)
-
-
-def _need(cfg: RunConfig, *names: str) -> None:
-    """Stop with missing_argument, naming the command and every input of `names` left unset."""
-    missing = [
-        _flag(name) for name in names
-        if getattr(cfg, name) is None or (name in _PATHS and not getattr(cfg, name))
-    ]
-    if missing:
-        flags = ", ".join(missing[:-1]) + " and " + missing[-1] if len(missing) > 1 else missing[0]
-        raise UsageError("missing_argument", f"{_command_name(cfg)} needs {flags}")
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +137,17 @@ def _json_object(doc) -> dict:
     return doc
 
 
-def _integer_k(cfg: RunConfig) -> int | float:
+def _integer_k(k: float) -> int | float:
     """--k where it names a radius: an integer, never truncated; a radius past the float range stays infinite."""
-    if math.isinf(cfg.k):
-        return cfg.k
-    if not cfg.k.is_integer():
-        raise UsageError("bad_parameter", f"--k must be an integer here, got {cfg.k!r}")
-    return int(cfg.k)
+    if math.isinf(k):
+        return k
+    if not k.is_integer():
+        raise UsageError("bad_parameter", f"--k must be an integer here, got {k!r}")
+    return int(k)
 
 
-def _load_forest(cfg: RunConfig):
-    _need(cfg, "forest")
-    return _read_json(cfg.forest, "bad_file", forest_from_json)
+def _load_forest(path: str):
+    return _read_json(path, "bad_file", forest_from_json)
 
 
 def _parse_symbols(text: str) -> tuple:
@@ -234,9 +164,7 @@ def _parse_floats(text: str) -> list:
         raise UsageError("bad_input", f"cannot parse numbers from {text!r}")
 
 
-def _load_outcome_set(cfg: RunConfig) -> OutcomeSet:
-    _need(cfg, "set_spec")
-
+def _load_outcome_set(path: str) -> OutcomeSet:
     def build(doc) -> OutcomeSet:
         members = frozenset(
             tuple(_json_int(v, "bad_outcome", "member symbol") for v in row) for row in doc["members"]
@@ -248,7 +176,7 @@ def _load_outcome_set(cfg: RunConfig) -> OutcomeSet:
             description=doc.get("description", ""),
         )
 
-    return _read_json(cfg.set_spec, "bad_file", build)
+    return _read_json(path, "bad_file", build)
 
 
 def _dump_outcome_set(outcome_set: OutcomeSet) -> str:
@@ -267,171 +195,159 @@ def _load_ensemble(path: str) -> IndependentEnsemble:
     )
 
 
-def _load_buckets(cfg: RunConfig) -> BucketStructure:
-    _need(cfg, "buckets")
-
+def _load_buckets(path: str) -> BucketStructure:
     def build(doc) -> BucketStructure:
         blocks = doc["buckets"] if isinstance(doc, dict) else doc
         return BucketStructure(
             tuple(tuple(_json_int(c, "bad_file", "bucket cell") for c in block) for block in blocks)
         )
 
-    return _read_json(cfg.buckets, "bad_file", build)
+    return _read_json(path, "bad_file", build)
 
 
-def _target_distribution(cfg: RunConfig, forest=None) -> Distribution:
-    _need(cfg, "target")
-    bot = forest.output_space.bot if forest is not None else cfg.sigma
-    return parse_distribution(_read_text(cfg.target), bot=bot)
+def _target_distribution(path: str, bot: int | None) -> Distribution:
+    return parse_distribution(_read_text(path), bot=bot)
 
 
-def _ledger_path(cfg: RunConfig) -> str:
-    return cfg.ledger or default_ledger_path() or "forestlab-ledger.csv"
+def _ledger_path(ledger: str | None) -> str:
+    return ledger or default_ledger_path() or "forestlab-ledger.csv"
 
 
-def _instance_id(cfg: RunConfig) -> str:
-    source = cfg.forest or cfg.target or cfg.set_spec or "cli"
-    stem = os.path.splitext(os.path.basename(source))[0]
-    return stem or "cli"
-
-
-def _log_report(cfg: RunConfig, report) -> None:
-    append_ledger(_ledger_path(cfg), [ledger_row(report, _instance_id(cfg))], fresh=cfg.fresh)
+def _log_report(report, source: str | None, ledger: str | None, fresh: bool) -> None:
+    """Append the report's row to the ledger, named by the stem of the run's input file."""
+    instance_id = os.path.splitext(os.path.basename(source or ""))[0] or "cli"
+    append_ledger(_ledger_path(ledger), [ledger_row(report, instance_id)], fresh=fresh)
 
 
 def _report_exit(report) -> int:
     return 1 if report.csv_status == "fail" else 0
 
 
-def _publish(cfg: RunConfig, report) -> int:
+def _publish(report, source: str | None, ledger: str | None, fresh: bool) -> int:
     """Print a verdict line, log the report and return its exit status."""
-    line = (
-        f"{report.csv_status} {report.lemma_id}"
-        f" measured={report.measured:.12g}"
-    )
+    line = f"{report.csv_status} {report.lemma_id} measured={report.measured:.12g}"
     if report.bound is not None:
         line += f" bound={report.bound:.12g}"
     if report.trials is not None:
         line += f" trials={report.trials} seed={report.seed}"
     print(line)
-    _log_report(cfg, report)
+    _log_report(report, source, ledger, fresh)
     return _report_exit(report)
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: the keyword parameters of each handler are its flags, and one
+# without a default is a flag the run needs
 
 
-def _cmd_gen_thorp(cfg: RunConfig) -> int:
-    _need(cfg, "log2n", "rounds", "out")
-    forest = thorp_forest(ThorpSpec(cfg.log2n, cfg.rounds))
-    _atomic_write(cfg.out, dumps_forest(forest))
-    print(f"wrote {cfg.out}")
+def _cmd_gen_thorp(*, log2n: int, rounds: int, out: str) -> int:
+    forest = thorp_forest(ThorpSpec(log2n, rounds))
+    _atomic_write(out, dumps_forest(forest))
+    print(f"wrote {out}")
     return 0
 
 
-def _cmd_gen_random(cfg: RunConfig) -> int:
-    # the shape flags, in manifest order, and the ForestGenSpec field each one sets
-    fields = {"s": "cells", "lam": "alphabet", "m": "out_cells", "sigma": "out_alphabet", "depth": "depth"}
-    _need(cfg, "out", *fields)
-    count = 1 if cfg.count is None else cfg.count
+def _cmd_gen_random(
+    *, out: str, s: int, lam: int, m: int, sigma: int, depth: int, count: int = 1, seed: int = 0
+) -> int:
     if count < 1:
         raise UsageError("bad_parameter", f"--count must be at least 1, got {count}")
     _check_seed_steps(count, "--count", "bad_parameter")
-    shape = {field: getattr(cfg, name) for name, field in fields.items()}
     # the manifest names each shape value by its flag
-    spec = {_SPELLINGS.get(name, name): getattr(cfg, name) for name in fields}
-    base, _ = os.path.splitext(cfg.out)
+    spec = {"s": s, "lambda": lam, "m": m, "sigma": sigma, "depth": depth}
+    base, _ = os.path.splitext(out)
     lines = []
     for i in range(count):
-        seed = derive_seed(cfg.seed, i)
-        forest = random_forest(ForestGenSpec(**shape, seed=seed))
+        forest_seed = derive_seed(seed, i)
+        forest = random_forest(
+            ForestGenSpec(cells=s, alphabet=lam, out_cells=m, out_alphabet=sigma, depth=depth, seed=forest_seed)
+        )
         path = f"{base}-{i:04d}.json"
         _atomic_write(path, dumps_forest(forest))
-        lines.append(json.dumps({"spec": spec, "seed": seed, "path": path}))
-    _atomic_write(cfg.out, "\n".join(lines) + "\n")
-    print(f"wrote {count} forests and manifest {cfg.out}")
+        lines.append(json.dumps({"spec": spec, "seed": forest_seed, "path": path}))
+    _atomic_write(out, "\n".join(lines) + "\n")
+    print(f"wrote {count} forests and manifest {out}")
     return 0
 
 
-def _cmd_eval(cfg: RunConfig) -> int:
-    _need(cfg, "forest", "input")
-    forest = _load_forest(cfg)
-    value = eval_forest(forest, _parse_symbols(cfg.input))
-    bot = forest.output_space.bot
+def _cmd_eval(*, forest: str, input: str) -> int:
+    loaded = _load_forest(forest)
+    value = eval_forest(loaded, _parse_symbols(input))
+    bot = loaded.output_space.bot
     print(",".join("_" if sym == bot else str(sym) for sym in value))
     return 0
 
 
-def _output_law(cfg: RunConfig, forest) -> Distribution:
-    """The exact output law, or the plug-in law of `cfg.trials` sampled outputs."""
-    if cfg.mode == "exact":
-        return output_distribution(forest, budget=cfg.budget_states)
-    rows = sample_forest_outputs(forest, cfg.trials, cfg.seed)
+def _output_law(forest, mode: str, trials: int, seed: int, budget: int) -> Distribution:
+    """The exact output law, or the plug-in law of `trials` sampled outputs."""
+    if mode == "exact":
+        return output_distribution(forest, budget=budget)
+    rows = sample_forest_outputs(forest, trials, seed)
     return Distribution._from_counts(*np.unique(rows, axis=0, return_counts=True), forest.output_space.bot)
 
 
-def _analyze_tv(cfg: RunConfig) -> tuple:
-    _need(cfg, "forest", "target")
-    forest = _load_forest(cfg)
-    if cfg.target == "uniform-perm":
-        return _tv_to_uniform_perm(_output_law(cfg, forest)), cfg.trials
-    target = _target_distribution(cfg, forest)
-    return tv_distance(_output_law(cfg, forest), target), cfg.trials
+def _analyze_tv(
+    *, forest: str, target: str, mode: str, trials: int = _TRIALS, seed: int = 0,
+    budget_states: int = DEFAULT_STATE_BUDGET,
+) -> tuple:
+    loaded = _load_forest(forest)
+    if target == "uniform-perm":
+        return _tv_to_uniform_perm(_output_law(loaded, mode, trials, seed, budget_states)), trials
+    law = _target_distribution(target, loaded.output_space.bot)
+    return tv_distance(_output_law(loaded, mode, trials, seed, budget_states), law), trials
 
 
-def _analyze_entropy(cfg: RunConfig) -> tuple:
-    return entropy(_output_law(cfg, _load_forest(cfg))), cfg.trials
+def _analyze_entropy(
+    *, forest: str, mode: str, trials: int = _TRIALS, seed: int = 0, budget_states: int = DEFAULT_STATE_BUDGET
+) -> tuple:
+    return entropy(_output_law(_load_forest(forest), mode, trials, seed, budget_states)), trials
 
 
-def _analyze_cond_entropy(cfg: RunConfig) -> tuple:
-    _need(cfg, "forest", "cells")
-    forest = _load_forest(cfg)
-    cells = [int(v) for v in _parse_symbols(cfg.cells)]
-    if cfg.mode == "exact":
-        return conditional_entropy_detail(forest, cells, cfg.budget_states).value, None
-    detail = monte_carlo_conditional_entropy(forest, cells, cfg.trials, cfg.seed)
+def _analyze_cond_entropy(
+    *, forest: str, cells: str, mode: str, trials: int = _TRIALS, seed: int = 0,
+    budget_states: int = DEFAULT_STATE_BUDGET,
+) -> tuple:
+    loaded = _load_forest(forest)
+    fixed = [int(v) for v in _parse_symbols(cells)]
+    if mode == "exact":
+        return conditional_entropy_detail(loaded, fixed, budget_states).value, None
+    detail = monte_carlo_conditional_entropy(loaded, fixed, trials, seed)
     return detail.value, detail.trials
 
 
-def _analyze_collision(cfg: RunConfig) -> tuple:
-    if cfg.forest:
-        source = _load_forest(cfg)
-    elif cfg.target:
-        source = _load_ensemble(cfg.target)
+def _analyze_collision(
+    *, mode: str, forest: str | None = None, target: str | None = None, trials: int = _TRIALS, seed: int = 0,
+    budget_states: int = DEFAULT_STATE_BUDGET,
+) -> tuple:
+    if forest:
+        source = _load_forest(forest)
+    elif target:
+        source = _load_ensemble(target)
     else:
         raise UsageError("missing_argument", "collision needs --forest or --target")
-    return collision_probability(
-        source, mode=cfg.mode, trials=cfg.trials, seed=cfg.seed, budget=cfg.budget_states
-    ), cfg.trials
+    return collision_probability(source, mode=mode, trials=trials, seed=seed, budget=budget_states), trials
 
 
-def _analyze_lipschitz(cfg: RunConfig) -> tuple:
-    _need(cfg, "forest", "mu")
-    forest = _load_forest(cfg)
-    profile = query_profile(
-        forest,
-        cfg.mu,
-        mode=cfg.mode,
-        trials=cfg.trials,
-        seed=cfg.seed,
-        budget=cfg.budget_states,
-    )
-    if cfg.delta is not None:
-        report = check_lipschitz(profile, cfg.delta)
+def _analyze_lipschitz(
+    *, forest: str, mu: float, mode: str, delta: float | None = None, trials: int = _TRIALS, seed: int = 0,
+    budget_states: int = DEFAULT_STATE_BUDGET,
+) -> tuple:
+    profile = query_profile(_load_forest(forest), mu, mode=mode, trials=trials, seed=seed, budget=budget_states)
+    if delta is not None:
+        report = check_lipschitz(profile, delta)
         print(
             f"average_ok={report.average_ok} tail_ok={report.tail_ok}"
             f" worst_cell={report.worst_cell}"
         )
-    return (max(profile.tail) if profile.tail else 0.0), cfg.trials
+    return (max(profile.tail) if profile.tail else 0.0), trials
 
 
-def _analyze_neighborhood(cfg: RunConfig) -> tuple:
-    _need(cfg, "set_spec", "k")
-    outcome_set = _load_outcome_set(cfg)
-    grown = neighborhood(outcome_set, _integer_k(cfg), budget=cfg.budget_set)
-    if cfg.out:
-        _atomic_write(cfg.out, _dump_outcome_set(grown))
+def _analyze_neighborhood(
+    *, set_spec: str, k: float, out: str | None = None, budget_set: int = DEFAULT_SET_BUDGET
+) -> tuple:
+    grown = neighborhood(_load_outcome_set(set_spec), _integer_k(k), budget=budget_set)
+    if out:
+        _atomic_write(out, _dump_outcome_set(grown))
     return float(len(grown)), None
 
 
@@ -451,21 +367,28 @@ _ANALYZERS = {
 _QUANTITIES = {"lipschitz": "lipschitz-worst-tail", "neighborhood": "neighborhood-size"}
 
 
-def _cmd_analyze(cfg: RunConfig) -> int:
-    value, drawn = _ANALYZERS[cfg.analysis][0](cfg)
-    sampled = cfg.mode == "monte_carlo"
+def _source(flags: dict) -> str | None:
+    """The input file that names a run's ledger row."""
+    return flags.get("forest") or flags.get("target") or flags.get("set_spec")
+
+
+def _cmd_analyze(analysis: str, measured: tuple, flags: dict) -> int:
+    """Print and log the value and draw count an analysis returned."""
+    value, drawn = measured
+    mode = flags["mode"]
+    sampled = mode == "monte_carlo"
     report = ExperimentReport(
-        lemma_id=f"analyze-{cfg.analysis}", bound=None, measured=value, direction=None, mode=cfg.mode,
-        trials=drawn if sampled else None, seed=cfg.seed if sampled else None,
+        lemma_id=f"analyze-{analysis}", bound=None, measured=value, direction=None, mode=mode,
+        trials=drawn if sampled else None, seed=flags["seed"] if sampled else None,
     )
     # Hoeffding's interval holds for a mean of 0/1 events, which collision is; plug-in
     # tv and entropies are biased, and lipschitz is a max over cells with no union bound.
-    halfwidth = hoeffding_halfwidth(drawn) if sampled and cfg.analysis == "collision" else None
+    halfwidth = hoeffding_halfwidth(drawn) if sampled and analysis == "collision" else None
     print(json.dumps({
-        "quantity": _QUANTITIES.get(cfg.analysis, cfg.analysis), "mode": report.mode, "value": report.measured,
+        "quantity": _QUANTITIES.get(analysis, analysis), "mode": report.mode, "value": report.measured,
         "ci_halfwidth": halfwidth, "seed": report.seed, "trials": report.trials,
     }))
-    _log_report(cfg, report)
+    _log_report(report, _source(flags), flags.get("ledger"), flags["fresh"])
     return 0
 
 
@@ -477,136 +400,133 @@ def _record_json(record) -> dict:
     }
 
 
-def _cmd_enforce(cfg: RunConfig) -> int:
-    _need(cfg, "forest", "mu", "eps")
-    forest = _load_forest(cfg)
-    trace = enforce_avg_lipschitz(forest, cfg.mu, cfg.eps, cfg.seed)
+def _cmd_enforce(*, forest: str, mu: float, eps: float, seed: int = 0, out: str | None = None) -> int:
+    trace = enforce_avg_lipschitz(_load_forest(forest), mu, eps, seed)
     print(json.dumps(_record_json(trace)))
-    if cfg.out:
-        _atomic_write(cfg.out, dumps_forest(trace.final_forest))
+    if out:
+        _atomic_write(out, dumps_forest(trace.final_forest))
     return 0 if trace.success else 1
 
 
-def _cmd_couple(cfg: RunConfig) -> int:
-    if cfg.mode == "exact_report":
-        return _publish(cfg, _verify_coupling(cfg))
-    sample = coupled_sample(_load_forest(cfg), cfg.seed)
-    print(json.dumps({"x": list(sample.x), "y": list(sample.y), "dist": sample.dist, "seed": cfg.seed}))
+def _cmd_couple(
+    *, forest: str, mode: str, seed: int = 0, ledger: str | None = None, fresh: bool = False
+) -> int:
+    if mode == "exact_report":
+        return _publish(_verify_coupling(forest=forest), forest, ledger, fresh)
+    sample = coupled_sample(_load_forest(forest), seed)
+    print(json.dumps({"x": list(sample.x), "y": list(sample.y), "dist": sample.dist, "seed": seed}))
     return 0
 
 
-def _cmd_depth_reduce(cfg: RunConfig) -> int:
-    _need(cfg, "forest", "alpha")
-    forest = _load_forest(cfg)
-    step = depth_reduction_step(forest, cfg.alpha, cfg.seed, budget=cfg.budget_states)
+def _cmd_depth_reduce(
+    *, forest: str, alpha: float, seed: int = 0, budget_states: int = DEFAULT_STATE_BUDGET,
+    out: str | None = None,
+) -> int:
+    step = depth_reduction_step(_load_forest(forest), alpha, seed, budget=budget_states)
     print(json.dumps(_record_json(step)))
-    if cfg.out and step.pruned is not None:
-        _atomic_write(cfg.out, dumps_forest(step.pruned))
+    if out and step.pruned is not None:
+        _atomic_write(out, dumps_forest(step.pruned))
     return 0
 
 
-def _cmd_dichotomy(cfg: RunConfig) -> int:
-    _need(cfg, "forest", "threshold")
-    forest = _load_forest(cfg)
-    if cfg.buckets:
-        buckets = _load_buckets(cfg)
-    elif cfg.log2n is not None and cfg.rounds is not None:
-        buckets = thorp_bucket_structure(ThorpSpec(cfg.log2n, cfg.rounds))
+def _cmd_dichotomy(
+    *, forest: str, threshold: float, buckets: str | None = None, log2n: int | None = None,
+    rounds: int | None = None, seed: int = 0, betas: int = 1, budget_states: int = DEFAULT_STATE_BUDGET,
+    ledger: str | None = None, fresh: bool = False,
+) -> int:
+    loaded = _load_forest(forest)
+    if buckets:
+        structure = _load_buckets(buckets)
+    elif log2n is not None and rounds is not None:
+        structure = thorp_bucket_structure(ThorpSpec(log2n, rounds))
     else:
         raise UsageError("missing_argument", "dichotomy needs --buckets (or --log2n with --rounds)")
     report = bucketed_dichotomy_experiment(
-        forest, buckets, cfg.threshold, seed=cfg.seed, betas=cfg.betas, budget=cfg.budget_states
+        loaded, structure, threshold, seed=seed, betas=betas, budget=budget_states
     )
-    return _publish(cfg, report)
+    return _publish(report, forest, ledger, fresh)
 
 
-def _forest_or_target_law(cfg: RunConfig) -> Distribution:
-    """The exact output law of --forest, else the law dumped in --target."""
-    if cfg.forest:
-        return output_distribution(_load_forest(cfg), budget=cfg.budget_states)
-    return _target_distribution(cfg)
+def _forest_or_target_law(forest: str | None, target: str | None, sigma: int | None, budget: int) -> Distribution:
+    """The exact output law of --forest, else the law dumped in --target, whose blank is --sigma."""
+    if forest:
+        return output_distribution(_load_forest(forest), budget=budget)
+    return _target_distribution(target, sigma)
 
 
-def _verify_containment(cfg: RunConfig):
-    _need(cfg, "k")
-    _, report = containment_set(_forest_or_target_law(cfg), cfg.k)
+def _verify_containment(
+    *, k: float, forest: str | None = None, target: str | None = None, sigma: int | None = None,
+    budget_states: int = DEFAULT_STATE_BUDGET,
+):
+    if not forest and not target:
+        raise UsageError("missing_argument", "containment needs --target")
+    _, report = containment_set(_forest_or_target_law(forest, target, sigma, budget_states), k)
     return report
 
 
-def _verify_mixture(cfg: RunConfig):
-    _need(cfg, "sigma")
-    if not cfg.forest and not cfg.target:
+def _verify_mixture(
+    *, sigma: int, forest: str | None = None, target: str | None = None, budget_states: int = DEFAULT_STATE_BUDGET
+):
+    if not forest and not target:
         raise UsageError("missing_argument", "mixture-bound needs --forest or --target")
-    return verify_mixture_bound(_forest_or_target_law(cfg), cfg.sigma)
+    return verify_mixture_bound(_forest_or_target_law(forest, target, sigma, budget_states), sigma)
 
 
-def _verify_chain(cfg: RunConfig):
-    _need(cfg, "forest", "buckets")
-    return verify_chain_bound(_load_forest(cfg), _load_buckets(cfg), budget=cfg.budget_states)
+def _verify_chain(*, forest: str, buckets: str, budget_states: int = DEFAULT_STATE_BUDGET):
+    return verify_chain_bound(_load_forest(forest), _load_buckets(buckets), budget=budget_states)
 
 
-def _verify_entropy_deviation(cfg: RunConfig):
-    _need(cfg, "cell")
-    return verify_entropy_deviation(_load_forest(cfg), (cfg.cell,), budget=cfg.budget_states)[0]
+def _verify_entropy_deviation(*, cell: int, forest: str, budget_states: int = DEFAULT_STATE_BUDGET):
+    return verify_entropy_deviation(_load_forest(forest), (cell,), budget=budget_states)[0]
 
 
-def _verify_second_moment(cfg: RunConfig):
-    return verify_second_moment_tail(_load_forest(cfg), budget=cfg.budget_states)
+def _verify_second_moment(*, forest: str, budget_states: int = DEFAULT_STATE_BUDGET):
+    return verify_second_moment_tail(_load_forest(forest), budget=budget_states)
 
 
-def _verify_avg_tail(cfg: RunConfig):
-    return verify_avg_to_tail_lipschitz(_load_forest(cfg), budget=cfg.budget_states)
+def _verify_avg_tail(*, forest: str, budget_states: int = DEFAULT_STATE_BUDGET):
+    return verify_avg_to_tail_lipschitz(_load_forest(forest), budget=budget_states)
 
 
-def _verify_restriction(cfg: RunConfig):
-    _need(cfg, "forest", "mu", "delta")
+def _verify_restriction(
+    *, forest: str, mu: float, delta: float, trials: int = _TRIALS, seed: int = 0,
+    budget_states: int = DEFAULT_STATE_BUDGET,
+):
     return verify_lipschitz_after_conditioning(
-        _load_forest(cfg),
-        cfg.mu,
-        cfg.delta,
-        trials=cfg.trials,
-        seed=cfg.seed,
-        budget=cfg.budget_states,
+        _load_forest(forest), mu, delta, trials=trials, seed=seed, budget=budget_states
     )
 
 
-def _verify_coupling(cfg: RunConfig):
-    return couple_accepting(_load_forest(cfg))
+def _verify_coupling(*, forest: str):
+    return couple_accepting(_load_forest(forest))
 
 
-def _verify_at_least_two(cfg: RunConfig):
-    _need(cfg, "q", "alpha")
-    return verify_at_least_two(_parse_floats(cfg.q), cfg.alpha)
+def _verify_at_least_two(*, q: str, alpha: float):
+    return verify_at_least_two(_parse_floats(q), alpha)
 
 
-def _verify_light_mass(cfg: RunConfig):
-    _need(cfg, "c", "target")
-    return verify_light_mass(_parse_floats(_read_text(cfg.target)), cfg.c)
+def _verify_light_mass(*, c: float, target: str):
+    return verify_light_mass(_parse_floats(_read_text(target)), c)
 
 
-def _verify_harper(cfg: RunConfig):
-    _need(cfg, "set_spec", "k")
-    return verify_harper(_load_outcome_set(cfg), (_integer_k(cfg),), budget=cfg.budget_states)[0]
+def _verify_harper(*, set_spec: str, k: float, budget_states: int = DEFAULT_STATE_BUDGET):
+    return verify_harper(_load_outcome_set(set_spec), (_integer_k(k),), budget=budget_states)[0]
 
 
-def _verify_ensemble(cfg: RunConfig):
-    _need(cfg, "target")
-    return collision_ensemble_report(
-        _load_ensemble(cfg.target), trials=cfg.trials, seed=cfg.seed
-    )
+def _verify_ensemble(*, target: str, trials: int = _TRIALS, seed: int = 0):
+    return collision_ensemble_report(_load_ensemble(target), trials=trials, seed=seed)
 
 
-def _verify_collision_tv(cfg: RunConfig):
-    return verify_collision_tv(_load_forest(cfg), budget=cfg.budget_states)
+def _verify_collision_tv(*, forest: str, budget_states: int = DEFAULT_STATE_BUDGET):
+    return verify_collision_tv(_load_forest(forest), budget=budget_states)
 
 
-def _verify_taylor(cfg: RunConfig):
+def _verify_taylor():
     return verify_taylor_bound()
 
 
-def _verify_sum_ratio(cfg: RunConfig):
-    _need(cfg, "target")
-    lines = [line for line in _read_text(cfg.target).splitlines() if line.strip()]
+def _verify_sum_ratio(*, target: str):
+    lines = [line for line in _read_text(target).splitlines() if line.strip()]
     if len(lines) != 2:
         raise UsageError("bad_file", "sum-ratio target must hold two lines of numbers")
     return verify_sum_ratio_bound(_parse_floats(lines[0]), _parse_floats(lines[1]))
@@ -631,14 +551,15 @@ _VERIFIERS = {
 }
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    return _publish(cfg, _VERIFIERS[cfg.lemma][0](cfg))
+def _cmd_verify(lemma: str, report, flags: dict) -> int:
+    """Print and log the report a verifier returned."""
+    return _publish(report, _source(flags), flags.get("ledger"), flags["fresh"])
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
+def _cmd_sweep(corpus_config: str | None = None, *, ledger: str | None = None, fresh: bool = False) -> int:
     names = tuple(corpus_mod.FAMILIES)
     overrides: dict = {}
-    if cfg.corpus_config:
+    if corpus_config:
 
         def plan(doc) -> tuple:
             doc = _json_object(doc)
@@ -662,12 +583,11 @@ def _cmd_sweep(cfg: RunConfig) -> int:
                         raise UsageError("bad_config", f"{what} must be at least {least}, got {value}")
             return names, overrides
 
-        names, overrides = _read_json(cfg.corpus_config, "bad_config", plan)
+        names, overrides = _read_json(corpus_config, "bad_config", plan)
         for name in names:
             if name not in corpus_mod.FAMILIES:
                 raise UsageError("unknown_family", f"no corpus family named {name!r}")
-    ledger_path = _ledger_path(cfg)
-    fresh = cfg.fresh
+    ledger_path = _ledger_path(ledger)
     totals: Counter = Counter()
     for family in names:
         rows = []
@@ -690,7 +610,7 @@ def _summary(name: str, counts: Counter) -> str:
     )
 
 
-# analyze and verify name the table whose entries declare their modes
+# analyze and verify name the table of their entries, each of which declares its modes
 _COMMANDS = {
     "gen-thorp": (_cmd_gen_thorp, _EXACT),
     "gen-random": (_cmd_gen_random, _EXACT),
@@ -710,30 +630,18 @@ _MODES = tuple(sorted({
 }))
 
 
-def _modes(cfg: RunConfig) -> tuple:
-    """The modes the command of `cfg` reads, default first."""
-    modes = _COMMANDS[cfg.command][1]
-    if isinstance(modes, dict):
-        name = _command_name(cfg)
-        if name not in modes:  # argparse checks the analysis, not the lemma
-            raise UsageError("unknown_lemma", f"no verifier named {name!r}")
-        modes = modes[name][1]
-    return modes
-
-
-def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
-    for name, annotation in _CONFIG_TYPES.items():
-        if name in _POSITIONAL:
-            continue
-        kind = annotation.split(" | ")[0]
-        if kind == "bool":
-            parser.add_argument(_flag(name), dest=name, action="store_const", const=True)
-            continue
-        flags = ("-o", _flag(name)) if name == "out" else (_flag(name),)
-        parser.add_argument(
-            *flags, dest=name, type={"int": int, "float": float}.get(kind),
-            choices=_MODES if name == "mode" else None,
-        )
+def _add_flags(parser: argparse.ArgumentParser, handler) -> None:
+    """--mode, then an argument per parameter of `handler`: a keyword parameter is a flag, any other a positional."""
+    parser.add_argument("--mode", choices=_MODES)
+    for name, param in inspect.signature(handler).parameters.items():
+        kind = param.annotation.split(" | ")[0]
+        if param.kind is not param.KEYWORD_ONLY:
+            parser.add_argument(name, nargs="?")
+        elif kind == "bool":
+            parser.add_argument(_flag(name), dest=name, action="store_true")
+        elif name != "mode":
+            flags = ("-o", _flag(name)) if name == "out" else (_flag(name),)
+            parser.add_argument(*flags, dest=name, type={"int": int, "float": float}.get(kind))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -742,27 +650,49 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decision forest generation, analysis, and bound verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        if name == "analyze":
-            p.add_argument("analysis", choices=sorted(_ANALYZERS))
-        elif name == "verify":
-            p.add_argument("lemma", metavar="lemma-id")
-        elif name == "sweep":
-            p.add_argument("corpus_config", nargs="?", default=None)
-        _add_shared_flags(p)
+    for command, (handler, modes) in _COMMANDS.items():
+        p = sub.add_parser(command)
+        if isinstance(modes, tuple):
+            _add_flags(p, handler)
+            continue
+        # one parser per analysis or lemma, whose report is logged
+        metavar = "lemma-id" if command == "verify" else "analysis"
+        entries = p.add_subparsers(dest="entry", required=True, metavar=metavar)
+        for name, (entry, _) in modes.items():
+            q = entries.add_parser(name)
+            _add_flags(q, entry)
+            q.add_argument("--ledger")
+            q.add_argument("--fresh", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    command, name = args.pop("command"), args.pop("entry", None)
+    run, modes = _COMMANDS[command]
+    handler, modes = (run, modes) if name is None else modes[name]
+    name = name or command
+    # an unset flag, or a file flag set to "", is absent
+    flags = {key: value for key, value in args.items() if value is not None and not (key in _PATHS and value == "")}
     try:
-        cfg = _build_config(args)
-        modes = _modes(cfg)
-        cfg.mode = cfg.mode or modes[0]
-        if cfg.mode not in modes:
-            raise UsageError("bad_mode", f"{_command_name(cfg)} takes mode {'/'.join(modes)}, not {cfg.mode!r}")
-        return _COMMANDS[cfg.command][0](cfg)
+        for key, value in flags.items():
+            if value != value:  # only NaN is unequal to itself
+                raise UsageError("bad_parameter", f"{_flag(key)} must be a number, got nan")
+        if flags.get("seed", 0) < 0:
+            raise UsageError("bad_seed", f"seed must be non-negative, got {flags['seed']}")
+        if flags.get("trials", 1) < 1:
+            raise UsageError("bad_trials", f"trials must be at least 1, got {flags['trials']}")
+        mode = flags.setdefault("mode", modes[0])
+        if mode not in modes:
+            raise UsageError("bad_mode", f"{name} takes mode {'/'.join(modes)}, not {mode!r}")
+        params = inspect.signature(handler).parameters
+        flags.update({key: param.default for key, param in params.items() if key not in flags})
+        missing = [_flag(key) for key in params if flags[key] is inspect.Parameter.empty]
+        if missing:
+            listed = ", ".join(missing[:-1]) + " and " + missing[-1] if len(missing) > 1 else missing[0]
+            raise UsageError("missing_argument", f"{name} needs {listed}")
+        outcome = handler(**{key: flags[key] for key in params})
+        return outcome if handler is run else run(name, outcome, flags)
     except (UsageError, BudgetError) as exc:
         print(f"error: {exc.reason}: {exc.message}", file=sys.stderr)
         return 2

@@ -480,7 +480,8 @@ def _probe_histograms(forest: DecisionForest, cells: tuple = (), drawn: list | N
 
     free lists the probed cells outside the sorted `cells`; by default row b of `drawn` holds (b // lam**j) % lam
     at cells[j], for every b.  A slab is some rows, each also fixing the leading free cells, times the cube of the
-    `_slab_axes` trailing ones, so only the drawn sub-cubes are walked.
+    `_slab_axes` trailing ones, so only the drawn sub-cubes are walked.  The walk collects each cell's blocks,
+    then one cell's slab of counts at a time is filled and binned.
     """
     lam, m = forest.input_space.alphabet, forest.output_space.cells
     free = [c for c in cube_order(forest) if c not in cells]
@@ -491,18 +492,22 @@ def _probe_histograms(forest: DecisionForest, cells: tuple = (), drawn: list | N
     rows = [tuple(fixed) + lead for fixed in drawn for lead in leads]
     column = {c: j for j, c in enumerate(tuple(cells) + tuple(free[inner:]))}
     rank = {c: r for r, c in enumerate(free)}
+    inner_rank = {c: rank[c] for c in free[:inner]}
     hist = np.zeros((len(drawn), len(free), m + 1), dtype=np.int64)
     step = max(1, CUBE_SLAB // lam**inner)
     for start in range(0, len(rows), step):
         slab = rows[start : start + step]
-        count = np.zeros((len(free), len(slab)) + (lam,) * inner, dtype=np.min_scalar_type(m))
+        blocks: list = [[] for _ in free]
         for tree in range(m):
-            for cell, _, index in _blocks(forest, tree, {c: rank[c] for c in free[:inner]}, slab, column):
+            for cell, _, index in _blocks(forest, tree, inner_rank, slab, column):
                 if cell in rank:
-                    count[rank[cell]][index] += 1
+                    blocks[rank[cell]].append(index)
         keys = ((start + np.arange(len(slab))) // len(leads) * (m + 1)).reshape((-1,) + (1,) * inner)
-        for r in range(len(free)):
-            hist[:, r] += np.bincount((keys + count[r]).reshape(-1), minlength=hist[:, r].size).reshape(-1, m + 1)
+        for r, indexes in enumerate(blocks):
+            count = np.zeros((len(slab),) + (lam,) * inner, dtype=np.min_scalar_type(m))
+            for index in indexes:
+                count[index] += 1
+            hist[:, r] += np.bincount((keys + count).reshape(-1), minlength=hist[:, r].size).reshape(-1, m + 1)
     return hist, free
 
 

@@ -1,5 +1,4 @@
 """Command-line behavior: exit codes, output formats, ledger plumbing."""
-import dataclasses
 import inspect
 import json
 import os
@@ -33,7 +32,7 @@ from forestlab import (
 import forestlab
 from forestlab import analysis, cli, corpus, harness, samplers
 from forestlab.analysis import hoeffding_halfwidth
-from forestlab.cli import _ANALYZERS, _COMMANDS, _MODES, _VERIFIERS, RunConfig, _build_config, build_parser, main
+from forestlab.cli import _ANALYZERS, _COMMANDS, _MODES, _VERIFIERS, build_parser, main
 from forestlab.forest import UsageError
 from forestlab.report import LEDGER_HEADER
 
@@ -118,8 +117,10 @@ def test_the_neighborhood_of_a_set_harper_rejects_is_the_set(tmp_path, capsys, d
 
 
 def test_verify_unknown_lemma_is_a_usage_error(capsys):
-    assert main(["verify", "sorcery"]) == 2
-    assert "unknown_lemma" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "sorcery"])
+    assert exit_info.value.code == 2
+    assert "argument lemma-id: invalid choice: 'sorcery'" in capsys.readouterr().err
 
 
 def test_couple_exact_reports_and_fails_under_a_tiny_calibration(tmp_path, capsys, monkeypatch):
@@ -136,7 +137,7 @@ def test_couple_exact_reports_and_fails_under_a_tiny_calibration(tmp_path, capsy
 
 def test_couple_sample_mode_emits_one_sample(tmp_path, capsys):
     forest_path = write_gate_forest(tmp_path)
-    rc = main(["couple", "--forest", forest_path, "--mode", "sample", "--trials", "1", "--seed", "6"])
+    rc = main(["couple", "--forest", forest_path, "--mode", "sample", "--seed", "6"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["y"] == [1]
@@ -452,7 +453,7 @@ def test_analyze_entropy_and_lipschitz_smoke(tmp_path, capsys):
         probs[key] = probs.get(key, 0.0) + 1 / 500
     plug_in = Distribution(probs, 4)
     for quantity, expected in (("entropy", entropy(plug_in)), ("tv", tv_distance(plug_in, uniform_perm_distribution(4)))):
-        sampled = ["--mode", "monte_carlo", "--trials", "500", "--seed", "9", "--target", "uniform-perm"]
+        sampled = ["--mode", "monte_carlo", "--trials", "500", "--seed", "9"] + (["--target", "uniform-perm"] if quantity == "tv" else [])
         assert main(["analyze", quantity, "--forest", str(forest_path)] + sampled) == 0
         assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(expected, abs=1e-12)
     rc = main(
@@ -595,7 +596,7 @@ MALFORMED_FILES = [
     _case(41, ["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "trees": [{"query": 0, "children": [{"leaf": 0.9}, {"leaf": 1}]}]}), "bad_file"),
     _case(42, ["verify", "chain-bound", "--forest", "GATE", "--buckets"], json.dumps([[0.5]]), "bad_file"),
     _case(43, ["verify", "chain-bound", "--forest", "GATE", "--buckets"], json.dumps({"buckets": [[False]]}), "bad_file"),
-    _case(44, ["verify", "entropy-deviation", "--k", "0", "--forest"], json.dumps(GATE_FOREST), "missing_argument"),
+    _case(44, ["verify", "entropy-deviation", "--forest"], json.dumps(GATE_FOREST), "missing_argument"),
     _case(45, ["sweep"], json.dumps({"families": ["harper"], "overrides": {"harper": {"seed": "1"}}}), "bad_config"),
     _case(46, ["verify", "harper", "--k", "1.5", "--set"], json.dumps({"arity": 2, "alphabet": 2, "members": [[0, 1]]}), "bad_parameter"),
     _case(47, ["analyze", "neighborhood", "--k", "0.5", "--set"], json.dumps({"arity": 1, "alphabet": 2, "members": [[0]]}), "bad_parameter"),
@@ -604,7 +605,7 @@ MALFORMED_FILES = [
     _case(50, ["eval", "--input", "0", "--forest"], json.dumps({**GATE_FOREST, "bot_allowed": "false"}), "bad_file"),
     _case(51, ["verify", "collision-tv", "--mode", "monte_carlo", "--forest"], json.dumps(SWAP_FOREST), "bad_mode"),
     _case(52, ["analyze", "neighborhood", "--k", "1", "--mode", "monte_carlo", "--set"], json.dumps({"arity": 1, "alphabet": 2, "members": [[0]]}), "bad_mode"),
-    _case(53, ["couple", "--mode", "auto", "--trials", "1", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
+    _case(53, ["couple", "--mode", "auto", "--forest"], json.dumps(GATE_FOREST), "bad_mode"),
     _case(54, ["gen-thorp", "--log2n", "1", "--rounds", "1", "--mode", "monte_carlo", "-o"], None, "bad_mode"),
     _case(55, ["verify", "taylor-bound", "--mode", "monte_carlo", "--ledger"], None, "bad_mode"),
     _case(56, ["verify", "ensemble-collision", "--mode", "exact", "--trials", "100", "--target"], json.dumps({"rows": [[0.5, 0.5]] * 30}), "bad_mode"),
@@ -837,29 +838,95 @@ def test_only_a_sampled_mean_of_bounded_events_carries_a_half_width(tmp_path, ca
     assert json.loads(capsys.readouterr().out)["ci_halfwidth"] == hoeffding_halfwidth(400)
 
 
-# Every RunConfig field past the positionals is a flag of every subcommand, and
-# the flag sets that field of the run's config.  Per annotation: a flag value as
-# typed and as parsed.
-FIELD_VALUES = {"int": ("4", 4), "float": ("0.25", 0.25), "str": ("b", "b"), "bool": (None, True)}
-COMMAND_ARGS = {"analyze": ["analyze", "tv"], "verify": ["verify", "taylor-bound"]}
+# the commands that log a report, and take --ledger and --fresh for it
+LOGGED = ("couple", "dichotomy", "analyze", "verify")
+
+
+def flag_of(name: str) -> str:
+    return "--" + {"lam": "lambda", "set_spec": "set"}.get(name, name).replace("_", "-")
 
 
 def subcommand_parsers():
     return [action for action in build_parser()._actions if action.dest == "command"][0].choices
 
 
+def handler_parsers():
+    """(argv that selects the parser, parser, handler) for each command, analysis and lemma."""
+    parsers, found = subcommand_parsers(), []
+    for command, (handler, table) in _COMMANDS.items():
+        if isinstance(table, tuple):
+            found.append(([command], parsers[command], handler))
+            continue
+        entries = [action for action in parsers[command]._actions if action.dest == "entry"][0].choices
+        found += [([command, name], entries[name], entry) for name, (entry, _) in table.items()]
+    return found
+
+
+def option_strings(parser) -> set:
+    return {option for action in parser._actions for option in action.option_strings if option.startswith("--")}
+
+
+@pytest.mark.parametrize("argv, parser, handler", [pytest.param(*entry, id=" ".join(entry[0])) for entry in handler_parsers()])
+def test_each_parser_takes_exactly_its_handlers_parameters_as_flags(argv, parser, handler):
+    params = inspect.signature(handler).parameters.values()
+    expected = {flag_of(p.name) for p in params if p.kind is p.KEYWORD_ONLY} | {"--mode"}
+    assert option_strings(parser) - {"--help"} == expected | ({"--ledger", "--fresh"} if argv[0] in LOGGED else set())
+
+
+# the inputs every subcommand took before each took only its own flags
+FORMER_SHARED_INPUTS = [
+    "alpha", "betas", "buckets", "budget_set", "budget_states", "c", "cell", "cells", "count", "delta", "depth", "eps",
+    "forest", "fresh", "input", "k", "lam", "ledger", "log2n", "m", "mode", "mu", "out", "q", "rounds", "s", "seed",
+    "set_spec", "sigma", "target", "threshold", "trials",
+]
+
+
+@pytest.mark.parametrize("name", FORMER_SHARED_INPUTS)
+def test_each_run_config_field_is_a_flag_and_a_config_key(name):
+    """Each former input is still a flag of some parser, and on each such parser sets the handler keyword `name`."""
+    flag = flag_of(name)
+    takers = [(argv, parser) for argv, parser, _ in handler_parsers() if flag in option_strings(parser)]
+    assert takers
+    for argv, parser in takers:
+        action = next(action for action in parser._actions if flag in action.option_strings)
+        if action.nargs == 0:
+            tail, value = [flag], True
+        else:
+            text = "sample" if name == "mode" else {int: "4", float: "0.25", None: "b"}[action.type]
+            tail, value = [flag, text], (action.type or str)(text)
+        assert getattr(build_parser().parse_args(argv + tail), name) == value, argv
+
+
+def test_there_are_29_parsers_with_178_flags_in_all():
+    parsers = handler_parsers()
+    assert len(parsers) == 29
+    assert sum(len(option_strings(parser) - {"--help"}) for _, parser, _ in parsers) == 178
+
+
 @pytest.mark.parametrize(
-    "field", [f for f in dataclasses.fields(RunConfig) if f.name not in cli._POSITIONAL], ids=lambda f: f.name
+    "argv, flag",
+    [
+        (["sweep", "--seed", "5", "--trials", "7"], "--seed"),  # the sweep reads 5 as its corpus config
+        (["eval", "--forest", "GATE", "--input", "0", "--mu", "3"], "--mu 3"),
+        (["verify", "ensemble-collision", "--target", "GATE", "--budget-states", "4"], "--budget-states 4"),
+        (["analyze", "entropy", "--forest", "GATE", "--target", "uniform-perm"], "--target uniform-perm"),
+    ],
 )
-def test_each_run_config_field_is_a_flag_and_a_config_key(field):
-    flag = "--" + {"lam": "lambda", "set_spec": "set"}.get(field.name, field.name).replace("_", "-")
-    flag_text, flag_value = ("sample", "sample") if field.name == "mode" else FIELD_VALUES[field.type.split(" | ")[0]]
-    parser = build_parser()
-    commands = subcommand_parsers()
-    assert len(commands) == 10
-    for command in commands:
-        argv = COMMAND_ARGS.get(command, [command]) + ([flag] if flag_text is None else [flag, flag_text])
-        assert getattr(_build_config(parser.parse_args(argv)), field.name) == flag_value
+def test_a_flag_the_command_does_not_read_is_unrecognized(tmp_path, capsys, isolated_ledger, argv, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        main([write_gate_forest(tmp_path) if a == "GATE" else a for a in argv])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {flag}" in err
+    assert not isolated_ledger.exists()
+
+
+def test_a_lemmas_help_lists_only_its_flags(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "at-least-two", "--help"])
+    assert exit_info.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
+    assert listed == {"--help", "--mode", "--q", "--alpha", "--ledger", "--fresh"}
 
 
 def test_config_is_not_a_flag(tmp_path, capsys):
@@ -872,10 +939,7 @@ def test_config_is_not_a_flag(tmp_path, capsys):
 def test_the_readme_names_every_flag_and_no_other():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
-    flags = {
-        option for parser in subcommand_parsers().values() for action in parser._actions
-        for option in action.option_strings if option.startswith("--")
-    }
+    flags = set().union(*(option_strings(parser) for _, parser, _ in handler_parsers()))
     assert named == flags - {"--help"}
 
 
@@ -894,3 +958,94 @@ def test_module_entry_point_runs_in_a_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("pass taylor-bound")
+
+
+def test_exact_cond_entropy_is_the_library_value(tmp_path, capsys, isolated_ledger):
+    forest_path = tmp_path / "f.json"
+    main(["gen-thorp", "--log2n", "2", "--rounds", "2", "-o", str(forest_path)])
+    capsys.readouterr()
+    assert main(["analyze", "cond-entropy", "--forest", str(forest_path), "--cells", "0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    expected = analysis.conditional_entropy_detail(thorp_forest(ThorpSpec(2, 2)), [0]).value
+    assert (payload["quantity"], payload["mode"], payload["value"], payload["trials"]) == ("cond-entropy", "exact", expected, None)
+    assert strip_timestamps(ledger_lines(isolated_ledger)) == [f"analyze-cond-entropy,f,,{expected:.12g},pass,,"]
+
+
+def test_analyze_tv_against_a_dump_file(tmp_path, capsys):
+    forest_path = tmp_path / "swap.json"
+    forest_path.write_text(json.dumps(SWAP_FOREST))
+    dump = tmp_path / "law.txt"
+    dump.write_text("0,1\t1.0\n")
+    assert main(["analyze", "tv", "--forest", str(forest_path), "--target", str(dump)]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 0.5
+
+
+def test_analyze_collision_of_an_ensemble_and_of_nothing(tmp_path, capsys, isolated_ledger):
+    ensemble = tmp_path / "ensemble.json"
+    ensemble.write_text(json.dumps({"rows": [[0.5, 0.5], [0.25, 0.75]]}))
+    expected = analysis.collision_probability(analysis.IndependentEnsemble([[0.5, 0.5], [0.25, 0.75]]), mode="exact")
+    assert main(["analyze", "collision", "--target", str(ensemble)]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == expected
+    assert main(["analyze", "collision"]) == 2
+    assert capsys.readouterr().err == "error: missing_argument: collision needs --forest or --target\n"
+    assert strip_timestamps(ledger_lines(isolated_ledger)) == [f"analyze-collision,ensemble,,{expected:.12g},pass,,"]
+
+
+def test_depth_reduce_writes_the_pruned_forest(tmp_path, capsys):
+    forest_path, pruned = tmp_path / "f.json", tmp_path / "pruned.json"
+    main(["gen-thorp", "--log2n", "3", "--rounds", "3", "-o", str(forest_path)])
+    capsys.readouterr()
+    assert main(["depth-reduce", "--forest", str(forest_path), "--alpha", "0.5", "--seed", "2", "-o", str(pruned)]) == 0
+    assert json.loads(capsys.readouterr().out)["selected_cells"] == [10, 11]
+    step = harness.depth_reduction_step(thorp_forest(ThorpSpec(3, 3)), 0.5, 2)
+    assert pruned.read_text() == dumps_forest(step.pruned)
+    assert step.pruned.output_space.bot_allowed
+
+
+def test_dichotomy_without_buckets_names_both_ways_to_give_them(tmp_path, capsys, isolated_ledger):
+    argv = ["dichotomy", "--forest", write_gate_forest(tmp_path), "--threshold", "0"]
+    for extra in ([], ["--log2n", "3"]):
+        assert main(argv + extra) == 2
+        assert capsys.readouterr() == ("", "error: missing_argument: dichotomy needs --buckets (or --log2n with --rounds)\n")
+    assert not isolated_ledger.exists()
+
+
+def test_mixture_bound_without_a_forest_or_a_target(capsys, isolated_ledger):
+    assert main(["verify", "mixture-bound", "--sigma", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: missing_argument: mixture-bound needs --forest or --target\n")
+    assert not isolated_ledger.exists()
+
+
+@pytest.mark.parametrize("text", ["1 2 3\n", "1 2\n3 4\n5 6\n", "\n"])
+def test_a_sum_ratio_target_must_hold_two_lines(tmp_path, capsys, text):
+    target = tmp_path / "sums.txt"
+    target.write_text(text)
+    assert main(["verify", "sum-ratio", "--target", str(target)]) == 2
+    assert capsys.readouterr().err == "error: bad_file: sum-ratio target must hold two lines of numbers\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "--forest", "GATE", "--input", "0,x"], "cannot parse symbols from '0,x'"),
+        (["verify", "at-least-two", "--q", "0.1,abc", "--alpha", "0.1"], "cannot parse numbers from '0.1,abc'"),
+    ],
+    ids=["eval-input", "at-least-two-q"],
+)
+def test_unparsable_inputs_are_bad_input(tmp_path, capsys, isolated_ledger, argv, message):
+    assert main([write_gate_forest(tmp_path) if a == "GATE" else a for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: bad_input: {message}\n")
+    assert not isolated_ledger.exists()
+
+
+def test_a_conditioning_precondition_that_fails_is_reported_and_exits_zero(tmp_path, capsys, isolated_ledger):
+    twice = {**GATE_FOREST, "input_arity": 2, "trees": GATE_FOREST["trees"] * 2}  # both trees probe cell 0
+    forest_path = tmp_path / "twice.json"
+    forest_path.write_text(json.dumps(twice))
+    argv = ["verify", "lipschitz-restriction", "--forest", str(forest_path), "--mu", "1", "--delta", "0.1", "--trials", "10"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == ("precondition_violation lipschitz-restriction measured=0.4 bound=0.830927550675 trials=10 seed=0\n", "")
+    assert strip_timestamps(ledger_lines(isolated_ledger)) == [
+        "lipschitz-restriction,twice,0.830927550675,0.4,precondition_violation,10,0"
+    ]

@@ -591,6 +591,18 @@ def test_the_round6_shuffle_law_stays_under_80_mib():
     assert peak < 80 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_the_round6_shuffle_probe_histogram_stays_under_20_mib():
+    f = thorp_forest(ThorpSpec(3, 6))
+    tracemalloc.start()
+    try:
+        hist, order = _probe_histograms(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (hist[0, :, 2] == 1 << 24).all() and order == list(range(24))
+    assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_exact_collision_shares_match_pointwise_counts():
     wide = wide_output_forest()
     assert packed_outputs_on_cube(wide) is None

@@ -56,6 +56,7 @@ from forestlab import (
     verify_sum_ratio_bound,
     verify_taylor_bound,
 )
+import forestlab
 from forestlab.cli import _report_exit
 from forestlab import harness
 from forestlab import analysis
@@ -489,9 +490,13 @@ def test_conditioning_a_tail_free_forest_never_fails():
 def test_conditioning_precondition_is_checked_exactly():
     trees = tuple(DecisionTree(Internal(0, (Leaf(0), Leaf(1)))) for _ in range(2))
     f = DecisionForest(InputSpace(2, 2), OutputSpace(2, 2), trees)
-    with pytest.raises(UsageError) as err:
-        verify_lipschitz_after_conditioning(f, mu=1.0, delta=0.1, trials=10, seed=0)
-    assert err.value.reason == "precondition"
+    report = verify_lipschitz_after_conditioning(f, mu=1.0, delta=0.1, trials=10, seed=0)
+    assert (report.status, report.csv_status, report.details["base_tail"]) == ("precondition_violation",) * 2 + (1.0,)
+    assert _report_exit(report) == 0
+    # the draws still run: fixing the unprobed cell 1 keeps the base tail 1 > sqrt(0.1), fixing cell 0 leaves no probe
+    fixed = [random.Random(derive_seed(0, t)).sample(range(2), 1) for t in range(10)]
+    assert report.details["failures"] == fixed.count([1]) == 4
+    assert verify_lipschitz_after_conditioning(f, mu=1.0, delta=1.0, trials=10, seed=0).status == "ok"
 
 
 def test_sliced_conditioning_counts_every_draw_like_a_restrict_loop():
@@ -1181,3 +1186,59 @@ def test_dichotomy_rejects_mismatched_bucket_structures():
     with pytest.raises(UsageError) as err:
         bucketed_dichotomy_experiment(f, BucketStructure(((1,), (0,))), 1.0)
     assert err.value.reason == "not_bucketed"
+
+
+def _gate_forest(bot_allowed: bool = False) -> DecisionForest:
+    return DecisionForest(InputSpace(1, 2), OutputSpace(1, 2, bot_allowed), (DecisionTree(Internal(0, (Leaf(0), Leaf(1)))),))
+
+
+def _pair_law() -> Distribution:
+    return Distribution({(0, 1): 0.5, (1, 0): 0.5}, 2)
+
+
+# (call, reason) for each library guard, named by the guard it reaches
+LIBRARY_GUARDS = [
+    pytest.param(lambda: InputSpace(0, 2), "bad_space", id="input-cells"),
+    pytest.param(lambda: InputSpace(2, 1), "bad_space", id="input-alphabet"),
+    pytest.param(lambda: OutputSpace(0, 2), "bad_space", id="output-cells"),
+    pytest.param(lambda: OutputSpace(1, 0), "bad_space", id="output-alphabet"),
+    pytest.param(lambda: Internal(0, ()), "bad_tree", id="childless-internal"),
+    pytest.param(lambda: DecisionForest(InputSpace(1, 2), OutputSpace(1, 2), (DecisionTree("leaf"),)), "bad_tree", id="unknown-node"),
+    pytest.param(lambda: BucketStructure(((0, 1), (1,))), "bad_buckets", id="overlapping-buckets"),
+    pytest.param(lambda: BucketStructure(((0,), (2,))), "bad_buckets", id="buckets-not-a-partition"),
+    pytest.param(lambda: BucketStructure(()), "bad_buckets", id="no-buckets"),
+    pytest.param(lambda: forestlab.query_profile(_gate_forest(), 1.0, mode="sample"), "bad_mode", id="profile-mode"),
+    pytest.param(
+        lambda: forest_from_json({**forest_to_json(_gate_forest()), "trees": [{"leaf": None}]}), "bad_leaf", id="blank-leaf-without-blanks"
+    ),
+    pytest.param(lambda: OutcomeSet(frozenset({(0,)}), 2, 2), "bad_outcome", id="member-arity"),
+    pytest.param(lambda: OutcomeSet(frozenset({(0, 2)}), 2, 2), "bad_outcome", id="member-symbol"),
+    pytest.param(lambda: IndependentEnsemble([0.5, 0.5]), "bad_ensemble", id="ensemble-one-row"),
+    pytest.param(lambda: IndependentEnsemble([[1.0]]), "bad_ensemble", id="ensemble-no-blank-column"),
+    pytest.param(lambda: collision_probability("law"), "bad_source", id="collision-source"),
+    pytest.param(lambda: cube_distances_to_set(OutcomeSet(frozenset(), 2, 2)), "empty_set", id="distances-to-nothing"),
+    pytest.param(lambda: analysis.parse_distribution("\n \n"), "empty_distribution", id="empty-dump"),
+    pytest.param(lambda: containment_set(_pair_law(), -1.0), "bad_parameter", id="containment-negative-k"),
+    pytest.param(lambda: verify_mixture_bound(_pair_law(), 0), "bad_parameter", id="mixture-sigma"),
+    pytest.param(lambda: verify_second_moment_tail(_gate_forest(bot_allowed=True)), "bad_leaf", id="second-moment-blanks"),
+    pytest.param(lambda: verify_lipschitz_after_conditioning(_gate_forest(), 1.0, 1.5, trials=10), "bad_parameter", id="conditioning-delta-above-1"),
+    pytest.param(lambda: verify_lipschitz_after_conditioning(_gate_forest(), 1.0, -0.1, trials=10), "bad_parameter", id="conditioning-delta-below-0"),
+    pytest.param(
+        lambda: ForestGenSpec(cells=2, alphabet=2, out_cells=1, out_alphabet=2, depth=3, seed=0, buckets=BucketStructure(((0,), (1,)))),
+        "unsatisfiable",
+        id="spec-depth-past-buckets",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, reason", LIBRARY_GUARDS)
+def test_each_library_guard_stops_with_its_reason(call, reason):
+    with pytest.raises(UsageError) as err:
+        call()
+    assert err.value.reason == reason
+
+
+def test_check_lipschitz_names_the_worst_tail_when_only_the_tail_fails():
+    profile = forestlab.QueryProfile(expected=(1.0, 0.5, 1.0), tail=(0.1, 0.4, 0.2), mu=1.0, mode="exact")
+    report = forestlab.check_lipschitz(profile, 0.25)
+    assert (report.average_ok, report.tail_ok, report.worst_cell, report.delta) == (True, False, 1, 0.25)
