@@ -102,7 +102,9 @@ class Distribution:
     @property
     def probs(self) -> dict:
         """The law as a dict from outcome tuples to probabilities, rebuilt on every read."""
-        return dict(zip(map(tuple, self.rows.tolist()), (self.weights / self.total).tolist()))
+        # tuples built column-wise, about twice as fast as one tuple per row list; no column means empty tuples
+        outcomes = zip(*self.rows.T.tolist()) if self.arity else [()] * len(self.rows)
+        return dict(zip(outcomes, (self.weights / self.total).tolist()))
 
 
 @dataclass(frozen=True)
@@ -170,10 +172,14 @@ def _cube_law(forest: DecisionForest, budget: int, cells: tuple = ()) -> tuple:
 
     The cube spans the probed cells and `cells`, which come sorted; b encodes
     symbol (b // alphabet**rank) % alphabet for the cell at position rank.
-    Rows come in (b, row) order, decoded from the keys b * (sigma+1)**m +
-    packed outputs, or from the output matrix led by b when keys overflow int64.
-    The cube is walked in slabs of `_slab_axes` trailing axes, each at one
-    symbol of the leading ones, so memory is one slab plus the distinct rows.
+    Rows come in (b, row) order, in the tree tables' dtype (uint8 up to 254
+    output symbols plus blank, else int32), decoded block by block from
+    the keys b * (sigma+1)**m + packed outputs, or from the output matrix led
+    by b when keys overflow int64.  The cube is walked in slabs of
+    `_slab_axes` trailing axes, each at one symbol of the leading ones, and
+    the slabs' sorted parts are merged like the digits of a binary counter.
+    So each row is merged O(log slabs) times, and memory is one slab plus at
+    most log2(slabs) + 1 parts of at most the distinct rows each.
     """
     order = cube_order(forest, cells)
     lam, k = forest.input_space.alphabet, len(order)
@@ -195,8 +201,8 @@ def _cube_law(forest: DecisionForest, budget: int, cells: tuple = ()) -> tuple:
         slab = np.empty((lam,) * inner + (m + 1,), dtype=np.result_type(group.dtype, dtype))
     else:
         slab = np.empty((lam,) * inner, dtype=np.int64 if lam ** len(cells) * span >= 1 << 31 else np.int32)
-    parts, merged, waiting = [], 0, 0
-    for lead in itertools.product(range(lam), repeat=k - inner):
+    parts = []
+    for done, lead in enumerate(itertools.product(range(lam), repeat=k - inner), 1):
         # restriction as indexing: each table at the slab's symbols, or at 0 on axes it spans once
         cut = [table[tuple(v if n > 1 else 0 for v, n in zip(lead, table.shape))] for table in tables] if lead else tables
         if wide:
@@ -212,25 +218,48 @@ def _cube_law(forest: DecisionForest, budget: int, cells: tuple = ()) -> tuple:
             keys.sort()
             edges = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
             parts.append((keys[edges[:-1]], edges[1:] - edges[:-1]))
-        waiting += len(parts[-1][0])
-        if waiting >= max(lam**inner, merged):  # so each row is merged O(log) times
-            parts = [_merge(parts)]
-            merged, waiting = len(parts[0][0]), 0
-    keys, counts = _merge(parts) if len(parts) > 1 else parts[0]
-    if wide:
-        return keys[:, 1:], counts, keys[:, 0].astype(np.int64)
-    rows = keys[:, None] // base ** np.arange(m - 1, -1, -1, dtype=np.int64) % base
+        while done % 2 == 0:  # one carry per trailing zero bit of the slab count: the last two parts merge
+            parts[-2:] = [_merge(parts[-2:])]
+            done //= 2
+    keys, counts = _merge(parts)
+    if wide:  # past 256 groups b widened the matrix, and the rows go back to the outputs' type
+        return keys[:, 1:].astype(dtype, copy=False), counts, keys[:, 0].astype(np.int64)
+    rows = np.empty((len(keys), m), dtype=dtype)
+    powers = base ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    step = (1 << 17) // m  # rows per block, so each int64 digit temporary takes at most 1 MiB; m < 63 here
+    for start in range(0, len(keys), step):
+        rows[start : start + step] = keys[start : start + step, None] // powers % base
     # calloc'd zeros stay untouched; a computed b raised the shuffle's peak RSS by about 1 MiB
     return rows, counts, (keys // span).astype(np.int64) if cells else np.zeros(len(keys), dtype=np.int64)
 
 
 def _merge(parts: list) -> tuple:
-    """Distinct keys (or rows) of the (keys, counts) parts, sorted, with their summed int64 counts."""
-    keys = np.concatenate([p[0] for p in parts])
-    keys, inverse = np.unique(keys, axis=0 if keys.ndim > 1 else None, return_inverse=True)
-    counts = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(counts, inverse.reshape(-1), np.concatenate([p[1] for p in parts]))
-    return keys, counts
+    """The distinct keys (or rows) of the (keys, int64 counts) parts, each sorted and distinct, with summed counts.
+
+    The parts are left unchanged, and one part comes back as it is.  Keys
+    merge in pairs, neighbours first, so each is merged O(log parts) times:
+    np.searchsorted finds where each key of one part sits in the other, its
+    count is added where the key is present and np.insert adds it where not.
+    Rows, the 2-d keys of a law whose packed keys would overflow int64, go
+    through one np.unique over all parts.
+    """
+    if len(parts) > 1 and parts[0][0].ndim > 1:
+        keys, inverse = np.unique(np.concatenate([p[0] for p in parts]), axis=0, return_inverse=True)
+        counts = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(counts, inverse.reshape(-1), np.concatenate([p[1] for p in parts]))
+        return keys, counts
+    while len(parts) > 1:
+        merged = []
+        for (keys, counts), (new, more) in zip(parts[::2], parts[1::2]):
+            at = np.searchsorted(keys, new)
+            present = at < len(keys)
+            present[present] = keys[at[present]] == new[present]
+            counts = counts.copy()
+            counts[at[present]] += more[present]
+            absent = ~present
+            merged.append((np.insert(keys, at[absent], new[absent]), np.insert(counts, at[absent], more[absent])))
+        parts = merged + parts[len(merged) * 2 :]
+    return parts[0]
 
 
 def output_distribution(

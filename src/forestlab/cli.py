@@ -654,6 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command)
         if isinstance(modes, tuple):
             _add_flags(p, handler)
+            p.set_defaults(parser=p)
             continue
         # one parser per analysis or lemma, whose report is logged
         metavar = "lemma-id" if command == "verify" else "analysis"
@@ -663,12 +664,16 @@ def build_parser() -> argparse.ArgumentParser:
             _add_flags(q, entry)
             q.add_argument("--ledger")
             q.add_argument("--fresh", action="store_true")
+            q.set_defaults(parser=q)
     return parser
 
 
 def main(argv=None) -> int:
-    args = vars(build_parser().parse_args(argv))
-    command, name = args.pop("command"), args.pop("entry", None)
+    args, extra = build_parser().parse_known_args(argv)
+    args = vars(args)
+    if extra:  # from the parser of the command, analysis or lemma, so its usage line is the one shown
+        args["parser"].error(f"unrecognized arguments: {' '.join(extra)}")
+    command, name, _ = args.pop("command"), args.pop("entry", None), args.pop("parser")
     run, modes = _COMMANDS[command]
     handler, modes = (run, modes) if name is None else modes[name]
     name = name or command

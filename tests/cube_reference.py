@@ -3,7 +3,8 @@
 `analysis._cube_law` and `forest._probe_histograms` walk the cube in slabs;
 these build the full output matrix, the full packed-key vector, the law from
 them and the points x cells probe-count table in one step, so tests can check
-the slab walks against them.
+the slab walks against them.  `merge_parts` merges slab parts in one
+np.unique, as a reference for the pairwise merge of `analysis._merge`.
 """
 from __future__ import annotations
 
@@ -92,10 +93,19 @@ def whole_cube_law(forest: DecisionForest, budget: int = DEFAULT_STATE_BUDGET, c
         lead = np.asarray(group).astype(np.min_scalar_type(lam ** len(cells) - 1))
         lead = np.broadcast_to(lead, (lam,) * k).reshape(-1, 1)
         table, counts = np.unique(np.hstack([lead, table]), axis=0, return_counts=True)
-        return table[:, 1:], counts, table[:, 0].astype(np.int64)
+        return table[:, 1:].astype(np.uint8 if base <= 255 else np.int32), counts, table[:, 0].astype(np.int64)
     keys, counts = np.unique(group * span + packed.reshape((lam,) * k) if cells else packed, return_counts=True)
     rows = keys[:, None] // base ** np.arange(m - 1, -1, -1, dtype=np.int64) % base
-    return rows, counts, keys // span if cells else np.zeros(len(keys), dtype=np.int64)
+    return rows.astype(np.uint8 if base <= 255 else np.int32), counts, keys // span if cells else np.zeros(len(keys), dtype=np.int64)
+
+
+def merge_parts(parts: list) -> tuple:
+    """`analysis._merge` as one np.unique over all parts' keys (or rows), their counts summed by np.add.at."""
+    keys = np.concatenate([p[0] for p in parts])
+    keys, inverse = np.unique(keys, axis=0 if keys.ndim > 1 else None, return_inverse=True)
+    counts = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(counts, inverse.reshape(-1), np.concatenate([p[1] for p in parts]))
+    return keys, counts
 
 
 def query_counts_on_cube(forest: DecisionForest, cells: tuple = (), budget: int = DEFAULT_STATE_BUDGET) -> tuple:

@@ -910,6 +910,7 @@ def test_there_are_29_parsers_with_178_flags_in_all():
         (["eval", "--forest", "GATE", "--input", "0", "--mu", "3"], "--mu 3"),
         (["verify", "ensemble-collision", "--target", "GATE", "--budget-states", "4"], "--budget-states 4"),
         (["analyze", "entropy", "--forest", "GATE", "--target", "uniform-perm"], "--target uniform-perm"),
+        (["verify", "at-least-two", "--q", "0.1", "--alpha", "0.1", "--mu", "3"], "--mu 3"),
     ],
 )
 def test_a_flag_the_command_does_not_read_is_unrecognized(tmp_path, capsys, isolated_ledger, argv, flag):
@@ -918,6 +919,9 @@ def test_a_flag_the_command_does_not_read_is_unrecognized(tmp_path, capsys, isol
     assert exit_info.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and f"unrecognized arguments: {flag}" in err
+    # the usage and the error come from the parser of the command, analysis or lemma
+    leaf = " ".join(argv[:2] if argv[0] in ("analyze", "verify") else argv[:1])
+    assert err.startswith(f"usage: forestlab {leaf} [-h]") and f"\nforestlab {leaf}: error: " in err
     assert not isolated_ledger.exists()
 
 

@@ -55,6 +55,7 @@ from forestlab.samplers import ThorpSpec, thorp_forest, uniform_perm_distributio
 
 from cube_reference import (
     eval_forest_on_cube,
+    merge_parts,
     packed_outputs_on_cube,
     query_counts_on_cube,
     restricted_tails,
@@ -525,6 +526,20 @@ def test_slab_walk_matches_the_whole_cube_law(monkeypatch):
             assert _same_law(analysis._cube_law(f, 1 << 26, cells), whole_cube_law(f, 1 << 26, cells)), (rounds, cells)
 
 
+def test_every_law_keeps_its_rows_in_the_output_type():
+    # 16 trees of 16 symbols pack past int64, so these laws come from the output matrix; 9 cells make 512 groups
+    wide = DecisionForest(
+        InputSpace(9, 2), OutputSpace(16, 16), tuple(DecisionTree(Internal(i % 9, (Leaf(0), Leaf(1)))) for i in range(16))
+    )
+    many = DecisionForest(InputSpace(2, 2), OutputSpace(2, 300), (DecisionTree(Internal(0, (Leaf(0), Leaf(299)))),) * 2)
+    shuffle = thorp_forest(ThorpSpec(3, 2))
+    for f, want in [(shuffle, np.uint8), (wide, np.uint8), (many, np.int32)]:
+        for cells in [(), tuple(range(f.input_space.cells))]:
+            assert analysis._cube_law(f, 1 << 26, cells)[0].dtype == want, (f.output_space, cells)
+        assert output_distribution(f).rows.dtype == sample_forest_outputs(f, 4, 0).dtype == want
+    assert uniform_perm_distribution(8).rows.dtype == np.uint8
+
+
 def test_probe_histograms_match_the_whole_table_slab_by_slab(monkeypatch):
     slabs = []
     slab_axes = forest_module._slab_axes
@@ -579,7 +594,45 @@ def test_every_shuffle_coin_is_probed_by_exactly_two_trees():
             assert (_cell_tails(hist, order, len(order), mu) == tail).all(), (rounds, mu)
 
 
-def test_the_round6_shuffle_law_stays_under_80_mib():
+def _sorted_part(rng, keys) -> tuple:
+    keys = np.unique(np.asarray(keys, dtype=np.int32))
+    return keys, rng.integers(1, 50, size=len(keys)).astype(np.int64)
+
+
+def test_merge_matches_one_unique_over_all_parts():
+    rng = np.random.default_rng(17)
+    evens, odds = _sorted_part(rng, range(0, 40, 2)), _sorted_part(rng, range(1, 40, 2))
+    cases = {
+        "single": [evens],
+        "disjoint": [_sorted_part(rng, range(0, 10)), _sorted_part(rng, range(10, 30)), _sorted_part(rng, [-5, 99])],
+        "identical": [evens] * 4,
+        "interleaved": [evens, odds, evens, _sorted_part(rng, [0, 1, 38, 39, 40])],
+        "empty part": [evens, _sorted_part(rng, [])],
+    }
+    for n in (2, 3, 5, 8, 13):
+        cases[f"random {n}"] = [_sorted_part(rng, rng.integers(-20, 60, size=rng.integers(0, 40))) for _ in range(n)]
+    # rows of a law whose packed keys would overflow int64
+    rows = [np.unique(rng.integers(0, 3, size=(20, 4)).astype(np.uint8), axis=0) for _ in range(3)]
+    cases["rows"] = [(r, rng.integers(1, 50, size=len(r)).astype(np.int64)) for r in rows]
+    for name, parts in cases.items():
+        before = [(keys.copy(), counts.copy()) for keys, counts in parts]
+        got, want = analysis._merge(parts), merge_parts(parts)
+        assert _same_law(got, want), name
+        assert all(_same_law(p, b) for p, b in zip(parts, before)), name
+
+
+def test_an_all_distinct_law_over_many_slabs_merges_each_row_log_times(monkeypatch):
+    monkeypatch.setattr(forest_module, "CUBE_SLAB", 1 << 6)
+    merged, merge = [], analysis._merge
+    monkeypatch.setattr(analysis, "_merge", lambda parts: merged.append(sum(len(p[0]) for p in parts)) or merge(parts))
+    f = identity_forest(16)
+    law = analysis._cube_law(f, 1 << 26)
+    assert _same_law(law, whole_cube_law(f, 1 << 26)) and len(law[0]) == 1 << 16
+    # 2**10 slabs of 2**6 distinct rows: a binary counter merges each row once per level, a left fold 2**9 times
+    assert sum(merged) <= 11 << 16, sum(merged)
+
+
+def test_the_round6_shuffle_law_stays_under_32_mib():
     f = thorp_forest(ThorpSpec(3, 6))
     tracemalloc.start()
     try:
@@ -588,7 +641,19 @@ def test_the_round6_shuffle_law_stays_under_80_mib():
     finally:
         tracemalloc.stop()
     assert int(counts.sum()) == 1 << 24 and rows.shape[1] == 8
-    assert peak < 80 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_the_round5_shuffle_law_grouped_by_three_cells_stays_under_24_mib():
+    f = thorp_forest(ThorpSpec(3, 5))
+    tracemalloc.start()
+    try:
+        detail = conditional_entropy_detail(f, (1, 12, 13))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert detail.per_assignment.shape == (8,) and 0 < detail.value < entropy(output_distribution(f))
+    assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_the_round6_shuffle_probe_histogram_stays_under_20_mib():
@@ -622,6 +687,7 @@ def test_exact_collision_shares_match_pointwise_counts():
     assert 0 < collision_probability(wide) < tv_lower_bound_via_collision(output_distribution(wide)) < 1
     for bot in (None, 0):  # empty rows hold no repeat and no blank
         assert tv_lower_bound_via_collision(Distribution({(): 1.0}, 0, bot=bot)) == 0.0
+        assert Distribution({(): 1.0}, 0, bot=bot).probs == {(): 1.0}
 
 
 def dict_entropy(probs: dict) -> float:
