@@ -173,13 +173,24 @@ def _cube_law(forest: DecisionForest, budget: int, cells: tuple = ()) -> tuple:
     The cube spans the probed cells and `cells`, which come sorted; b encodes
     symbol (b // alphabet**rank) % alphabet for the cell at position rank.
     Rows come in (b, row) order, in the tree tables' dtype (uint8 up to 254
-    output symbols plus blank, else int32), decoded block by block from
-    the keys b * (sigma+1)**m + packed outputs, or from the output matrix led
-    by b when keys overflow int64.  The cube is walked in slabs of
-    `_slab_axes` trailing axes, each at one symbol of the leading ones, and
-    the slabs' sorted parts are merged like the digits of a binary counter.
-    So each row is merged O(log slabs) times, and memory is one slab plus at
-    most log2(slabs) + 1 parts of at most the distinct rows each.
+    output symbols plus blank, else int32), decoded from the keys of
+    `_cube_keys` one column at a time.
+    """
+    keys, counts, group = _cube_keys(forest, budget, cells)
+    return _key_rows(forest, keys), counts, group
+
+
+def _cube_keys(forest: DecisionForest, budget: int, cells: tuple = ()) -> tuple:
+    """(sorted distinct keys, cube points giving each, b behind each): `_cube_law` before its rows are decoded.
+
+    A key is b * (sigma+1)**m + the packed outputs; when keys would overflow
+    int64 the keys are the rows themselves, from the output matrix led by b.
+    The cube is walked in slabs of `_slab_axes` trailing axes, each at one
+    symbol of the leading ones.  A slab of keys takes one pass per table of
+    `_fused_tables`, each table's cut scaled by its key weight before it is
+    broadcast in.  The slabs' sorted parts are merged like the digits of a
+    binary counter, so each key is merged O(log slabs) times, and memory is
+    one slab plus at most log2(slabs) + 1 parts of at most the distinct keys each.
     """
     order = cube_order(forest, cells)
     lam, k = forest.input_space.alphabet, len(order)
@@ -187,20 +198,25 @@ def _cube_law(forest: DecisionForest, budget: int, cells: tuple = ()) -> tuple:
     span = base ** m
     _check_enum_budget(lam, k, budget)
     rank_of = {c: r for r, c in enumerate(order)}
-    # one arange per named cell on that cell's axis; the cell at rank r sits on axis k-1-r
-    group = sum(
-        (np.arange(lam, dtype=np.int64).reshape([lam if a == k - 1 - rank_of[c] else 1 for a in range(k)]) * lam**r
-         for r, c in enumerate(cells)),
-        np.zeros((1,) * k, dtype=np.int64),
-    ).astype(np.min_scalar_type(lam ** len(cells) - 1))
     dtype = np.uint8 if base <= 255 else np.int32
-    tables = [group] + [_tree_on_cube(forest, tree, rank_of, dtype) for tree in range(m)]
+    tables = [_tree_on_cube(forest, tree, rank_of, dtype) for tree in range(m)]
     wide = lam ** len(cells) * span >= 1 << 62
+    if wide or cells:
+        # the cell at rank r sits on axis k-1-r, so b is the C-order index over the named cells' axes
+        named = {k - 1 - rank_of[c] for c in cells}
+        group = np.arange(lam ** len(cells), dtype=np.min_scalar_type(lam ** len(cells) - 1))
+        group = group.reshape([lam if a in named else 1 for a in range(k)])
     inner = _slab_axes(lam, k)
     if wide:  # b in its narrowest type, so the matrix keeps the outputs' type when b fits it
+        tables.insert(0, group)
         slab = np.empty((lam,) * inner + (m + 1,), dtype=np.result_type(group.dtype, dtype))
     else:
         slab = np.empty((lam,) * inner, dtype=np.int64 if lam ** len(cells) * span >= 1 << 31 else np.int32)
+        tables, weights = _fused_tables(tables, base)
+        if cells:  # b stays the leading digit, so the keys are b * span + the packed outputs
+            tables.insert(0, group)
+            weights.insert(0, span)
+        weights = [slab.dtype.type(w) for w in weights]
     parts = []
     for done, lead in enumerate(itertools.product(range(lam), repeat=k - inner), 1):
         # restriction as indexing: each table at the slab's symbols, or at 0 on axes it spans once
@@ -210,10 +226,9 @@ def _cube_law(forest: DecisionForest, budget: int, cells: tuple = ()) -> tuple:
                 slab[..., column] = values
             parts.append(np.unique(slab.reshape(-1, m + 1), axis=0, return_counts=True))
         else:
-            slab[...] = cut[0]
-            for values in cut[1:]:
-                slab *= base
-                slab += values
+            np.multiply(cut[0], weights[0], out=slab)
+            for values, weight in zip(cut[1:], weights[1:]):
+                slab += values * weight
             keys = slab.reshape(-1)
             keys.sort()
             edges = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
@@ -224,13 +239,47 @@ def _cube_law(forest: DecisionForest, budget: int, cells: tuple = ()) -> tuple:
     keys, counts = _merge(parts)
     if wide:  # past 256 groups b widened the matrix, and the rows go back to the outputs' type
         return keys[:, 1:].astype(dtype, copy=False), counts, keys[:, 0].astype(np.int64)
-    rows = np.empty((len(keys), m), dtype=dtype)
-    powers = base ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    step = (1 << 17) // m  # rows per block, so each int64 digit temporary takes at most 1 MiB; m < 63 here
-    for start in range(0, len(keys), step):
-        rows[start : start + step] = keys[start : start + step, None] // powers % base
     # calloc'd zeros stay untouched; a computed b raised the shuffle's peak RSS by about 1 MiB
-    return rows, counts, (keys // span).astype(np.int64) if cells else np.zeros(len(keys), dtype=np.int64)
+    return keys, counts, (keys // span).astype(np.int64) if cells else np.zeros(len(keys), dtype=np.int64)
+
+
+def _fused_tables(tables: list, base: int) -> tuple:
+    """(fused tables, key weight of each): the tree tables in output order, each fused into the table before it
+    when one's axes hold the other's and the fused digits, table * base + tree, stay under 2**16 (uint8 or
+    uint16; int32 tables, past 254 symbols, never fuse).  So a fused table is no bigger than the larger of
+    the two, and it weighs base**(trees after it) in the packed key.  The two cards of each last-round
+    switch of the shuffle share a cone, so their trees fuse.
+    """
+    fused, widths = tables[:1], [base]  # widths[i] is base**(trees in fused[i])
+    for table in tables[1:]:
+        prev, width = fused[-1], widths[-1] * base
+        # one table's axes hold the other's when their broadcast shape is one of the two
+        nested = prev.shape == table.shape or tuple(map(max, prev.shape, table.shape)) in (prev.shape, table.shape)
+        if nested and base <= 255 and width <= 1 << 16:
+            fused[-1] = prev.astype(np.uint8 if width <= 1 << 8 else np.uint16, copy=False) * base + table
+            widths[-1] = width
+        else:
+            fused.append(table)
+            widths.append(base)
+    weights, weight = [], base ** len(tables)
+    for width in widths:
+        weight //= width
+        weights.append(weight)
+    return fused, weights
+
+
+def _key_rows(forest: DecisionForest, keys: np.ndarray) -> np.ndarray:
+    """The output rows behind `_cube_keys` keys, in the tree tables' dtype; keys that are rows come back as they are."""
+    if keys.ndim > 1:
+        return keys
+    base, m = forest.output_space.alphabet + 1, forest.output_space.cells
+    rows = np.empty((len(keys), m), dtype=np.uint8 if base <= 255 else np.int32)
+    step = (1 << 17) // m  # keys per block, so each column's int64 temporaries stay under 1 MiB; m < 63 here
+    for start in range(0, len(keys), step):
+        block = keys[start : start + step]
+        for column in range(m):
+            rows[start : start + step, column] = block // base ** (m - 1 - column) % base
+    return rows
 
 
 def _merge(parts: list) -> tuple:
@@ -334,7 +383,7 @@ def conditional_entropy_detail(
     the cell at position rank in sorted(cells).
     """
     cells = _checked_cells(forest, cells)
-    _, counts, group = _cube_law(forest, budget, tuple(cells))
+    _, counts, group = _cube_keys(forest, budget, tuple(cells))
     per_assignment = _group_entropies(counts, group, forest.input_space.alphabet ** len(cells))
     return ConditionalEntropyDetail(float(per_assignment.mean()), tuple(cells), per_assignment)
 
@@ -417,15 +466,17 @@ def _row_keys(a: np.ndarray, b: np.ndarray) -> tuple:
     Each column, shifted to start at 0, is packed in one at a time; when
     the packed keys would pass int64, the rows are numbered by np.unique.
     """
-    lo = np.minimum(a.min(axis=0), b.min(axis=0)).tolist()
-    radix = [h - l + 1 for l, h in zip(lo, np.maximum(a.max(axis=0), b.max(axis=0)).tolist())]
+    # one contiguous copy per side: reducing a tall, narrow matrix down axis 0 is about 7 times slower
+    columns = [np.ascontiguousarray(rows.T) for rows in (a, b)]
+    lo = np.minimum(*(c.min(axis=1) for c in columns)).tolist()
+    radix = [h - l + 1 for l, h in zip(lo, np.maximum(*(c.max(axis=1) for c in columns)).tolist())]
     if math.prod(radix) >= 1 << 63:
         keys = np.unique(np.concatenate((a, b)), axis=0, return_inverse=True)[1].reshape(-1)
         return keys[: len(a)], keys[len(a) :]
     packed = []
-    for rows in (a, b):
-        keys = np.zeros(len(rows), dtype=np.int64)
-        for column, l, r in zip(rows.T, lo, radix):
+    for rows in columns:
+        keys = np.zeros(rows.shape[1], dtype=np.int64)
+        for column, l, r in zip(rows, lo, radix):
             keys *= r
             keys += column.astype(np.int64) - l
         packed.append(keys)

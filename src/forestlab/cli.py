@@ -16,6 +16,7 @@ import inspect
 import json
 import math
 import os
+import re
 import sys
 from collections import Counter
 
@@ -668,11 +669,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unrecognized(argv: list, extra: list) -> list:
+    """The tokens of `argv` that argparse left in `extra`, each unknown flag with the values that follow it.
+
+    argparse hands a value after an unknown flag to a free positional, as
+    the sweep's corpus config takes 5 in `sweep --seed 5`, so the values
+    are read back from `argv`: the tokens after an unknown flag up to the
+    next flag (a negative number is a value, as argparse reads it).
+    """
+    named, rest, taking = [], list(extra), False
+    for token in argv:
+        if rest and token == rest[0]:
+            named.append(rest.pop(0))
+            taking = token.startswith("-")
+        elif taking and (not token.startswith("-") or re.fullmatch(r"-\d+|-\d*\.\d+", token)):
+            named.append(token)
+        else:
+            taking = False
+    return named
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     args, extra = build_parser().parse_known_args(argv)
     args = vars(args)
     if extra:  # from the parser of the command, analysis or lemma, so its usage line is the one shown
-        args["parser"].error(f"unrecognized arguments: {' '.join(extra)}")
+        args["parser"].error(f"unrecognized arguments: {' '.join(_unrecognized(argv, extra))}")
     command, name, _ = args.pop("command"), args.pop("entry", None), args.pop("parser")
     run, modes = _COMMANDS[command]
     handler, modes = (run, modes) if name is None else modes[name]

@@ -27,9 +27,11 @@ from .analysis import (
     _check_seed_steps,
     _checked_cells,
     _collision_mass,
+    _cube_keys,
     _cube_law,
     _entropy_bits,
     _group_entropies,
+    _key_rows,
     _tv_to_uniform_perm,
     collision_probability,
     conditional_entropy_detail,
@@ -182,7 +184,7 @@ def verify_entropy_deviation(
     for cell in cells:
         if cell in probed:
             # one law grouped by the cell's value; group v holds n / lam cube points
-            _, counts, group = _cube_law(forest, budget, (cell,))
+            _, counts, group = _cube_keys(forest, budget, (cell,))
             probs = (counts / (int(counts.sum()) // lam)).tolist()
             ends = np.bincount(group, minlength=lam).cumsum().tolist()
             per_value = [_entropy_bits(probs[a:b]) for a, b in zip([0] + ends, ends)]
@@ -819,10 +821,10 @@ def bucketed_dichotomy_experiment(
     conditionals = []
     for block in buckets.buckets:
         outside = [c for c in range(forest.input_space.cells) if c not in block]
-        law = _cube_law(forest, budget, tuple(outside))
+        law = _cube_keys(forest, budget, tuple(outside))
         conditionals.append(float(_group_entropies(law[1], law[2], lam ** len(outside)).mean()))
         if conditionals[-1] > max(conditionals[:-1], default=-math.inf):
-            best, others, (rows, counts, group) = len(conditionals) - 1, outside, law
+            best, others, (keys, counts, group) = len(conditionals) - 1, outside, law
         del law  # a block's law that is not kept is freed before the next one is built
     samples = []
     for b in range(betas):
@@ -830,7 +832,7 @@ def bucketed_dichotomy_experiment(
         assignment = {c: rng.randrange(lam) for c in others}
         index = sum(assignment[c] * lam**rank for rank, c in enumerate(others))
         start, stop = np.searchsorted(group, (index, index + 1))
-        restricted = Distribution._from_counts(rows[start:stop], counts[start:stop], dist.bot)
+        restricted = Distribution._from_counts(_key_rows(forest, keys[start:stop]), counts[start:stop], dist.bot)
         samples.append(
             {
                 "assignment": [[c, assignment[c]] for c in others],

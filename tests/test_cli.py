@@ -906,7 +906,7 @@ def test_there_are_29_parsers_with_178_flags_in_all():
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["sweep", "--seed", "5", "--trials", "7"], "--seed"),  # the sweep reads 5 as its corpus config
+        (["sweep", "--seed", "5", "--trials", "7"], "--seed"),  # named in full below, with the 5 a positional took
         (["eval", "--forest", "GATE", "--input", "0", "--mu", "3"], "--mu 3"),
         (["verify", "ensemble-collision", "--target", "GATE", "--budget-states", "4"], "--budget-states 4"),
         (["analyze", "entropy", "--forest", "GATE", "--target", "uniform-perm"], "--target uniform-perm"),
@@ -922,6 +922,24 @@ def test_a_flag_the_command_does_not_read_is_unrecognized(tmp_path, capsys, isol
     # the usage and the error come from the parser of the command, analysis or lemma
     leaf = " ".join(argv[:2] if argv[0] in ("analyze", "verify") else argv[:1])
     assert err.startswith(f"usage: forestlab {leaf} [-h]") and f"\nforestlab {leaf}: error: " in err
+    assert not isolated_ledger.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        pytest.param(["sweep", "--seed", "5", "--trials", "7"], "--seed 5 --trials 7", id="value-a-positional-took"),
+        pytest.param(["sweep", "cfg.json", "--seed", "5"], "--seed 5", id="after-the-positional"),
+        pytest.param(["sweep", "--seed", "-5"], "--seed -5", id="negative-value"),
+        pytest.param(["sweep", "--fresh", "--bogus", "--ledger", "x.csv"], "--bogus", id="next-flag-is-known"),
+    ],
+)
+def test_an_unknown_flag_is_named_with_its_values(capsys, isolated_ledger, argv, named):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"forestlab sweep: error: unrecognized arguments: {named}\n")
     assert not isolated_ledger.exists()
 
 

@@ -47,7 +47,7 @@ from forestlab.analysis import (
     tv_lower_bound_via_collision,
 )
 from forestlab.corpus import enforcement_instances, restriction_instances
-from forestlab.forest import _NodeTable, _cell_tails, _probe_histograms, _uniform_inputs
+from forestlab.forest import _NodeTable, _cell_tails, _probe_histograms, _tree_on_cube, _uniform_inputs, cube_order
 from forestlab import analysis, harness
 from forestlab import forest as forest_module
 from forestlab.harness import _expected_blanks, enforce_avg_lipschitz
@@ -524,6 +524,44 @@ def test_slab_walk_matches_the_whole_cube_law(monkeypatch):
         f = thorp_forest(ThorpSpec(3, rounds))
         for cells in [(), tuple(f.mentioned_cells()[-3:])]:
             assert _same_law(analysis._cube_law(f, 1 << 26, cells), whole_cube_law(f, 1 << 26, cells)), (rounds, cells)
+
+
+def nested_cone_forest(sigma: int) -> DecisionForest:
+    """Nine trees over 3 symbols: a duplicated pair on cells 0 and 2, then trees on cell 2 and on cell 0, which
+    read subsets of the pair's cells, then trees on cell 4, on cells 4 and 5 and on no cell, then a duplicated
+    pair on cells 1 and 3.  Cell 6 is never read; the leaves cycle through the sigma symbols and the blank."""
+    values = itertools.cycle(range(sigma + 1))
+
+    def full(cells):
+        return Leaf(next(values)) if not cells else Internal(cells[0], tuple(full(cells[1:]) for _ in range(3)))
+
+    pair, other = full([0, 2]), full([1, 3])
+    trees = [pair, pair, full([2]), full([0]), full([4]), full([4, 5]), full([]), other, other]
+    return DecisionForest(InputSpace(7, 3), OutputSpace(9, sigma, True), tuple(map(DecisionTree, trees)))
+
+
+def test_fused_tree_tables_give_the_whole_cube_law(monkeypatch):
+    monkeypatch.setattr(forest_module, "CUBE_SLAB", 9)  # 81 slabs of 3 x 3 points
+    # 3**4 fused digits fit uint8; 17**2 need uint16, and the tree on cell 0 would make 17**4, so it starts a table
+    fused = {
+        2: ([np.uint8] * 3, [9, 9, 9], [5, 2, 0]),
+        16: ([np.uint16, np.uint8, np.uint16, np.uint16], [9, 3, 9, 9], [6, 5, 2, 0]),
+    }
+    for sigma, (dtypes, sizes, trees_after) in fused.items():
+        f = nested_cone_forest(sigma)
+        rank_of = {c: r for r, c in enumerate(cube_order(f))}
+        tables, weights = analysis._fused_tables([_tree_on_cube(f, t, rank_of, np.uint8) for t in range(9)], sigma + 1)
+        # each fused table is as big as the larger of its trees' tables, and weighs base**(trees after it)
+        assert ([t.dtype for t in tables], [t.size for t in tables]) == (dtypes, sizes), sigma
+        assert weights == [(sigma + 1) ** n for n in trees_after], sigma
+    wide = wide_output_forest()
+    cases = [(nested_cone_forest(sigma), cells) for sigma in (2, 16) for cells in [(), (0,), (2, 4), (6,), (1, 6)]]
+    cases += [(wide, cells) for cells in [(), (0,), (1, 2)]]
+    for f, cells in cases:
+        law = analysis._cube_law(f, 1 << 26, cells)
+        assert _same_law(law, whole_cube_law(f, 1 << 26, cells)), (f.output_space, cells)
+        keys, counts, group = analysis._cube_keys(f, 1 << 26, cells)
+        assert _same_law((counts, group), law[1:]) and _same_law((analysis._key_rows(f, keys),), law[:1])
 
 
 def test_every_law_keeps_its_rows_in_the_output_type():

@@ -1165,20 +1165,32 @@ def test_dichotomy_samples_are_the_laws_of_restricted_forests(monkeypatch):
 
 def test_the_dichotomy_slices_its_samples_from_the_best_blocks_law(monkeypatch):
     laws = []
-    cube_law = analysis._cube_law
+    cube_keys = analysis._cube_keys  # under every law, decoded or not
 
     def counted(forest, budget, cells=()):
         laws.append(cells)
-        return cube_law(forest, budget, cells)
+        return cube_keys(forest, budget, cells)
 
     spec = ThorpSpec(3, 3)
-    monkeypatch.setattr(analysis, "_cube_law", counted)
-    monkeypatch.setattr(harness, "_cube_law", counted)
+    monkeypatch.setattr(analysis, "_cube_keys", counted)
+    monkeypatch.setattr(harness, "_cube_keys", counted)
     report = bucketed_dichotomy_experiment(thorp_forest(spec), thorp_bucket_structure(spec), 11.0, betas=3)
     monkeypatch.undo()
     # the ungrouped law, then one law per block grouped by the cells outside it
     assert laws == [(), tuple(range(8)), tuple(range(4)) + tuple(range(8, 12)), tuple(range(4, 12))]
     assert len(report.details["samples"]) == 3
+
+
+def test_the_dichotomy_decodes_only_the_rows_of_its_samples(monkeypatch):
+    decoded = []
+    key_rows = harness._key_rows
+    monkeypatch.setattr(harness, "_key_rows", lambda forest, keys: decoded.append(len(keys)) or key_rows(forest, keys))
+    spec = ThorpSpec(3, 3)
+    f = thorp_forest(spec)
+    report = bucketed_dichotomy_experiment(f, thorp_bucket_structure(spec), 11.0, betas=3)
+    monkeypatch.undo()
+    samples = [output_distribution(restrict(f, dict(s["assignment"]))) for s in report.details["samples"]]
+    assert decoded == [len(law.rows) for law in samples]
 
 
 def test_dichotomy_rejects_mismatched_bucket_structures():
