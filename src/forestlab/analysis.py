@@ -173,74 +173,79 @@ def _cube_law(forest: DecisionForest, budget: int, cells: tuple = ()) -> tuple:
     The cube spans the probed cells and `cells`, which come sorted; b encodes
     symbol (b // alphabet**rank) % alphabet for the cell at position rank.
     Rows come in (b, row) order, in the tree tables' dtype (uint8 up to 254
-    output symbols plus blank, else int32), decoded from the keys of
-    `_cube_keys` one column at a time.
+    output symbols plus blank, else int32), from the batches of `_cube_groups`.
     """
-    keys, counts, group = _cube_keys(forest, budget, cells)
+    batches = list(_cube_groups(forest, budget, cells))
+    keys, counts, group = batches[0] if len(batches) == 1 else map(np.concatenate, zip(*batches))
     return _key_rows(forest, keys), counts, group
 
 
-def _cube_keys(forest: DecisionForest, budget: int, cells: tuple = ()) -> tuple:
-    """(sorted distinct keys, cube points giving each, b behind each): `_cube_law` before its rows are decoded.
+def _cube_groups(forest: DecisionForest, budget: int, cells: tuple = ()):
+    """Yield (sorted distinct keys, cube points giving each, b behind each) for runs of whole groups, in b order.
 
-    A key is b * (sigma+1)**m + the packed outputs; when keys would overflow
-    int64 the keys are the rows themselves, from the output matrix led by b.
-    The cube is walked in slabs of `_slab_axes` trailing axes, each at one
-    symbol of the leading ones.  A slab of keys takes one pass per table of
-    `_fused_tables`, each table's cut scaled by its key weight before it is
-    broadcast in.  The slabs' sorted parts are merged like the digits of a
-    binary counter, so each key is merged O(log slabs) times, and memory is
-    one slab plus at most log2(slabs) + 1 parts of at most the distinct keys each.
+    A key packs the outputs base (sigma+1), or past int64 is the output row
+    as one structured value that sorts and merges like an integer.  The
+    named cells lead the cube's axes, so b is the C-order index over them
+    and each group is one contiguous chunk.  The cube is walked in slabs of
+    `_slab_axes` trailing axes, each filled with one pass per table of
+    `_fused_tables` and sorted chunk by chunk.  A slab of whole groups is
+    yielded as it is; a group over several slabs merges their parts like
+    the digits of a binary counter, so memory is one slab plus at most
+    log2(slabs) + 1 parts of at most the group's distinct keys.
     """
-    order = cube_order(forest, cells)
-    lam, k = forest.input_space.alphabet, len(order)
+    order = [c for c in cube_order(forest, cells) if c not in cells] + list(cells)
+    lam, k, free = forest.input_space.alphabet, len(order), len(order) - len(cells)
     base, m = forest.output_space.alphabet + 1, forest.output_space.cells
-    span = base ** m
     _check_enum_budget(lam, k, budget)
     rank_of = {c: r for r, c in enumerate(order)}
     dtype = np.uint8 if base <= 255 else np.int32
     tables = [_tree_on_cube(forest, tree, rank_of, dtype) for tree in range(m)]
-    wide = lam ** len(cells) * span >= 1 << 62
-    if wide or cells:
-        # the cell at rank r sits on axis k-1-r, so b is the C-order index over the named cells' axes
-        named = {k - 1 - rank_of[c] for c in cells}
-        group = np.arange(lam ** len(cells), dtype=np.min_scalar_type(lam ** len(cells) - 1))
-        group = group.reshape([lam if a in named else 1 for a in range(k)])
+    wide = base**m >= 1 << 62
     inner = _slab_axes(lam, k)
-    if wide:  # b in its narrowest type, so the matrix keeps the outputs' type when b fits it
-        tables.insert(0, group)
-        slab = np.empty((lam,) * inner + (m + 1,), dtype=np.result_type(group.dtype, dtype))
+    if wide:  # a key is a row of the slab, viewed as one structured value with a field per tree
+        slab = np.empty((lam,) * inner + (m,), dtype=dtype)
     else:
-        slab = np.empty((lam,) * inner, dtype=np.int64 if lam ** len(cells) * span >= 1 << 31 else np.int32)
+        slab = np.empty((lam,) * inner, dtype=np.int64 if base**m >= 1 << 31 else np.int32)
         tables, weights = _fused_tables(tables, base)
-        if cells:  # b stays the leading digit, so the keys are b * span + the packed outputs
-            tables.insert(0, group)
-            weights.insert(0, span)
         weights = [slab.dtype.type(w) for w in weights]
+    flat = (slab.view([(f"t{tree}", dtype) for tree in range(m)]) if wide else slab).reshape(-1)
+    # a slab holds `rows` whole groups of `chunk` points, or one group spans `per_group` slabs
+    chunk, per_group = lam ** min(free, inner), lam ** max(0, free - inner)
+    rows, last = len(flat) // chunk, lam ** (k - inner) - 1
     parts = []
-    for done, lead in enumerate(itertools.product(range(lam), repeat=k - inner), 1):
+    for index, lead in enumerate(itertools.product(range(lam), repeat=k - inner)):
         # restriction as indexing: each table at the slab's symbols, or at 0 on axes it spans once
         cut = [table[tuple(v if n > 1 else 0 for v, n in zip(lead, table.shape))] for table in tables] if lead else tables
         if wide:
             for column, values in enumerate(cut):
                 slab[..., column] = values
-            parts.append(np.unique(slab.reshape(-1, m + 1), axis=0, return_counts=True))
         else:
             np.multiply(cut[0], weights[0], out=slab)
             for values, weight in zip(cut[1:], weights[1:]):
                 slab += values * weight
-            keys = slab.reshape(-1)
-            keys.sort()
-            edges = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
-            parts.append((keys[edges[:-1]], edges[1:] - edges[:-1]))
+        keys, counts, row = _sorted_runs(flat, chunk)
+        parts.append((keys, counts))
+        done = index % per_group + 1
         while done % 2 == 0:  # one carry per trailing zero bit of the slab count: the last two parts merge
             parts[-2:] = [_merge(parts[-2:])]
             done //= 2
-    keys, counts = _merge(parts)
-    if wide:  # past 256 groups b widened the matrix, and the rows go back to the outputs' type
-        return keys[:, 1:].astype(dtype, copy=False), counts, keys[:, 0].astype(np.int64)
-    # calloc'd zeros stay untouched; a computed b raised the shuffle's peak RSS by about 1 MiB
-    return keys, counts, (keys // span).astype(np.int64) if cells else np.zeros(len(keys), dtype=np.int64)
+        if index % per_group == per_group - 1:
+            keys, counts = _merge(parts)
+            group = row if per_group == 1 else np.zeros(len(keys), dtype=np.int64)
+            group += index // per_group * rows
+            parts = []
+            if index == last:  # freed before the caller reduces the last batch
+                del slab, flat
+            yield keys, counts, group
+
+
+def _sorted_runs(keys: np.ndarray, chunk: int) -> tuple:
+    """(distinct keys, count of each, chunk of each) of `keys`, each chunk of `chunk` keys sorted in place."""
+    keys.reshape(-1, chunk).sort(axis=1)
+    starts = np.concatenate(([True], keys[1:] != keys[:-1], [True]))
+    starts[::chunk] = True
+    edges = np.flatnonzero(starts)
+    return keys[edges[:-1]], edges[1:] - edges[:-1], edges[:-1] // chunk
 
 
 def _fused_tables(tables: list, base: int) -> tuple:
@@ -261,17 +266,13 @@ def _fused_tables(tables: list, base: int) -> tuple:
         else:
             fused.append(table)
             widths.append(base)
-    weights, weight = [], base ** len(tables)
-    for width in widths:
-        weight //= width
-        weights.append(weight)
-    return fused, weights
+    return fused, [base ** len(tables) // width for width in itertools.accumulate(widths, int.__mul__)]
 
 
 def _key_rows(forest: DecisionForest, keys: np.ndarray) -> np.ndarray:
-    """The output rows behind `_cube_keys` keys, in the tree tables' dtype; keys that are rows come back as they are."""
-    if keys.ndim > 1:
-        return keys
+    """The output rows behind `_cube_groups` keys, in the tree tables' dtype; structured keys are viewed as rows."""
+    if keys.dtype.names:
+        return keys.view(keys.dtype[0]).reshape(len(keys), -1)
     base, m = forest.output_space.alphabet + 1, forest.output_space.cells
     rows = np.empty((len(keys), m), dtype=np.uint8 if base <= 255 else np.int32)
     step = (1 << 17) // m  # keys per block, so each column's int64 temporaries stay under 1 MiB; m < 63 here
@@ -283,20 +284,14 @@ def _key_rows(forest: DecisionForest, keys: np.ndarray) -> np.ndarray:
 
 
 def _merge(parts: list) -> tuple:
-    """The distinct keys (or rows) of the (keys, int64 counts) parts, each sorted and distinct, with summed counts.
+    """The distinct keys of the (keys, int64 counts) parts, each sorted and distinct, with summed counts.
 
-    The parts are left unchanged, and one part comes back as it is.  Keys
-    merge in pairs, neighbours first, so each is merged O(log parts) times:
-    np.searchsorted finds where each key of one part sits in the other, its
-    count is added where the key is present and np.insert adds it where not.
-    Rows, the 2-d keys of a law whose packed keys would overflow int64, go
-    through one np.unique over all parts.
+    The parts are left unchanged, and one part comes back as it is.  Keys,
+    integers or structured rows, merge in pairs, neighbours first, so each
+    is merged O(log parts) times: np.searchsorted finds where each key of
+    one part sits in the other, its count is added where the key is present
+    and np.insert adds it where not.
     """
-    if len(parts) > 1 and parts[0][0].ndim > 1:
-        keys, inverse = np.unique(np.concatenate([p[0] for p in parts]), axis=0, return_inverse=True)
-        counts = np.zeros(len(keys), dtype=np.int64)
-        np.add.at(counts, inverse.reshape(-1), np.concatenate([p[1] for p in parts]))
-        return keys, counts
     while len(parts) > 1:
         merged = []
         for (keys, counts), (new, more) in zip(parts[::2], parts[1::2]):
@@ -380,19 +375,21 @@ def conditional_entropy_detail(
     """Exact H(output | named cells), with the per-assignment profile.
 
     Assignment index b encodes symbol (b // alphabet**rank) % alphabet for
-    the cell at position rank in sorted(cells).
+    the cell at position rank in sorted(cells); each batch of whole groups is reduced as it comes.
     """
     cells = _checked_cells(forest, cells)
-    _, counts, group = _cube_keys(forest, budget, tuple(cells))
-    per_assignment = _group_entropies(counts, group, forest.input_space.alphabet ** len(cells))
+    batches = _cube_groups(forest, budget, tuple(cells))
+    per_assignment = np.concatenate([_group_entropies(counts, group) for _, counts, group in batches])
     return ConditionalEntropyDetail(float(per_assignment.mean()), tuple(cells), per_assignment)
 
 
-def _group_entropies(counts: np.ndarray, group: np.ndarray, groups: int) -> np.ndarray:
-    """The entropy of each of `groups` equal-sized groups of a grouped law's counts, group b where `group` is b."""
+def _group_entropies(counts: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """The entropy of each group of one `_cube_groups` batch, from group[0] to group[-1], all of one size."""
+    first, groups = int(group[0]), int(group[-1]) - int(group[0]) + 1
     frac = counts / (int(counts.sum()) // groups)
-    terms = -frac * np.log2(frac, where=frac > 0, out=np.zeros_like(frac))
-    return np.bincount(group, weights=terms, minlength=groups)
+    terms = np.log2(frac, where=frac > 0, out=np.zeros_like(frac))
+    terms *= np.negative(frac, out=frac)  # in place, one batch-sized array fewer
+    return np.bincount(group - first, weights=terms, minlength=groups)
 
 
 def monte_carlo_conditional_entropy(

@@ -27,7 +27,7 @@ from .analysis import (
     _check_seed_steps,
     _checked_cells,
     _collision_mass,
-    _cube_keys,
+    _cube_groups,
     _cube_law,
     _entropy_bits,
     _group_entropies,
@@ -183,11 +183,12 @@ def verify_entropy_deviation(
     reports = []
     for cell in cells:
         if cell in probed:
-            # one law grouped by the cell's value; group v holds n / lam cube points
-            _, counts, group = _cube_keys(forest, budget, (cell,))
-            probs = (counts / (int(counts.sum()) // lam)).tolist()
-            ends = np.bincount(group, minlength=lam).cumsum().tolist()
-            per_value = [_entropy_bits(probs[a:b]) for a, b in zip([0] + ends, ends)]
+            # one law grouped by the cell's value, walked a run of whole groups at a time
+            per_value = []
+            for _, counts, group in _cube_groups(forest, budget, (cell,)):
+                sizes = np.bincount(group - group[0])
+                probs, ends = (counts / (int(counts.sum()) // len(sizes))).tolist(), sizes.cumsum().tolist()
+                per_value += [_entropy_bits(probs[a:b]) for a, b in zip([0] + ends, ends)]
         else:  # every restriction is the forest itself
             per_value = [h] * lam
         ec = float(expected[cell])
@@ -816,30 +817,31 @@ def bucketed_dichotomy_experiment(
         details = {**inner.details, "branch": "containment", "container_size": len(container)}
         return replace(inner, lemma_id="bucketed-dichotomy", seed=seed, details=details)
     lam = forest.input_space.alphabet
-    # the output entropy given every cell outside each block; the law grouped by the cells
-    # outside the first block of largest entropy is kept, and each restriction's law is one group of it
+    # the output entropy given every cell outside each block, from the law grouped by those cells; a sample
+    # depends only on (seed, b) and those cells, so its group is drawn before the walk and kept as it passes
     conditionals = []
     for block in buckets.buckets:
         outside = [c for c in range(forest.input_space.cells) if c not in block]
-        law = _cube_keys(forest, budget, tuple(outside))
-        conditionals.append(float(_group_entropies(law[1], law[2], lam ** len(outside)).mean()))
+        draws = [random.Random(derive_seed(seed, b)) for b in range(betas)]
+        assignments = [{c: rng.randrange(lam) for c in outside} for rng in draws]
+        wanted = [sum(a[c] * lam**rank for rank, c in enumerate(outside)) for a in assignments]
+        entropies, kept = [], {}
+        for keys, counts, group in _cube_groups(forest, budget, tuple(outside)):
+            entropies.append(_group_entropies(counts, group))
+            for index in {i for i in wanted if group[0] <= i <= group[-1]}:
+                start, stop = np.searchsorted(group, (index, index + 1))
+                kept[index] = keys[start:stop].copy(), counts[start:stop].copy()
+        conditionals.append(float(np.concatenate(entropies).mean()))
         if conditionals[-1] > max(conditionals[:-1], default=-math.inf):
-            best, others, (keys, counts, group) = len(conditionals) - 1, outside, law
-        del law  # a block's law that is not kept is freed before the next one is built
+            best, others, chosen = len(conditionals) - 1, outside, [(a, kept[i]) for a, i in zip(assignments, wanted)]
     samples = []
-    for b in range(betas):
-        rng = random.Random(derive_seed(seed, b))
-        assignment = {c: rng.randrange(lam) for c in others}
-        index = sum(assignment[c] * lam**rank for rank, c in enumerate(others))
-        start, stop = np.searchsorted(group, (index, index + 1))
-        restricted = Distribution._from_counts(_key_rows(forest, keys[start:stop]), counts[start:stop], dist.bot)
-        samples.append(
-            {
-                "assignment": [[c, assignment[c]] for c in others],
-                "entropy": entropy(restricted),
-                "collision_probability": _collision_mass(restricted, count_bot=False),
-            }
-        )
+    for assignment, (keys, counts) in chosen:
+        restricted = Distribution._from_counts(_key_rows(forest, keys), counts, dist.bot)
+        samples.append({
+            "assignment": [[c, assignment[c]] for c in others],
+            "entropy": entropy(restricted),
+            "collision_probability": _collision_mass(restricted, count_bot=False),
+        })
     return ExperimentReport(
         lemma_id="bucketed-dichotomy",
         bound=entropy_threshold,

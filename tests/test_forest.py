@@ -560,8 +560,41 @@ def test_fused_tree_tables_give_the_whole_cube_law(monkeypatch):
     for f, cells in cases:
         law = analysis._cube_law(f, 1 << 26, cells)
         assert _same_law(law, whole_cube_law(f, 1 << 26, cells)), (f.output_space, cells)
-        keys, counts, group = analysis._cube_keys(f, 1 << 26, cells)
+        keys, counts, group = map(np.concatenate, zip(*analysis._cube_groups(f, 1 << 26, cells)))
         assert _same_law((counts, group), law[1:]) and _same_law((analysis._key_rows(f, keys),), law[:1])
+
+
+def test_cube_groups_yield_whole_groups_in_order(monkeypatch):
+    forests = differential_corpus() + [wide_output_forest(), nested_cone_forest(2), nested_cone_forest(16)]
+    seen = set()
+    for slab in (4, 9):  # a slab of 2**2 or 2**3 points, or of 3 or 3**2
+        monkeypatch.setattr(forest_module, "CUBE_SLAB", slab)
+        for f in forests:
+            lam, probed = f.input_space.alphabet, f.mentioned_cells()
+            unprobed = sorted(set(range(f.input_space.cells)) - set(probed))
+            named = [(), tuple(probed[:1]), tuple(unprobed[:1]), tuple(sorted(probed[:2] + unprobed[:1])), tuple(probed[1:])]
+            for cells in named:
+                batches = list(analysis._cube_groups(f, 1 << 26, cells))
+                bounds = [(int(group[0]), int(group[-1])) for _, _, group in batches]
+                # runs of whole groups in ascending b: each batch starts at the group after the last one's
+                assert [lo for lo, _ in bounds] == [0] + [hi + 1 for _, hi in bounds[:-1]], (f, cells)
+                assert bounds[-1][1] == lam ** len(cells) - 1, (f, cells)
+                for keys, _, group in batches:
+                    assert (np.diff(group) >= 0).all(), (f, cells)
+                    for b in range(group[0], group[-1] + 1):  # sorted and distinct inside each group
+                        assert np.array_equal(np.unique(keys[group == b]), keys[group == b]), (f, cells, b)
+                keys, counts, group = map(np.concatenate, zip(*batches))
+                want = whole_cube_law(f, 1 << 26, cells)
+                assert _same_law((analysis._key_rows(f, keys), counts, group), want), (f, cells)
+                k = len(cube_order(f, cells))
+                if len(batches) < lam ** (k - forest_module._slab_axes(lam, k)):  # a group took several slabs
+                    seen.add((lam, "spans"))
+                if any(hi > lo for lo, hi in bounds):  # a slab held several groups
+                    seen.add((lam, "shares"))
+                if cells and keys.dtype.names:
+                    seen.add("wide")
+    # a group over 3**j slabs merges them in no power of two; the wide law's keys are structured
+    assert {(2, "spans"), (2, "shares"), (3, "spans"), (3, "shares"), "wide"} <= seen
 
 
 def test_every_law_keeps_its_rows_in_the_output_type():
@@ -649,8 +682,9 @@ def test_merge_matches_one_unique_over_all_parts():
     }
     for n in (2, 3, 5, 8, 13):
         cases[f"random {n}"] = [_sorted_part(rng, rng.integers(-20, 60, size=rng.integers(0, 40))) for _ in range(n)]
-    # rows of a law whose packed keys would overflow int64
-    rows = [np.unique(rng.integers(0, 3, size=(20, 4)).astype(np.uint8), axis=0) for _ in range(3)]
+    # rows of a law whose packed keys would overflow int64, as structured keys with a field per column
+    fields = np.dtype([(f"t{column}", np.uint8) for column in range(4)])
+    rows = [np.unique(rng.integers(0, 3, size=(20, 4)).astype(np.uint8), axis=0).view(fields).reshape(-1) for _ in range(3)]
     cases["rows"] = [(r, rng.integers(1, 50, size=len(r)).astype(np.int64)) for r in rows]
     for name, parts in cases.items():
         before = [(keys.copy(), counts.copy()) for keys, counts in parts]
@@ -682,7 +716,7 @@ def test_the_round6_shuffle_law_stays_under_32_mib():
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-def test_the_round5_shuffle_law_grouped_by_three_cells_stays_under_24_mib():
+def test_the_round5_shuffle_law_grouped_by_three_cells_stays_under_16_mib():
     f = thorp_forest(ThorpSpec(3, 5))
     tracemalloc.start()
     try:
@@ -691,7 +725,21 @@ def test_the_round5_shuffle_law_grouped_by_three_cells_stays_under_24_mib():
     finally:
         tracemalloc.stop()
     assert detail.per_assignment.shape == (8,) and 0 < detail.value < entropy(output_distribution(f))
-    assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_one_round6_chain_bound_term_stays_under_96_mib():
+    f = thorp_forest(ThorpSpec(3, 6))
+    outside = [c for c in range(f.input_space.cells) if not 8 <= c < 12]  # every coin but round 3's four
+    tracemalloc.start()
+    try:
+        # 2**20 groups of 16 points each, walked 2**16 whole groups at a time
+        detail = conditional_entropy_detail(f, outside)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(outside) == 20 and detail.value == 4.0 and (detail.per_assignment == 4.0).all()
+    assert peak < 96 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_the_round6_shuffle_probe_histogram_stays_under_20_mib():

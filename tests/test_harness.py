@@ -1165,15 +1165,15 @@ def test_dichotomy_samples_are_the_laws_of_restricted_forests(monkeypatch):
 
 def test_the_dichotomy_slices_its_samples_from_the_best_blocks_law(monkeypatch):
     laws = []
-    cube_keys = analysis._cube_keys  # under every law, decoded or not
+    cube_groups = analysis._cube_groups  # under every law, decoded or not
 
     def counted(forest, budget, cells=()):
         laws.append(cells)
-        return cube_keys(forest, budget, cells)
+        return cube_groups(forest, budget, cells)
 
     spec = ThorpSpec(3, 3)
-    monkeypatch.setattr(analysis, "_cube_keys", counted)
-    monkeypatch.setattr(harness, "_cube_keys", counted)
+    monkeypatch.setattr(analysis, "_cube_groups", counted)
+    monkeypatch.setattr(harness, "_cube_groups", counted)
     report = bucketed_dichotomy_experiment(thorp_forest(spec), thorp_bucket_structure(spec), 11.0, betas=3)
     monkeypatch.undo()
     # the ungrouped law, then one law per block grouped by the cells outside it
