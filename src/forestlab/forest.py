@@ -10,8 +10,8 @@ allows it.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Union
 
@@ -19,7 +19,7 @@ import numpy as np
 
 DEFAULT_STATE_BUDGET = 1 << 26
 DEFAULT_SET_BUDGET = 1 << 22
-# cube points a slab walk fills at once
+# cube points a slab walk fills, or a probe-count histogram bins, at once
 CUBE_SLAB = 1 << 20
 
 # Partial assignments bind a subset of input cells to fixed symbols.
@@ -403,33 +403,23 @@ def _walk(forest: DecisionForest, tree: int, inputs: np.ndarray, counts: np.ndar
     return node
 
 
-def _blocks(forest: DecisionForest, tree: int, rank_of: dict, rows: list | None = None, column: dict = {}):
+def _blocks(forest: DecisionForest, tree: int, rank_of: dict):
     """Walk one tree in preorder, yielding (query, value, index) per node.
 
     The cube is C-order over (lam,)*K with K = len(rank_of), so the cell at
     rank r sits on axis K-1-r.  `index` is a basic index that fixes the
     symbol of each cell on the node's path and spans every other axis:
-    cube[index] is the block of points that reach the node.  With `rows`,
-    the cube gets a leading axis over them and a cell in `column` is read
-    as rows[i][column[cell]]: index[0] is the row, or the list of rows,
-    that agree with the node's path there, and a node no row reaches is
-    skipped with its subtree.
+    cube[index] is the block of points that reach the node.
     """
     table = forest._table.rows
-    stack = [(forest._table.roots[tree], (slice(None),) * len(rank_of), None if rows is None else range(len(rows)))]
+    stack = [(forest._table.roots[tree], (slice(None),) * len(rank_of))]
     while stack:
-        node, index, at = stack.pop()
+        node, index = stack.pop()
         cell, value, _, kids = table[node]
-        yield cell, value, index if at is None else (at[0] if len(at) == 1 else list(at),) + index
-        if cell in column:
-            j = column[cell]
-            for v in range(len(kids) - 1, -1, -1):
-                if agree := [i for i in at if rows[i][j] == v]:
-                    stack.append((kids[v], index, agree))
-        elif cell >= 0:
+        yield cell, value, index
+        if cell >= 0:
             axis = len(index) - 1 - rank_of[cell]
-            for v in range(len(kids) - 1, -1, -1):
-                stack.append((kids[v], index[:axis] + (v,) + index[axis + 1 :], at))
+            stack.extend((kids[v], index[:axis] + (v,) + index[axis + 1 :]) for v in reversed(range(len(kids))))
 
 
 def _draw_generator(trials: int, seed: int) -> np.random.Generator:
@@ -479,35 +469,45 @@ def _probe_histograms(forest: DecisionForest, cells: tuple = (), drawn: list | N
     cells[j] holds drawn[i][j].
 
     free lists the probed cells outside the sorted `cells`; by default row b of `drawn` holds (b // lam**j) % lam
-    at cells[j], for every b.  A slab is some rows, each also fixing the leading free cells, times the cube of the
-    `_slab_axes` trailing ones, so only the drawn sub-cubes are walked.  The walk collects each cell's blocks,
-    then one cell's slab of counts at a time is filled and binned.
+    at cells[j], for every b.  Per probed cell j, a table over the cube of the probed cells counts the trees that
+    probe j; the blocks of j's nodes fix only cells probed above them, so it has size lam on their axes and 1
+    elsewhere.  Tables past `budget` entries in all are refused before any is allocated; built once, they are
+    kept in the forest's `vars()` like `_flat`.  Each free cell's table is read at the drawn symbols of the named
+    cells it spans, binned in chunks of at most CUBE_SLAB points, and scaled by lam per free axis it spans once.
     """
-    lam, m = forest.input_space.alphabet, forest.output_space.cells
-    free = [c for c in cube_order(forest) if c not in cells]
+    lam, m, order = forest.input_space.alphabet, forest.output_space.cells, cube_order(forest)
+    free = [c for c in order if c not in cells]
     _check_enum_budget(lam, len(free), budget)
-    inner = _slab_axes(lam, len(free))
-    drawn = [b[::-1] for b in itertools.product(range(lam), repeat=len(cells))] if drawn is None else drawn
-    leads = list(itertools.product(range(lam), repeat=len(free) - inner))
-    rows = [tuple(fixed) + lead for fixed in drawn for lead in leads]
-    column = {c: j for j, c in enumerate(tuple(cells) + tuple(free[inner:]))}
-    rank = {c: r for r, c in enumerate(free)}
-    inner_rank = {c: rank[c] for c in free[:inner]}
+    tables = vars(forest).get("_probe_tables")
+    if tables is None:
+        rank = {c: r for r, c in enumerate(order)}
+        nodes = [(c, index) for t in range(m) for c, _, index in _blocks(forest, t, rank) if c >= 0]
+        fixed = {c: set() for c in order}  # per cell j, the axes that the block of some j-node fixes
+        for cell, index in nodes:
+            fixed[cell].update(a for a, i in enumerate(index) if isinstance(i, int))
+    entries = sum(lam ** len(f) for f in fixed.values()) if tables is None else sum(t.size for t in tables.values())
+    if entries > budget:
+        raise BudgetError("enum_budget", f"{entries} probe-table entries exceed the enumeration budget {budget}")
+    if tables is None:
+        dtype = np.min_scalar_type(m)
+        tables = {c: np.zeros([lam if a in f else 1 for a in range(len(order))], dtype) for c, f in fixed.items()}
+        for cell, index in nodes:
+            tables[cell][index] += 1
+        vars(forest)["_probe_tables"] = tables
+    drawn = np.arange(lam ** len(cells))[:, None] // lam ** np.arange(len(cells)) % lam if drawn is None else drawn
+    symbols = dict(zip(cells, np.array(drawn, dtype=np.intp).reshape(len(drawn), len(cells)).T))
     hist = np.zeros((len(drawn), len(free), m + 1), dtype=np.int64)
-    step = max(1, CUBE_SLAB // lam**inner)
-    for start in range(0, len(rows), step):
-        slab = rows[start : start + step]
-        blocks: list = [[] for _ in free]
-        for tree in range(m):
-            for cell, _, index in _blocks(forest, tree, inner_rank, slab, column):
-                if cell in rank:
-                    blocks[rank[cell]].append(index)
-        keys = ((start + np.arange(len(slab))) // len(leads) * (m + 1)).reshape((-1,) + (1,) * inner)
-        for r, indexes in enumerate(blocks):
-            count = np.zeros((len(slab),) + (lam,) * inner, dtype=np.min_scalar_type(m))
-            for index in indexes:
-                count[index] += 1
-            hist[:, r] += np.bincount((keys + count).reshape(-1), minlength=hist[:, r].size).reshape(-1, m + 1)
+    for r, table in enumerate(tables[c] for c in free):
+        # axis 0 holds the last cell of `order`, `% n` reads a size-1 axis at 0, a leading axis puts the draws first
+        index = [symbols[c] % n if c in symbols else slice(None) for c, n in zip(order[::-1], table.shape)]
+        count = table[None][(np.zeros(len(drawn), dtype=np.intp), *index)]
+        points = math.prod(count.shape[1:])  # the points of the cube of `free` that one draw reads
+        count = count.reshape(-1)
+        for start in range(0, count.size, CUBE_SLAB):
+            chunk = count[start : start + CUBE_SLAB]
+            keys = (start + np.arange(chunk.size)) // points * (m + 1) + chunk
+            hist[:, r] += np.bincount(keys, minlength=hist[:, r].size).reshape(-1, m + 1)
+        hist[:, r] *= lam ** len(free) // points
     return hist, free
 
 
@@ -602,9 +602,9 @@ def query_profile(
 ) -> QueryProfile:
     """Distribution summary of per-cell probe counts under a uniform input.
 
-    Exact mode enumerates assignments of the probed cells (unprobed cells
-    cannot change any count).  Monte-Carlo mode draws `trials` uniform
-    inputs with a counter-based generator keyed by `seed`.
+    Exact mode counts over the cube of the probed cells, from one table per
+    cell (unprobed cells cannot change any count).  Monte-Carlo mode draws
+    `trials` uniform inputs with a counter-based generator keyed by `seed`.
     """
     s = forest.input_space.cells
     if mode == "exact":

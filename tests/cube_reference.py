@@ -1,10 +1,11 @@
 """Whole-cube slow references: every cube point in memory at once.
 
-`analysis._cube_law` and `forest._probe_histograms` walk the cube in slabs;
-these build the full output matrix, the full packed-key vector, the law from
-them and the points x cells probe-count table in one step, so tests can check
-the slab walks against them.  `merge_parts` merges slab parts in one
-np.unique, as a reference for the pairwise merge of `analysis._merge`.
+`analysis._cube_law` walks the cube in slabs and `forest._probe_histograms`
+indexes one small table per probed cell; these build the full output matrix,
+the full packed-key vector, the law from them and the points x cells
+probe-count table in one step, so tests can check both against them.
+`merge_parts` merges slab parts in one np.unique, as a reference for the
+pairwise merge of `analysis._merge`.
 """
 from __future__ import annotations
 

@@ -355,6 +355,18 @@ def test_exact_lipschitz_on_the_six_round_shuffle_is_bounded_by_the_state_budget
     assert capsys.readouterr().err == "error: enum_budget: 2^24 states exceed the enumeration budget 8388608\n"
 
 
+def test_exact_lipschitz_refuses_probe_tables_past_the_budget_when_the_cube_fits(tmp_path, capsys):
+    chain = lambda order: Internal(order[0], (chain(order[1:]),) * 2) if order else Leaf(0)
+    crossed = tmp_path / "crossed.json"  # 6 cells, each with the other 5 above it in one of the two trees
+    trees = (DecisionTree(chain(range(6))), DecisionTree(chain(range(5, -1, -1))))
+    crossed.write_text(dumps_forest(DecisionForest(InputSpace(6, 2), OutputSpace(2, 2), trees)))
+    argv = ["analyze", "lipschitz", "--forest", str(crossed), "--mu", "1.5"]
+    assert main(argv + ["--budget-states", "64"]) == 2
+    assert capsys.readouterr().err == "error: enum_budget: 192 probe-table entries exceed the enumeration budget 64\n"
+    assert main(argv + ["--budget-states", "192"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 1.0
+
+
 def test_sweep_runs_selected_families_and_summarizes(tmp_path, capsys, isolated_ledger):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"families": ["taylor-bound", "sum-ratio"]}))

@@ -612,16 +612,15 @@ def test_every_law_keeps_its_rows_in_the_output_type():
 
 
 def test_probe_histograms_match_the_whole_table_slab_by_slab(monkeypatch):
-    slabs = []
-    slab_axes = forest_module._slab_axes
+    chunks, extra = [], []
+    bincount = np.bincount
 
-    def counted(lam, k):
-        inner = slab_axes(lam, k)
-        slabs.append(lam ** (k - inner))
-        return inner
+    def counted(keys, minlength=0):
+        chunks.append(len(keys))
+        return bincount(keys, minlength=minlength)
 
     monkeypatch.setattr(forest_module, "CUBE_SLAB", 4)
-    monkeypatch.setattr(forest_module, "_slab_axes", counted)
+    monkeypatch.setattr(np, "bincount", counted)
     forests = differential_corpus() + [f for _, f, _, _ in enforcement_instances() if f.input_space.alphabet == 3]
     for f in forests:
         s, lam = f.input_space.cells, f.input_space.alphabet
@@ -629,7 +628,10 @@ def test_probe_histograms_match_the_whole_table_slab_by_slab(monkeypatch):
         unprobed = sorted(set(range(s)) - set(probed))
         subset = tuple(sorted(random.Random(61).sample(range(s), max(1, s // 2))))  # a criterion-08 draw
         for cells in [(), tuple(probed[:1]), tuple(unprobed[:1]), subset]:
+            chunks.clear()
             hist, free = _probe_histograms(f, cells)
+            assert max(chunks, default=0) <= 4
+            extra.append(len(chunks) - len(free))  # chunks past one per free cell
             counts, order = query_counts_on_cube(f, cells)
             assert free == [c for c in order if c not in cells]
             # point i holds (i // lam**r) % lam at the cell of rank r, and b weighs cells[j] by lam**j
@@ -651,7 +653,7 @@ def test_probe_histograms_match_the_whole_table_slab_by_slab(monkeypatch):
         counts, order = query_counts_on_cube(f)
         assert np.array_equal(np.asarray(profile.expected)[order], counts.mean(axis=0))
         assert profile.tail == tuple(restricted_tails(f, {}, 1.0))
-    assert max(slabs) > 1
+    assert max(extra) > 0  # some cell's draws were binned in more than one chunk
 
 
 def test_every_shuffle_coin_is_probed_by_exactly_two_trees():
@@ -663,6 +665,27 @@ def test_every_shuffle_coin_is_probed_by_exactly_two_trees():
         assert query_profile(f, 1.5).expected == (2.0,) * len(order)
         for mu, tail in [(0.0, 1.0), (1.5, 1.0), (1.999, 1.0), (2.0, 0.0), (3.0, 0.0)]:
             assert (_cell_tails(hist, order, len(order), mu) == tail).all(), (rounds, mu)
+
+
+def test_probe_tables_past_the_budget_are_refused_before_any_is_built():
+    # two trees read cells 0..5 in opposite orders on every path, so each cell has the other five above it in
+    # one tree or the other: a 2**6-point cube, but 6 * 2**5 table entries
+    chain = lambda order: Internal(order[0], (chain(order[1:]),) * 2) if order else Leaf(0)
+    trees = (DecisionTree(chain(range(6))), DecisionTree(chain(range(5, -1, -1))))
+    crossed = DecisionForest(InputSpace(6, 2), OutputSpace(2, 2), trees)
+    for budget, refused in [(63, "2^6 states"), (64, "192 probe-table entries"), (191, "192 probe-table entries")]:
+        with pytest.raises(BudgetError) as err:
+            query_profile(crossed, 1.0, budget=budget)
+        assert err.value.reason == "enum_budget"
+        assert err.value.message == f"{refused} exceed the enumeration budget {budget}"
+        assert "_probe_tables" not in vars(crossed)
+    assert query_profile(crossed, 1.0, budget=192).tail == (1.0,) * 6
+    shapes = [t.shape for t in vars(crossed)["_probe_tables"].values()]
+    assert shapes == [tuple(1 if axis == 5 - c else 2 for axis in range(6)) for c in range(6)]  # cell c on axis 5 - c
+    # tables built under a larger budget are refused all the same under a smaller one
+    with pytest.raises(BudgetError) as err:
+        _probe_histograms(crossed, (0,), [(1,)], budget=64)
+    assert err.value.message == "192 probe-table entries exceed the enumeration budget 64"
 
 
 def _sorted_part(rng, keys) -> tuple:
@@ -742,7 +765,7 @@ def test_one_round6_chain_bound_term_stays_under_96_mib():
     assert peak < 96 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-def test_the_round6_shuffle_probe_histogram_stays_under_20_mib():
+def test_the_round6_shuffle_probe_histogram_stays_under_10_mib():
     f = thorp_forest(ThorpSpec(3, 6))
     tracemalloc.start()
     try:
@@ -751,7 +774,7 @@ def test_the_round6_shuffle_probe_histogram_stays_under_20_mib():
     finally:
         tracemalloc.stop()
     assert (hist[0, :, 2] == 1 << 24).all() and order == list(range(24))
-    assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_exact_collision_shares_match_pointwise_counts():

@@ -457,12 +457,14 @@ def test_walking_a_forest_leaves_its_equality_json_and_pickle_unchanged():
         twin = forest_from_json(forest_to_json(forest))
         text, data = dumps_forest(forest), pickle.dumps(forest)
         traces = [enforce_avg_lipschitz(forest, mu, eps, seed=r) for r in range(100)]
+        profile = query_profile(forest, mu)
         assert "_heaviest_step" in vars(forest) and vars(forest)["depth"] == forest.depth
+        assert "_probe_tables" in vars(forest) and query_profile(forest, mu) == profile
         assert forest == twin and hash(forest) == hash(twin)
         assert dumps_forest(forest) == text
         assert pickle.dumps(forest) == data
         assert pickle.loads(data) == forest
-        assert "depth" not in vars(pickle.loads(data))
+        assert not {"depth", "_heaviest_step", "_probe_tables"} & set(vars(pickle.loads(pickle.dumps(forest))))
         for trace in traces:  # restricted forests, built from node tables, round-trip too
             final = trace.final_forest
             copy = pickle.loads(pickle.dumps(final))
